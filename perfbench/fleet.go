@@ -19,15 +19,14 @@ import (
 // cluster.Coordinator.
 type fleet struct {
 	servers []*server
-	shards  int // engine shards per node each registration asks for, 0 = the server's default
 	rss     *rssSampler
 	client  *client.Client       // single node
 	co      *cluster.Coordinator // several nodes
 }
 
 // startFleet spawns every node, waits until all listen, and connects.
-func startFleet(bin string, nodes, shards int, traced bool) (*fleet, error) {
-	f := &fleet{shards: shards}
+func startFleet(bin string, nodes int, traced bool) (*fleet, error) {
+	f := &fleet{}
 	for i := 0; i < nodes; i++ {
 		name := ""
 		if nodes > 1 {
@@ -140,10 +139,9 @@ func (f *fleet) scrapes(ctx context.Context) (nodes, coord scrape, err error) {
 
 // handle is one registered instance, ready to stream.
 type handle interface {
-	// stream sends every batch of in, at most window in flight, and
-	// returns the admitted memberships its verdicts reported. t times
-	// each batch.
-	stream(ctx context.Context, in *input, window int, t *tap) (admitted int, err error)
+	// stream sends every batch of in, one at a time, and returns the
+	// admitted memberships its verdicts reported. t times each batch.
+	stream(ctx context.Context, in *input, t *tap) (admitted int, err error)
 	// drain ends the stream and returns the drained Result.
 	drain(ctx context.Context) (*osp.Result, error)
 	// remove frees the instance on every node.
@@ -156,7 +154,7 @@ type handle interface {
 // or its coordinator instance (cluster). rec, when tracing, gets a span
 // named after the call, under parent.
 func (f *fleet) register(ctx context.Context, in *input, rec *recorder, parent int) (handle, error) {
-	eng := osp.EngineConfig{Shards: f.shards}
+	var eng osp.EngineConfig // the server's default shard count
 	if f.co != nil {
 		id := rec.begin("cluster.register", parent, -1)
 		ci, err := f.co.Register(ctx, cluster.Spec{Info: in.info, Seed: in.seed, Engine: eng, FanOut: true})
@@ -199,29 +197,24 @@ type nodeHandle struct {
 
 func (h *nodeHandle) shards() int { return h.inst.Shards() }
 
-func (h *nodeHandle) stream(_ context.Context, in *input, window int, t *tap) (int, error) {
+func (h *nodeHandle) stream(_ context.Context, in *input, t *tap) (int, error) {
 	admitted := 0
 	fn := func(_ int, a []osp.SetID) { admitted += len(a) }
-	window = min(window, h.st.Window())
-	n, next := len(in.batches), 0
-	for got := 0; got < n; got++ {
-		for next < n && h.st.Outstanding() < window {
-			t.before(next)
-			id := t.rec.begin("client.send", t.parent, next)
-			err := h.st.Send(in.batches[next])
-			t.rec.end(id)
-			if err != nil {
-				return admitted, err
-			}
-			next++
-		}
-		id := t.rec.begin("client.recv", t.parent, got)
-		err := h.st.Recv(fn)
+	for i, b := range in.batches {
+		t.before(i)
+		id := t.rec.begin("client.send", t.parent, i)
+		err := h.st.Send(b)
 		t.rec.end(id)
 		if err != nil {
 			return admitted, err
 		}
-		t.after(got)
+		id = t.rec.begin("client.recv", t.parent, i)
+		err = h.st.Recv(fn)
+		t.rec.end(id)
+		if err != nil {
+			return admitted, err
+		}
+		t.after(i)
 	}
 	return admitted, nil
 }
@@ -241,7 +234,7 @@ func (h *nodeHandle) drain(ctx context.Context) (*osp.Result, error) {
 func (h *nodeHandle) remove(ctx context.Context) error { return h.inst.Remove(ctx) }
 
 // clusterHandle is a fan-out instance on the coordinator. Ingest forwards
-// one batch at a time (one share in flight per node), so window is moot.
+// a batch's shares and returns once every node has answered.
 type clusterHandle struct {
 	f  *fleet
 	in *cluster.Instance
@@ -249,7 +242,7 @@ type clusterHandle struct {
 
 func (h *clusterHandle) shards() int { return 0 }
 
-func (h *clusterHandle) stream(ctx context.Context, in *input, _ int, t *tap) (int, error) {
+func (h *clusterHandle) stream(ctx context.Context, in *input, t *tap) (int, error) {
 	// Ingest serializes the callback across node goroutines and returns
 	// after all of them, so the counter needs no further locking.
 	admitted := 0

@@ -1,6 +1,6 @@
 // Command perfbench is the repository's end-to-end benchmark. It spawns
 // cmd/ospserve as separate processes (two for the cluster workload),
-// drives them through osp/client and internal/cluster on one of three
+// drives them through osp/client and internal/cluster on one of two
 // named closed-loop workloads, checks every drained Result against the
 // serial oracle, and prints the end-to-end metrics. With -trace 1 it
 // instead runs the workload twice — untraced, then traced — and prints
@@ -12,7 +12,7 @@
 // From the repository root, run.sh builds ospserve and this program under
 // .bench_build and runs it:
 //
-//	bash perfbench/run.sh --workload bulk --seed 1 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload bulk --seed 1 --seconds 40 --trace 0
 package main
 
 import (
@@ -30,14 +30,14 @@ import (
 	"time"
 )
 
-// workload is one closed-loop traffic mix.
+// workload is one closed-loop traffic mix with one batch in flight:
+// the producer sends a batch and waits for its verdicts before sending
+// the next.
 type workload struct {
 	gen       genConfig
-	instances int  // distinct generated instances, cycled over rounds
-	batch     int  // elements per batch
-	pipelined bool // keep the stream window full; false = one batch in flight
-	nodes     int  // ospserve processes; 2 = through a cluster.Coordinator
-	shards    int  // engine shards per node, 0 = the server's default
+	instances int // distinct generated instances, cycled over rounds
+	batch     int // elements per batch
+	nodes     int // ospserve processes; 2 = through a cluster.Coordinator
 	// settle is a pause between registering and streaming, so the
 	// server's collection of a large registration's garbage does not
 	// land in the timed stream.
@@ -48,16 +48,12 @@ type workload struct {
 var workloads = map[string]*workload{
 	"bulk": {
 		gen:       genConfig{M: 1 << 18, N: 1 << 20, MinLoad: 8, MaxLoad: 8, Capacity: 2},
-		instances: 2, batch: 4096, pipelined: true, nodes: 1,
+		instances: 2, batch: 4096, nodes: 1,
 		settle: 100 * time.Millisecond,
-	},
-	"reply": {
-		gen:       genConfig{M: 4096, N: 1 << 15, MinLoad: 2, MaxLoad: 8, Capacity: 2},
-		instances: 8, batch: 256, pipelined: false, nodes: 1, shards: 1,
 	},
 	"cluster": {
 		gen:       genConfig{M: 1 << 16, N: 1 << 20, MinLoad: 8, MaxLoad: 8, Capacity: 2},
-		instances: 2, batch: 4096, pipelined: true, nodes: 2,
+		instances: 2, batch: 4096, nodes: 2,
 		settle: 20 * time.Millisecond,
 	},
 }
@@ -70,7 +66,7 @@ const (
 	setupReps = 5
 	// lives is how many fleets the timed rounds of an untraced run are
 	// spread over.
-	lives = 4
+	lives = 8
 )
 
 func main() {
@@ -91,9 +87,9 @@ func run(args []string, stdout io.Writer) error {
 	defer killChildren()
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	var (
-		name    = fs.String("workload", "", "bulk, reply or cluster")
+		name    = fs.String("workload", "", "bulk or cluster")
 		seed    = fs.Int64("seed", 1, "input seed")
-		seconds = fs.Float64("seconds", 25, "timed seconds per run (split in half between the two phases of a traced run)")
+		seconds = fs.Float64("seconds", 40, "timed seconds per run (split in half between the two phases of a traced run)")
 		trace   = fs.Int("trace", 0, "1 = traced run: per-layer metrics, spans and tracing overhead")
 		bin     = fs.String("server", ".bench_build/bin/ospserve", "ospserve binary")
 		outDir  = fs.String("out", ".bench_build/perfbench", "directory for span files")
@@ -103,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	w, ok := workloads[*name]
 	if !ok {
-		return fmt.Errorf("unknown workload %q (want bulk, reply or cluster)", *name)
+		return fmt.Errorf("unknown workload %q (want bulk or cluster)", *name)
 	}
 	if *trace != 0 && *trace != 1 {
 		return fmt.Errorf("-trace %d: want 0 or 1", *trace)
@@ -163,7 +159,10 @@ func run(args []string, stdout io.Writer) error {
 	pe, te := plain.endToEnd(), traced.endToEnd()
 	printTable(stdout, "end-to-end, untraced phase", pe)
 	printTable(stdout, "end-to-end, traced phase", te)
-	layers, extra, err := traced.perLayer(rec, ls, calib, overhead(w, pe, te), w.pipelined)
+	// The tracing overhead is the traced phase's loss on throughput, as a
+	// share of the untraced phase's.
+	overhead := 1 - te["ingest_eps"].Value/pe["ingest_eps"].Value
+	layers, extra, err := traced.perLayer(rec, ls, calib, overhead)
 	if err != nil {
 		return err
 	}
@@ -172,16 +171,6 @@ func run(args []string, stdout io.Writer) error {
 	printSelfTimes(stdout, rec)
 	fmt.Fprintf(stdout, "spans: %d written to %s\n", len(rec.spans), path)
 	return emit(stdout, plain.attempted+traced.attempted, layers)
-}
-
-// overhead is the traced phase's loss on the workload's headline metric,
-// as a share of the untraced phase's value: throughput for the pipelined
-// workloads, median verdict latency for reply.
-func overhead(w *workload, plain, traced metrics) float64 {
-	if w.pipelined {
-		return 1 - traced["ingest_eps"].Value/plain["ingest_eps"].Value
-	}
-	return traced["verdict_p50_ms"].Value/plain["verdict_p50_ms"].Value - 1
 }
 
 func writeSpans(path string, rec *recorder) error {

@@ -29,6 +29,7 @@ type phaseResult struct {
 	attempted int       // batches sent, warm-up included
 	batches   int       // timed batches
 	rounds    int       // timed rounds
+	lifeEps   []float64 // el/s per fleet, median over its timed rounds
 	shards    int       // server-side engine shards
 
 	// Traced phases only: counters across the timed rounds.
@@ -54,7 +55,7 @@ func runPhase(ctx context.Context, w *workload, ins []*input, bin string, budget
 		runtime.GC()
 		t0 := time.Now()
 		var err error
-		if f, err = startFleet(bin, w.nodes, w.shards, rec != nil); err != nil {
+		if f, err = startFleet(bin, w.nodes, rec != nil); err != nil {
 			return nil, err
 		}
 		if h, err = f.register(ctx, ins[0], nil, -1); err != nil {
@@ -69,11 +70,8 @@ func runPhase(ctx context.Context, w *workload, ins []*input, bin string, budget
 		}
 	}()
 	// The coordinator does not report its nodes' shard count; they run
-	// the workload's, or the server default of one per CPU.
+	// the server default of one per CPU.
 	r.shards = h.shards()
-	if r.shards == 0 {
-		r.shards = w.shards
-	}
 	if r.shards == 0 {
 		r.shards = runtime.NumCPU()
 	}
@@ -124,7 +122,7 @@ func runPhase(ctx context.Context, w *workload, ins []*input, bin string, budget
 			}
 			r.hwmMB = max(r.hwmMB, hwm)
 			f.stop()
-			if f, err = startFleet(bin, w.nodes, w.shards, false); err != nil {
+			if f, err = startFleet(bin, w.nodes, false); err != nil {
 				return nil, err
 			}
 			if err := warm(); err != nil {
@@ -132,6 +130,7 @@ func runPhase(ctx context.Context, w *workload, ins []*input, bin string, budget
 			}
 		}
 		share := budget * time.Duration(life+1) / time.Duration(fleets)
+		n0 := len(r.eps)
 		for first := true; first || timed < share; first = false {
 			t0 := time.Now()
 			if err := r.round(ctx, w, f, nil, ins[k%len(ins)], true, rec); err != nil {
@@ -140,6 +139,7 @@ func runPhase(ctx context.Context, w *workload, ins []*input, bin string, budget
 			timed += time.Since(t0)
 			k++
 		}
+		r.lifeEps = append(r.lifeEps, median(r.eps[n0:]))
 	}
 	if rec != nil {
 		r.clientCPU = selfCPU() - cpu0
@@ -177,10 +177,6 @@ func (r *phaseResult) round(ctx context.Context, w *workload, f *fleet, h handle
 		}
 	}
 	time.Sleep(w.settle)
-	window := 1
-	if w.pipelined {
-		window = math.MaxInt
-	}
 	sent := make([]time.Time, len(in.batches))
 	lat := make([]float64, len(in.batches))
 	var last time.Time
@@ -193,7 +189,7 @@ func (r *phaseResult) round(ctx context.Context, w *workload, f *fleet, h handle
 		rec:    rec,
 		parent: rec.begin("stream", root, -1),
 	}
-	admitted, err := h.stream(ctx, in, window, t)
+	admitted, err := h.stream(ctx, in, t)
 	rec.end(t.parent)
 	r.attempted += len(in.batches)
 	if err != nil {
@@ -254,17 +250,22 @@ func check(res *osp.Result, in *input, admitted int) error {
 // endToEnd derives the end-to-end metrics. Throughput and latency are
 // medians over the timed rounds, so a host stall that slows a few
 // rounds does not move the run's figure; the pooled values are printed
-// alongside.
+// alongside. The drain time is a trimmed mean instead: a server garbage
+// collection lands in some drains and not others, so drain times fall
+// in two clusters, and a median jumps between them from run to run as
+// their shares shift. A mean weighs each cluster by its share, and
+// trimming a tenth from each end keeps a stall out of it.
 func (r *phaseResult) endToEnd() metrics {
 	n := func(what string, k int) string { return fmt.Sprintf("n=%d %s", k, what) }
 	return metrics{
 		"ingest_eps": {median(r.eps), "el/s",
-			fmt.Sprintf("n=%d rounds; pooled %.4g el/s, %d elements in %.2f s", r.rounds,
-				float64(r.elements)/r.streamed.Seconds(), r.elements, r.streamed.Seconds())},
+			fmt.Sprintf("n=%d rounds; pooled %.4g el/s, %d elements in %.2f s; per fleet %.3g", r.rounds,
+				float64(r.elements)/r.streamed.Seconds(), r.elements, r.streamed.Seconds(), r.lifeEps)},
 		"verdict_p50_ms": {median(r.p50s), "ms",
 			fmt.Sprintf("n=%d rounds, %d batches; pooled median %.4g ms", r.rounds, len(r.latencies), median(r.latencies))},
-		"setup_s":   {median(r.setups), "s", n("set-ups", len(r.setups))},
-		"result_ms": {median(r.results), "ms", n("drains", len(r.results))},
+		"setup_s": {median(r.setups), "s", n("set-ups", len(r.setups))},
+		"result_ms": {trimmedMean(r.results, 0.1), "ms",
+			fmt.Sprintf("n=%d drains, 10%%-trimmed mean; median %.4g ms", len(r.results), median(r.results))},
 		"server_rss_mb": {median(r.rss), "MB",
 			fmt.Sprintf("n=%d rounds, peak sampled every %v, max over nodes; lifetime VmHWM %.1f MB", len(r.rss), rssPeriod, r.hwmMB)},
 		"goodput_frac": {r.completed / r.offered, "frac", fmt.Sprintf("completed %.0f of %.0f offered weight", r.completed, r.offered)},
@@ -274,7 +275,7 @@ func (r *phaseResult) endToEnd() metrics {
 // perLayer derives the traced phase's per-layer metrics: those that
 // every workload exercises (reported in the result object) and those
 // only this workload does (printed).
-func (r *phaseResult) perLayer(rec *recorder, ls layerStats, calib, overhead float64, pipelined bool) (all, only metrics, err error) {
+func (r *phaseResult) perLayer(rec *recorder, ls layerStats, calib, overhead float64) (all, only metrics, err error) {
 	els := float64(r.elements)
 	us := func(secs float64) float64 { return secs * 1e6 }
 	const stage = "osp_stage_duration_seconds"
@@ -326,16 +327,10 @@ func (r *phaseResult) perLayer(rec *recorder, ls layerStats, calib, overhead flo
 	}
 	only = metrics{}
 	if len(r.coord.after) == 0 {
-		send, recv := meanUs("client.send"), meanUs("client.recv")
-		only["client.send_us"] = metric{send, "us", "span mean"}
-		only["client.recv_us"] = metric{recv, "us", "span mean"}
+		only["client.send_us"] = metric{meanUs("client.send"), "us", "span mean"}
+		only["client.recv_us"] = metric{meanUs("client.recv"), "us", "span mean"}
 		only["client.register_ms"] = metric{medMs("client.register"), "ms", "span median"}
 		only["client.drain_ms"] = metric{medMs("drain"), "ms", "span median, close stream + Drain"}
-		if !pipelined {
-			// With one batch in flight the send and receive spans cover the
-			// server's stages exactly once; a full window overlaps them.
-			only["stream.residual_us"] = metric{send + recv - decode - queue - decide, "us", "framing + TCP + scheduling"}
-		}
 		if int(batches) != r.batches {
 			return nil, nil, fmt.Errorf("server counted %d stream batches, benchmark sent %d", int(batches), r.batches)
 		}
@@ -421,6 +416,15 @@ func mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
+}
+
+// trimmedMean is the mean of vals without the lowest and the highest
+// share f of them.
+func trimmedMean(vals []float64, f float64) float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	k := int(f * float64(len(s)))
+	return mean(s[k : len(s)-k])
 }
 
 func maxOf(vals []float64) float64 {
