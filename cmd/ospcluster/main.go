@@ -1,8 +1,8 @@
 // Command ospcluster runs an admission cluster end to end: a
 // coordinator over N service nodes, one instance placed by consistent
 // hashing or fanned out across the fleet by element hash, ingest
-// forwarded over the stream transport with per-node HTTP fallback, and
-// the per-node drains merged and cross-checked bit-for-bit against the
+// forwarded over each node's stream transport (binary HTTP for nodes
+// without one), and the per-node drains merged and cross-checked bit-for-bit against the
 // serial policy oracle. With -kill it doubles as the failover demo:
 // kill a node mid-stream, replay the registration log onto a fresh
 // replacement, and verify the merged drain is still exact (journal on)

@@ -12,7 +12,7 @@
 //	osploadgen -n 500000                 # no -addr: embeds a server in-process
 //	osploadgen -n 200000 -rate 0        # full speed, report the sustained rate
 //	osploadgen -policy first-fit -n 100000  # register a non-default policy
-//	osploadgen -codec json -n 200000    # force the JSON wire path (-codec binary forces binary)
+//	osploadgen -codec json -n 200000    # the JSON wire path instead of binary
 //	osploadgen -transport stream -n 500000  # pipelined frames over one TCP connection
 //	osploadgen -transport stream -conns 4   # stripe the stream across 4 TCP connections
 //	osploadgen -addr http://host:8080 -stream-addr host:8081 -transport stream
@@ -62,7 +62,7 @@ func run(args []string, w io.Writer) error {
 		batch    = fs.Int("batch", 1000, "elements per ingest request")
 		shards   = fs.Int("shards", 0, "server-side engine shards (0 = server default)")
 		policy   = fs.String("policy", "", "admission policy: "+strings.Join(osp.PolicyNames(), ", ")+` ("" = server default randpr)`)
-		codec    = fs.String("codec", "auto", "ingest wire codec: auto (binary with JSON fallback), json, binary")
+		codec    = fs.String("codec", "binary", "HTTP ingest wire codec: binary or json")
 		trans    = fs.String("transport", "http", "ingest transport: http (one request per batch) or stream (pipelined frames over one TCP connection)")
 		pipeline = fs.Int("pipeline", 8, "stream transport: batches kept in flight (capped by the server's window)")
 		conns    = fs.Int("conns", 1, "stream transport: striped TCP connections per stream (verdict order preserved; applies per node in cluster mode)")
@@ -81,14 +81,12 @@ func run(args []string, w io.Writer) error {
 	}
 	var wireCodec client.Codec
 	switch *codec {
-	case "auto":
-		wireCodec = client.CodecAuto
-	case "json":
-		wireCodec = client.CodecJSON
 	case "binary":
 		wireCodec = client.CodecBinary
+	case "json":
+		wireCodec = client.CodecJSON
 	default:
-		return fmt.Errorf("unknown codec %q (auto, json, binary)", *codec)
+		return fmt.Errorf("unknown codec %q (binary, json)", *codec)
 	}
 	switch *trans {
 	case "http", "stream":

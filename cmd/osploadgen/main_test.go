@@ -163,34 +163,38 @@ func TestLoadgenErrors(t *testing.T) {
 	}
 }
 
-// TestLoadgenCodecs runs the generator once per forced codec and once in
-// auto mode; all three must verify against the serial oracle — the
+// TestLoadgenCodecs runs the generator once per codec and once with the
+// default; all three must verify against the serial oracle — the
 // "-verify passes over the new codec" acceptance — and report the codec
 // actually used.
 func TestLoadgenCodecs(t *testing.T) {
 	for _, tc := range []struct{ flag, want string }{
-		{"auto", "codec binary"}, // auto negotiates binary on our server
+		{"", "codec binary"}, // the default
 		{"json", "codec json"},
 		{"binary", "codec binary"},
 	} {
+		args := []string{"-m", "30", "-n", "3000", "-load", "4", "-batch", "300", "-seed", "11"}
+		if tc.flag != "" {
+			args = append(args, "-codec", tc.flag)
+		}
 		var buf bytes.Buffer
-		err := run([]string{"-m", "30", "-n", "3000", "-load", "4", "-batch", "300",
-			"-seed", "11", "-codec", tc.flag}, &buf)
-		if err != nil {
-			t.Fatalf("codec %s: %v", tc.flag, err)
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("codec %q: %v", tc.flag, err)
 		}
 		for _, frag := range []string{
 			tc.want,
 			"verify:   drained result bit-for-bit identical",
 		} {
 			if !strings.Contains(buf.String(), frag) {
-				t.Errorf("codec %s: output missing %q:\n%s", tc.flag, frag, buf.String())
+				t.Errorf("codec %q: output missing %q:\n%s", tc.flag, frag, buf.String())
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := run([]string{"-codec", "bogus", "-n", "10"}, &buf); err == nil {
-		t.Error("bogus codec accepted")
+	for _, bad := range []string{"bogus", "auto"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-codec", bad, "-n", "10"}, &buf); err == nil {
+			t.Errorf("codec %q accepted", bad)
+		}
 	}
 }
 

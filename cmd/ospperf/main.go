@@ -1,21 +1,20 @@
-// Command ospperf measures the admission hot path and emits the tracked
-// benchmark baseline (BENCH_6.json): ns/element and allocs/element for the
-// top-k decide kernel (against the sort-based path it replaced), the
-// serial runner, the streaming engine across a shard-count matrix (plus
-// an interface-dispatch row proving the VectorState fast path is ≥
-// neutral), every registered admission policy on both the uniform and
-// the skewed Zipf-weight workload, the service-level mode — the full
-// networked ingest path over an embedded server: JSON over HTTP, the
-// zero-allocation binary codec over HTTP, and the same binary frames
-// pipelined over the raw-TCP stream transport, across a striped
-// connection-count matrix (conns=1,2,4) plus a forced copying-decode
-// row that quantifies the server's zero-copy frame→batch ingest — and
-// the cluster scaling rows: the same workload fanned across N
+// Command ospperf measures the admission hot path and emits the
+// benchmark report the tracked baseline (BENCH_6.json) is made of:
+// ns/element and allocs/element for the top-k decide kernel (against
+// the sort-based path it replaced), the serial runner, the streaming
+// engine across a shard-count matrix, every registered admission policy
+// on both the uniform and the skewed Zipf-weight workload, the
+// service-level mode — the full networked ingest path over an embedded
+// server: JSON over HTTP, the zero-allocation binary codec over HTTP,
+// and the same binary frames pipelined over the raw-TCP stream
+// transport, across a striped connection-count matrix (conns=1,2,4) —
+// and the cluster scaling rows: the same workload fanned across N
 // coordinator-fronted nodes by element hash and merged on drain.
 //
 // Usage:
 //
-//	ospperf                       # full matrix, writes BENCH_6.json
+//	ospperf                       # full matrix, JSON report on stdout
+//	ospperf -out BENCH_6.json     # regenerate the tracked baseline
 //	ospperf -quick -out /dev/null # CI smoke sizes
 //	ospperf -failonalloc          # exit 1 on any allocs/element > 0
 //	ospperf -compare BENCH_5.json BENCH_6.json
@@ -59,9 +58,9 @@ import (
 	"repro/osp/client"
 )
 
-// Report is the schema of BENCH_6.json (a superset of BENCH_5.json's:
-// the stream service row becomes a striped-connection matrix with an
-// explicit decode column).
+// Report is the schema of the tracked baseline, BENCH_6.json. Older
+// reports parse into it too: rows they lack stay zero, and rows this
+// version no longer measures are ignored.
 type Report struct {
 	Bench         string       `json:"bench"`
 	GeneratedUnix int64        `json:"generated_unix"`
@@ -71,11 +70,6 @@ type Report struct {
 	Decide        DecideBench  `json:"decide"`
 	Serial        SerialBench  `json:"serial"`
 	Engine        []ShardBench `json:"engine"`
-	// EngineInterface re-runs the shards=4 engine row with the policy
-	// state hidden behind an opaque wrapper, forcing interface dispatch
-	// in the shard loop — the "before" of the VectorState fast-path
-	// comparison (the engine rows above are the "after").
-	EngineInterface ShardBench `json:"engine_interface"`
 	// EngineTelemetry re-runs the shards=4 engine row with full
 	// observability attached — sampled decision log (hot drainer, nil
 	// sink) plus queue-wait and decide histograms — proving telemetry
@@ -150,17 +144,13 @@ type PolicyBench struct {
 // tests pin the decode paths themselves at 0. SpeedupVsJSON is filled
 // on non-JSON rows; SpeedupVsBinary compares the stream row against the
 // binary-HTTP row — the same codec, so it isolates the transport win.
-// Stream rows carry two extra columns: Conns is the striped
+// Stream rows carry one extra column: Conns is the striped
 // TCP-connection count (client.WithStreamConns; 0 or 1 is the single
-// connection), and Decode distinguishes the server's default zero-copy
-// frame→batch ingest ("zero-copy") from the forced copying decoder
-// ("copy", ospserve -stream-copy-decode) — the pair isolates the
-// in-place aliasing win at identical wire traffic.
+// connection).
 type ServiceBench struct {
 	Codec            string  `json:"codec"`
 	Transport        string  `json:"transport"`
 	Conns            int     `json:"conns,omitempty"`
-	Decode           string  `json:"decode,omitempty"`
 	Elements         int     `json:"elements"`
 	Batch            int     `json:"batch"`
 	NsPerElement     float64 `json:"ns_per_element"`
@@ -197,7 +187,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ospperf", flag.ContinueOnError)
 	var (
-		out         = fs.String("out", "BENCH_6.json", "output JSON path (- prints the JSON to stdout)")
+		out         = fs.String("out", "-", "output JSON path (- prints the JSON to stdout)")
 		shardsFlag  = fs.String("shards", "1,2,4,8", "comma-separated shard counts for the engine matrix")
 		quick       = fs.Bool("quick", false, "small sizes for a CI smoke pass")
 		reps        = fs.Int("reps", 3, "timed repetitions per cell (best-of)")
@@ -286,14 +276,6 @@ func run(args []string, w io.Writer) error {
 			sb.Shards, sb.NsPerElement, sb.ElementsPerSec, sb.AllocsPerElement)
 	}
 
-	rep.EngineInterface, err = benchEngineInterface(inst, *reps, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "engine shards=%d (interface dispatch): %.1f ns/element, %.0f elements/s, allocs/element %.3f\n",
-		rep.EngineInterface.Shards, rep.EngineInterface.NsPerElement,
-		rep.EngineInterface.ElementsPerSec, rep.EngineInterface.AllocsPerElement)
-
 	rep.EngineTelemetry, err = benchEngineTelemetry(inst, *reps, *seed)
 	if err != nil {
 		return err
@@ -338,13 +320,11 @@ func run(args []string, w io.Writer) error {
 		rep.Service = append(rep.Service, sb)
 		printService(w, sb)
 	}
-	// Stream matrix: the striped connection counts, then the forced
-	// copying decoder at conns=1 — same wire traffic as the first row,
-	// so the pair isolates the server's zero-copy ingest win. On a
+	// Stream matrix over the striped connection counts. On a
 	// single-core runner conns>1 cannot beat conns=1; CI gates the
 	// striping floor only on multi-core runners.
 	for _, conns := range []int{1, 2, 4} {
-		sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, conns, false)
+		sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, conns)
 		if err != nil {
 			return err
 		}
@@ -357,18 +337,6 @@ func run(args []string, w io.Writer) error {
 		rep.Service = append(rep.Service, sb)
 		printService(w, sb)
 	}
-	sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, 1, true)
-	if err != nil {
-		return err
-	}
-	if jsonRate > 0 {
-		sb.SpeedupVsJSON = sb.ElementsPerSec / jsonRate
-	}
-	if binRate > 0 {
-		sb.SpeedupVsBinary = sb.ElementsPerSec / binRate
-	}
-	rep.Service = append(rep.Service, sb)
-	printService(w, sb)
 
 	clusterSizes := []int{1, 2}
 	if !*quick {
@@ -410,7 +378,7 @@ func run(args []string, w io.Writer) error {
 		if rep.Decide.AllocsPerElement > 0 {
 			return fmt.Errorf("decide kernel allocates %.3f/element, want 0", rep.Decide.AllocsPerElement)
 		}
-		for _, sb := range append(append([]ShardBench(nil), rep.Engine...), rep.EngineInterface, rep.EngineTelemetry) {
+		for _, sb := range append(append([]ShardBench(nil), rep.Engine...), rep.EngineTelemetry) {
 			if sb.AllocsPerElement > 0 {
 				return fmt.Errorf("engine shards=%d allocates %.3f/element in steady state, want 0", sb.Shards, sb.AllocsPerElement)
 			}
@@ -444,9 +412,6 @@ func printService(w io.Writer, sb ServiceBench) {
 	if sb.Conns > 0 {
 		extra = fmt.Sprintf(" conns=%d", sb.Conns)
 	}
-	if sb.Decode != "" {
-		extra += " decode=" + sb.Decode
-	}
 	fmt.Fprintf(w, "service codec=%s transport=%s%s: %.1f ns/element, %.0f elements/s, allocs/element %.3f",
 		sb.Codec, sb.Transport, extra, sb.NsPerElement, sb.ElementsPerSec, sb.AllocsPerElement)
 	if sb.SpeedupVsJSON > 0 {
@@ -461,8 +426,7 @@ func printService(w io.Writer, sb ServiceBench) {
 // compareRow is one comparable cell of a report: a stable key and the
 // row's ns/element. Keys are chosen so the same measurement matches
 // across schema generations — BENCH_5's single stream row carried no
-// conns/decode columns and keys identically to the conns=1 zero-copy
-// row it became.
+// conns column and keys identically to the conns=1 row it became.
 type compareRow struct {
 	key string
 	ns  float64
@@ -478,9 +442,6 @@ func reportRows(rep Report) []compareRow {
 	for _, sb := range rep.Engine {
 		rows = append(rows, compareRow{fmt.Sprintf("engine/shards=%d", sb.Shards), sb.NsPerElement})
 	}
-	if rep.EngineInterface.Elements > 0 {
-		rows = append(rows, compareRow{"engine/interface", rep.EngineInterface.NsPerElement})
-	}
 	if rep.EngineTelemetry.Elements > 0 {
 		rows = append(rows, compareRow{"engine/telemetry", rep.EngineTelemetry.NsPerElement})
 	}
@@ -491,9 +452,6 @@ func reportRows(rep Report) []compareRow {
 		key := fmt.Sprintf("service/%s/%s", sb.Codec, sb.Transport)
 		if sb.Conns > 1 {
 			key += fmt.Sprintf("/conns=%d", sb.Conns)
-		}
-		if sb.Decode == "copy" {
-			key += "/copy-decode"
 		}
 		rows = append(rows, compareRow{key, sb.NsPerElement})
 	}
@@ -542,7 +500,12 @@ func compareReports(oldPath, newPath string, threshold float64, w io.Writer) err
 	oldRows := reportRows(oldRep)
 	oldNs := make(map[string]float64, len(oldRows))
 	for _, r := range oldRows {
-		oldNs[r.key] = r.ns
+		// First row of a key wins: BENCH_6's trailing copy-decode stream
+		// row keys like the conns=1 row now that the decode column is
+		// gone.
+		if _, dup := oldNs[r.key]; !dup {
+			oldNs[r.key] = r.ns
+		}
 	}
 	newKeys := make(map[string]bool)
 	var regressions []string
@@ -709,58 +672,6 @@ func benchPolicy(inst *setsystem.Instance, workloadName, name string, reps int, 
 		ElementsPerSec:   float64(n) / (float64(ns) * 1e-9),
 		AllocsPerElement: float64(allocs) / float64(n),
 		MeanBenefit:      benefit / trials,
-	}, nil
-}
-
-// opaquePolicy hides the wrapped policy's state behind a wrapper type,
-// defeating the engine's *core.VectorState type switch — the shard loop
-// then dispatches every decision through the PolicyState interface,
-// which is exactly the pre-fast-path configuration (plus one forwarding
-// call, so the row slightly OVERSTATES the interface path's cost; the
-// fast path only has to be ≥ this to be ≥ neutral).
-type opaquePolicy struct{ inner core.Policy }
-
-func (p opaquePolicy) Name() string { return p.inner.Name() + "-opaque" }
-
-func (p opaquePolicy) Setup(info core.Info, seed uint64) (core.PolicyState, error) {
-	st, err := p.inner.Setup(info, seed)
-	if err != nil {
-		return nil, err
-	}
-	return opaqueState{st}, nil
-}
-
-type opaqueState struct{ inner core.PolicyState }
-
-func (s opaqueState) DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID {
-	return s.inner.DecideInPlace(members, capacity)
-}
-
-func (s opaqueState) Decide(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID {
-	return s.inner.Decide(members, capacity, buf)
-}
-
-// benchEngineInterface is the devirtualization "before" row: the
-// default policy forced through interface dispatch at the same shape as
-// the shards=4 engine row.
-func benchEngineInterface(inst *setsystem.Instance, reps int, seed int64) (ShardBench, error) {
-	const shards = 4
-	pol, err := core.LookupPolicy(core.DefaultPolicy)
-	if err != nil {
-		return ShardBench{}, err
-	}
-	ns, allocs, err := benchEngineConfig(inst,
-		engine.Config{Shards: shards, BatchSize: 128, QueueDepth: 8}, opaquePolicy{pol}, reps, seed)
-	if err != nil {
-		return ShardBench{}, err
-	}
-	n := inst.NumElements()
-	return ShardBench{
-		Shards:           shards,
-		Elements:         n,
-		NsPerElement:     float64(ns) / float64(n),
-		ElementsPerSec:   float64(n) / (float64(ns) * 1e-9),
-		AllocsPerElement: float64(allocs) / float64(n),
 	}, nil
 }
 
@@ -950,13 +861,11 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 // pipelined frames over conns long-lived striped TCP connections
 // (depth 8 in flight overall) and verdicts come back as in-order frames
 // decoded in place — no request envelope, no response materialization.
-// copyDecode forces the server's copying frame decoder (the "before" of
-// the zero-copy comparison; the default server path aliases each frame's
-// payload in place). Registration and drain stay on the HTTP API,
+// Registration and drain stay on the HTTP API,
 // outside the timed ingest loop's hot path but inside the pass (same as
 // the HTTP rows, so the comparison is like for like).
-func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, conns int, copyDecode bool) (ServiceBench, error) {
-	srv := osp.NewServer(osp.ServerConfig{StreamCopyDecode: copyDecode})
+func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, conns int) (ServiceBench, error) {
+	srv := osp.NewServer(osp.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return ServiceBench{}, err
@@ -1061,16 +970,11 @@ func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, c
 		return ServiceBench{}, passErr
 	}
 
-	decode := "zero-copy"
-	if copyDecode {
-		decode = "copy"
-	}
 	n := inst.NumElements()
 	return ServiceBench{
 		Codec:            "binary",
 		Transport:        "stream",
 		Conns:            conns,
-		Decode:           decode,
 		Elements:         n,
 		Batch:            batch,
 		NsPerElement:     float64(ns) / float64(n),

@@ -78,26 +78,15 @@ func TestQuickMatrix(t *testing.T) {
 			benefit["randpr/zipf"])
 	}
 
-	// The interface-dispatch row (fast-path "before") must be populated
-	// at the engine matrix shape.
-	if rep.EngineInterface.Shards != 4 || rep.EngineInterface.ElementsPerSec <= 0 {
-		t.Errorf("engine_interface row not populated: %+v", rep.EngineInterface)
-	}
-	if rep.EngineInterface.AllocsPerElement > 0 {
-		t.Errorf("interface-dispatch engine allocates %.3f/element, want 0", rep.EngineInterface.AllocsPerElement)
-	}
-
-	// Service rows: json and binary over HTTP, then the stream matrix —
-	// striped connection counts 1/2/4 and the forced copying-decode row
-	// that anchors the zero-copy comparison.
-	if len(rep.Service) != 6 ||
+	// Service rows: json and binary over HTTP, then the stream matrix
+	// over striped connection counts 1/2/4.
+	if len(rep.Service) != 5 ||
 		rep.Service[0].Codec != "json" || rep.Service[0].Transport != "http" ||
 		rep.Service[1].Codec != "binary" || rep.Service[1].Transport != "http" ||
-		rep.Service[2].Transport != "stream" || rep.Service[2].Conns != 1 || rep.Service[2].Decode != "zero-copy" ||
-		rep.Service[3].Transport != "stream" || rep.Service[3].Conns != 2 || rep.Service[3].Decode != "zero-copy" ||
-		rep.Service[4].Transport != "stream" || rep.Service[4].Conns != 4 || rep.Service[4].Decode != "zero-copy" ||
-		rep.Service[5].Transport != "stream" || rep.Service[5].Conns != 1 || rep.Service[5].Decode != "copy" {
-		t.Fatalf("service rows = %+v, want [json/http binary/http stream/conns=1,2,4 stream/copy]", rep.Service)
+		rep.Service[2].Transport != "stream" || rep.Service[2].Conns != 1 ||
+		rep.Service[3].Transport != "stream" || rep.Service[3].Conns != 2 ||
+		rep.Service[4].Transport != "stream" || rep.Service[4].Conns != 4 {
+		t.Fatalf("service rows = %+v, want [json/http binary/http stream/conns=1,2,4]", rep.Service)
 	}
 	for _, sb := range rep.Service {
 		if sb.ElementsPerSec <= 0 || sb.NsPerElement <= 0 {
@@ -112,7 +101,7 @@ func TestQuickMatrix(t *testing.T) {
 	if sp := rep.Service[2].SpeedupVsBinary; sp <= 1 {
 		t.Errorf("stream service path is %.2fx binary-HTTP, want > 1x", sp)
 	}
-	for _, i := range []int{2, 3, 4, 5} {
+	for _, i := range []int{2, 3, 4} {
 		if a := rep.Service[i].AllocsPerElement; a > 0.1 {
 			t.Errorf("stream service row %d allocates %.3f/element process-wide, want <= 0.1", i, a)
 		}
@@ -137,9 +126,11 @@ func TestQuickMatrix(t *testing.T) {
 }
 
 // TestCompareMode pins the -compare arm: matched rows get deltas (the
-// BENCH_5-era stream row, carrying no conns/decode columns, must match
-// the new conns=1 zero-copy row), regressions past -regress fail, pure
-// speedups and new rows pass, and bad invocations error cleanly.
+// BENCH_5-era stream row, carrying no conns column, must match the new
+// conns=1 row, and a later row under the same key — BENCH_6's
+// copy-decode row — must not displace it), regressions past -regress
+// fail, pure speedups and new rows pass, and bad invocations error
+// cleanly.
 func TestCompareMode(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, rep Report) string {
@@ -159,7 +150,8 @@ func TestCompareMode(t *testing.T) {
 		Serial: SerialBench{Elements: 100, NsPerElement: 100},
 		Engine: []ShardBench{{Shards: 1, Elements: 100, NsPerElement: 200}},
 		Service: []ServiceBench{
-			{Codec: "binary", Transport: "stream", NsPerElement: 370}, // BENCH_5 schema: no conns/decode
+			{Codec: "binary", Transport: "stream", NsPerElement: 370},           // BENCH_5 schema: no conns
+			{Codec: "binary", Transport: "stream", Conns: 1, NsPerElement: 100}, // same key, not the baseline
 		},
 	}
 	newRep := Report{
@@ -167,8 +159,8 @@ func TestCompareMode(t *testing.T) {
 		Serial: SerialBench{Elements: 100, NsPerElement: 105}, // +5%: within threshold
 		Engine: []ShardBench{{Shards: 1, Elements: 100, NsPerElement: 150}},
 		Service: []ServiceBench{
-			{Codec: "binary", Transport: "stream", Conns: 1, Decode: "zero-copy", NsPerElement: 290},
-			{Codec: "binary", Transport: "stream", Conns: 4, Decode: "zero-copy", NsPerElement: 250}, // new row
+			{Codec: "binary", Transport: "stream", Conns: 1, NsPerElement: 290},
+			{Codec: "binary", Transport: "stream", Conns: 4, NsPerElement: 250}, // new row
 		},
 	}
 	oldPath, newPath := write("old.json", oldRep), write("new.json", newRep)
@@ -231,15 +223,18 @@ func TestParseShards(t *testing.T) {
 	}
 }
 
+// TestStdoutOnly: without -out the report goes to stdout, so a bare run
+// never overwrites the tracked baseline.
 func TestStdoutOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-shards", "1", "-reps", "1", "-out", "-"}, &buf); err != nil {
+	if err := run([]string{"-quick", "-shards", "1", "-reps", "1"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "decide kernel") {
 		t.Errorf("missing report lines:\n%s", buf.String())
 	}
-	// -out - must emit the JSON report itself, not just the summary.
+	// The default -out - must emit the JSON report itself, not just the
+	// summary.
 	start := strings.Index(buf.String(), "{")
 	if start < 0 {
 		t.Fatalf("no JSON in output:\n%s", buf.String())

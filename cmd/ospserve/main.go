@@ -64,7 +64,6 @@ func run(args []string, w io.Writer) error {
 		listen  = fs.String("listen", "", "service mode: serve the HTTP admission API on this address (e.g. :8080)")
 		strmLn  = fs.String("stream-listen", "", "service mode: also serve the raw-TCP stream transport on this address (e.g. :8081)")
 		strmWin = fs.Int("stream-window", 0, "stream transport: pipelined batches allowed in flight per connection (0 = default 32)")
-		strmCpy = fs.Bool("stream-copy-decode", false, "stream transport: force the copying batch decoder instead of zero-copy aliasing (A/B escape hatch)")
 		strmTim = fs.Bool("stream-timings", false, "stream transport: record per-batch decode latency into the osp_stream_decode histogram (two time.Now stamps per frame)")
 		nodeLbl = fs.String("node", "", "service mode: node name exported as the osp_node_info metric (cluster deployments)")
 		snapDir = fs.String("snapshot-dir", "", "service mode: restore instance snapshots from this directory on boot and write them on drain/SIGTERM; POST /v1/instances/{id}/snapshot persists there on demand")
@@ -111,7 +110,7 @@ func run(args []string, w io.Writer) error {
 		defer signal.Stop(stop)
 		return runService(*listen, *strmLn, osp.ServerConfig{
 			MaxInstances: *maxInst, MaxBatch: *maxBat, MaxBodyBytes: *maxBody,
-			StreamWindow: *strmWin, StreamCopyDecode: *strmCpy, StreamTimings: *strmTim,
+			StreamWindow: *strmWin, StreamTimings: *strmTim,
 			Decisions: dlog, EnablePprof: *pprofOn,
 			NodeLabel: *nodeLbl, SnapshotDir: *snapDir,
 		}, w, stop, nil)

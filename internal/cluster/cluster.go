@@ -22,9 +22,9 @@ type Node struct {
 	BaseURL string
 	// StreamAddr is the node's raw-TCP stream listener (ospserve
 	// -stream-listen), "" when the node is HTTP-only. The coordinator
-	// forwards ingest over the stream when present and falls back to
-	// binary HTTP per node otherwise (client.IngestAuto), so a mixed
-	// fleet works — each node just runs at the best transport it speaks.
+	// forwards ingest over the stream when set and over binary HTTP when
+	// empty (client.IngestAuto), so a mixed fleet works — each node runs
+	// at the transport it is configured for.
 	StreamAddr string
 }
 

@@ -223,76 +223,3 @@ func TestBatchValidate(t *testing.T) {
 		}
 	}
 }
-
-// opaquePolicy hides a policy's VectorState behind a wrapper type,
-// defeating the engine's devirtualization — the "before" configuration
-// of the fast-path comparison.
-type opaquePolicy struct{ inner core.Policy }
-
-func (p opaquePolicy) Name() string { return p.inner.Name() + "-opaque" }
-
-func (p opaquePolicy) Setup(info core.Info, seed uint64) (core.PolicyState, error) {
-	st, err := p.inner.Setup(info, seed)
-	if err != nil {
-		return nil, err
-	}
-	return opaqueState{st}, nil
-}
-
-type opaqueState struct{ inner core.PolicyState }
-
-func (s opaqueState) DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID {
-	return s.inner.DecideInPlace(members, capacity)
-}
-
-func (s opaqueState) Decide(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID {
-	return s.inner.Decide(members, capacity, buf)
-}
-
-// TestVectorFastPathMatchesInterfacePath proves the devirtualized shard
-// loop is a pure optimization: the same policy run with its VectorState
-// visible (fast path taken) and hidden behind an opaque wrapper
-// (interface path forced) drains identical results.
-func TestVectorFastPathMatchesInterfacePath(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 90, N: 5000, Load: 6, MinLoad: 2, Capacity: 2}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seed = 12
-	cfg := Config{Shards: 3, BatchSize: 32, QueueDepth: 2}
-
-	pol, err := core.LookupPolicy(core.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := ReplayWithPolicy(inst, pol, seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := ReplayWithPolicy(inst, opaquePolicy{pol}, seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalent(t, fast, slow, "fast path vs interface path")
-
-	// The engine must actually pin the vector for the built-in and not
-	// for the opaque wrapper — otherwise this test compares the same path
-	// with itself.
-	ef, err := NewWithPolicy(core.InfoOf(inst), pol, seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ef.Drain()
-	if ef.vector == nil {
-		t.Error("built-in randpr: vector fast path not pinned")
-	}
-	eo, err := NewWithPolicy(core.InfoOf(inst), opaquePolicy{pol}, seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eo.Drain()
-	if eo.vector != nil {
-		t.Error("opaque state: vector fast path pinned through the wrapper")
-	}
-}

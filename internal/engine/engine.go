@@ -264,9 +264,8 @@ func (b *Batch) Validate(numSets int) error {
 type Engine struct {
 	cfg     Config
 	info    core.Info
-	policy  string           // resolved policy name
-	decider core.PolicyState // read-only after New; shared by all shards
-	vector  *core.VectorState
+	policy  string               // resolved policy name
+	decider core.PolicyState     // read-only after New; shared by all shards
 	tel     *obs.EngineTelemetry // nil: no telemetry probes
 	shards  []*shard
 	wg      sync.WaitGroup
@@ -331,12 +330,6 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 		shards:  make([]*shard, cfg.Shards),
 		batch:   new(Batch),
 	}
-	// Hot-path devirtualization: every built-in except first-fit decides
-	// through a *core.VectorState. Pinning the concrete type here lets the
-	// shard loop call its DecideInPlace directly — a static, inlinable
-	// call — instead of going through the PolicyState interface for every
-	// element. Custom policies simply keep the interface path.
-	e.vector, _ = state.(*core.VectorState)
 	// Pre-fill the free list with every batch that can be in flight at
 	// once: one per queue slot, one being processed per shard, one in the
 	// submitter's hand, plus slack. Ingestion then recycles this fixed
@@ -370,7 +363,7 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 // keeps the telemetry-enabled alloc gate at zero.
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
-	vec := e.vector
+	decider := e.decider
 	var slog *obs.ShardLog
 	var qwait, decide *obs.Histogram
 	if e.tel != nil {
@@ -407,13 +400,7 @@ func (e *Engine) run(s *shard) {
 			}
 			// The batch buffer is engine-owned scratch, so the policy may
 			// reorder it in place — no per-element copy on the hot path.
-			// Vector policies take the devirtualized direct call.
-			var choice []setsystem.SetID
-			if vec != nil {
-				choice = vec.DecideInPlace(members, int(caps[i]))
-			} else {
-				choice = e.decider.DecideInPlace(members, int(caps[i]))
-			}
+			choice := decider.DecideInPlace(members, int(caps[i]))
 			for _, id := range choice {
 				counts[id]++
 			}
@@ -536,7 +523,12 @@ func (e *Engine) ReturnBatch(b *Batch) {
 // Batch sizing is the caller's: a wire batch is not re-split to
 // Config.BatchSize, it reaches one shard as one unit. Round-robin over
 // wire batches keeps shards balanced exactly as flush does.
-func (e *Engine) SubmitBatch(b *Batch) error {
+func (e *Engine) SubmitBatch(b *Batch) error { return e.submitBatch(b, &e.next) }
+
+// submitBatch hands b to shard *next and advances that round-robin
+// cursor — the engine's own for SubmitBatch, a lane's private one for
+// Lane.SubmitBatch.
+func (e *Engine) submitBatch(b *Batch, next *int) error {
 	st := State(e.state.Load())
 	if st == StateDrained {
 		e.ReturnBatch(b)
@@ -558,8 +550,8 @@ func (e *Engine) SubmitBatch(b *Batch) error {
 	if e.tel != nil {
 		b.enq = time.Now()
 	}
-	e.shards[e.next].in <- b
-	e.next = (e.next + 1) % len(e.shards)
+	e.shards[*next].in <- b
+	*next = (*next + 1) % len(e.shards)
 	return nil
 }
 
@@ -596,33 +588,7 @@ func (e *Engine) Lane(i int) *Lane {
 // SubmitBatch is Engine.SubmitBatch on this lane's private cursor. The
 // batch's shape must already be valid (Batch.Validate); ownership
 // passes to the engine whatever the outcome.
-func (l *Lane) SubmitBatch(b *Batch) error {
-	e := l.e
-	st := State(e.state.Load())
-	if st == StateDrained {
-		e.ReturnBatch(b)
-		return ErrDrained
-	}
-	n := b.Len()
-	if n == 0 {
-		e.ReturnBatch(b)
-		return nil
-	}
-	if len(b.Offs) != n+1 || b.Offs[0] != 0 || int(b.Offs[n]) != len(b.Members) {
-		e.ReturnBatch(b)
-		return fmt.Errorf("engine: malformed batch: %d caps, %d offs over %d members", n, len(b.Offs), len(b.Members))
-	}
-	if st == StateIdle {
-		e.state.Store(int32(StateStreaming))
-	}
-	b.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
-	if e.tel != nil {
-		b.enq = time.Now()
-	}
-	e.shards[l.next].in <- b
-	l.next = (l.next + 1) % len(e.shards)
-	return nil
-}
+func (l *Lane) SubmitBatch(b *Batch) error { return l.e.submitBatch(b, &l.next) }
 
 // Submit offers one arriving element to the stream. It validates the
 // element, bulk-copies it into the current flat batch and, when the batch

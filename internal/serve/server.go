@@ -89,14 +89,6 @@ type Config struct {
 	// connection may have in flight. Each slot costs one pooled verdict
 	// buffer per connection. 0 means 32; values above 1024 are clamped.
 	StreamWindow int
-	// StreamCopyDecode forces the stream arm onto the copying batch
-	// decoder (wire.DecodeBatch into engine free-list buffers) instead
-	// of the default zero-copy path that aliases caps/members straight
-	// out of the connection's receive slots. The two decoders are pinned
-	// byte-for-byte equivalent; this switch exists for A/B benchmarking
-	// and as an escape hatch. The copying path also engages on its own
-	// whenever a frame cannot be aliased (foreign byte order).
-	StreamCopyDecode bool
 	// StreamTimings records per-batch decode latency into the
 	// osp_stream_decode histogram. Off by default: the two time.Now
 	// stamps per frame are measurable at stream rates (the other stage
@@ -171,6 +163,11 @@ type Server struct {
 	mux    *http.ServeMux
 	obs    serverObs
 	stream streamState
+	// copyDecode sends every stream frame through the copying decoder,
+	// the path big-endian hosts take because wire.AliasBatch declines
+	// their frames. Only this package's tests set it, to pin that path
+	// against alias decode on any host.
+	copyDecode bool
 }
 
 // New builds a Server with a fresh pool.

@@ -27,9 +27,8 @@ import (
 // payload is read off the socket straight into an aligned per-slot
 // buffer and the engine's caps/members views alias those bytes in
 // place (wire.AliasBatch) — no per-element copy between wire and
-// shard. Frames that cannot be aliased (foreign byte order, or
-// Config.StreamCopyDecode) fall back to the copying decoder, pinned
-// byte-for-byte equivalent.
+// shard. Frames that cannot be aliased (a big-endian host) fall back
+// to the copying decoder, pinned byte-for-byte equivalent.
 //
 // Per-connection machinery, after the Hello/Ack handshake:
 //
@@ -261,7 +260,7 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 // streamReadLoop reads batch frames, lands each payload in its window
 // slot at an aliasable alignment, hands the engine caps/members views
 // over those bytes (zero-copy; the copying decoder when aliasing is
-// off or impossible) and submits on the connection's private lane with
+// impossible) and submits on the connection's private lane with
 // the verdict callback set; the engine shard completes the verdict
 // frame during its decide. The loop ends by handing the writer exactly
 // one terminal frame whose seq equals the number of batches submitted
@@ -271,7 +270,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 	eng := in.eng
 	lane := in.IngestLane(sc.idx)
 	numSets := in.info.NumSets()
-	copyDecode := s.cfg.StreamCopyDecode
+	copyDecode := s.copyDecode
 	timings := s.cfg.StreamTimings
 	next := uint32(0) // seq of the next expected batch = batches submitted
 	terminate := func(typ byte, format string, args ...any) {
@@ -354,8 +353,8 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				}
 			}
 			if b == nil {
-				// Copying fallback: alias off, or the frame cannot be
-				// aliased on this platform.
+				// Copying fallback: the frame cannot be aliased on this
+				// platform, or a test forced this path.
 				b = eng.BorrowBatch()
 				b.Members, b.Offs, b.Caps, err = wire.DecodeBatch(payload, b.Members[:0], b.Offs[:0], b.Caps[:0])
 				if err != nil {

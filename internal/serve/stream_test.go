@@ -448,18 +448,19 @@ func TestStreamShutdownAnswersInFlight(t *testing.T) {
 	}
 }
 
-// TestStreamCopyDecodeMatchesZeroCopy is the decode-path equivalence
+// TestStreamCopyFallbackMatchesAlias is the decode-path equivalence
 // pin: the same frames sent to a default (zero-copy aliasing) server
-// and to one forced onto the copying decoder via Config.StreamCopyDecode
+// and to one forced onto the copying decoder — the big-endian path —
 // produce byte-for-byte identical verdict frames, and both drain to the
 // serial oracle's result. StreamTimings is exercised on the copying
 // server to cover the stamped variant of the read loop.
-func TestStreamCopyDecodeMatchesZeroCopy(t *testing.T) {
+func TestStreamCopyFallbackMatchesAlias(t *testing.T) {
 	const seed = 43
 	inst := uniformInst(t, 70, 4000, 6, 2)
 	zc := New(Config{})
 	defer zc.Shutdown(t.Context())
-	cp := New(Config{StreamCopyDecode: true, StreamTimings: true})
+	cp := New(Config{StreamTimings: true})
+	cp.copyDecode = true
 	defer cp.Shutdown(t.Context())
 	zcAddr := startStreamListener(t, zc)
 	cpAddr := startStreamListener(t, cp)

@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,27 +41,19 @@ import (
 type Codec int
 
 const (
-	// CodecAuto — the default — drives the compact binary codec and
-	// falls back to JSON transparently, per instance, when the server
-	// does not speak it (any server predating the binary ingest path).
-	CodecAuto Codec = iota
-	// CodecJSON forces the JSON wire shapes on every request.
+	// CodecBinary — the default — sends the compact binary codec; a
+	// server that rejects it surfaces the resulting *APIError.
+	CodecBinary Codec = iota
+	// CodecJSON sends the JSON wire shapes on every request.
 	CodecJSON
-	// CodecBinary forces the binary codec; a server without it surfaces
-	// the resulting *APIError instead of falling back.
-	CodecBinary
 )
 
 // String returns the flag-friendly codec name.
 func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
+	if c == CodecJSON {
 		return "json"
-	case CodecBinary:
-		return "binary"
-	default:
-		return "auto"
 	}
+	return "binary"
 }
 
 // Client talks to one admission server. Safe for concurrent use (the
@@ -86,11 +77,10 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithCodec pins the ingest wire codec. The default, CodecAuto, sends
-// binary batches (internal/wire's flat frames — the zero-allocation
-// server path, measured severalfold faster than JSON end to end) and
-// falls back to JSON once, per instance, if the server rejects the
-// binary content type.
+// WithCodec picks the HTTP ingest wire codec. The default, CodecBinary,
+// sends binary batches (internal/wire's flat frames — the
+// zero-allocation server path, measured severalfold faster than JSON
+// end to end); CodecJSON sends the JSON shapes curl speaks.
 func WithCodec(codec Codec) Option {
 	return func(c *Client) { c.codec = codec }
 }
@@ -209,16 +199,10 @@ type Instance struct {
 	shards int
 	policy string
 
-	// negotiated is the per-instance CodecAuto outcome: 0 until the
-	// first ingest settles it, then codecBinary or codecJSON.
-	negotiated atomic.Int32
 	// streams counts this instance's open verdict streams (OpenStream);
 	// while positive, Codec reports "stream".
 	streams atomic.Int32
 
-	// transport is the per-instance IngestAuto outcome: 0 until the
-	// first call settles it, then transportStream or transportHTTP.
-	transport atomic.Int32
 	// tmu serializes IngestAuto/Close over the pinned stream, which is
 	// a single in-order connection.
 	tmu sync.Mutex
@@ -226,13 +210,6 @@ type Instance struct {
 	// when none is open (guarded by tmu).
 	pinned *Stream
 }
-
-// Codec negotiation outcomes.
-const (
-	codecUnresolved int32 = iota
-	codecBinary
-	codecJSON
-)
 
 // wire shapes (mirroring internal/serve; the contract is the JSON).
 type wireElement struct {
@@ -441,13 +418,10 @@ func (in *Instance) Policy() string { return in.policy }
 // full the call blocks — backpressure propagates to the producer, which
 // is the paper's admission deadline made tangible.
 //
-// The wire representation follows the client's codec (WithCodec). Under
-// the default CodecAuto the first batch goes out binary; a server that
-// rejects the binary content type (any server predating it answers 400)
-// gets the same batch retried as JSON, and the instance sticks with
-// JSON from then on. Either way the verdicts and the eventual drained
-// result are bit-for-bit identical — the serve-side decode paths share
-// one policy state.
+// The wire representation follows the client's codec (WithCodec):
+// binary by default, JSON under CodecJSON. Either way the verdicts and
+// the eventual drained result are bit-for-bit identical — the
+// serve-side decode paths share one policy state.
 //
 // With WithRetry configured, transient failures (transport errors, 429,
 // 5xx) are retried under the policy's backoff and budget; permanent 4xx
@@ -468,65 +442,27 @@ func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, e
 	return verdicts, nil
 }
 
-// ingestOnce is one ingest attempt: codec negotiation included, retry
-// policy excluded.
+// ingestOnce is one ingest attempt, retry policy excluded.
 func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	codec := in.c.codec
-	if codec == CodecJSON || (codec == CodecAuto && in.negotiated.Load() == codecJSON) {
+	if in.c.codec == CodecJSON {
 		return in.ingestJSON(ctx, els)
 	}
-	verdicts, err := in.ingestBinary(ctx, els)
-	switch {
-	case err == nil:
-		in.negotiated.CompareAndSwap(codecUnresolved, codecBinary)
-		return verdicts, nil
-	case codec == CodecAuto && in.negotiated.Load() == codecUnresolved && isCodecRejection(err):
-		// The server may simply not speak the binary codec — or the
-		// batch may be genuinely invalid. The JSON retry distinguishes
-		// the two: success pins the fallback, failure is authoritative.
-		verdicts, jerr := in.ingestJSON(ctx, els)
-		if jerr != nil {
-			return nil, jerr
-		}
-		in.negotiated.Store(codecJSON)
-		return verdicts, nil
-	default:
-		return nil, err
-	}
-}
-
-// isCodecRejection reports whether an ingest error could mean "this
-// server does not speak the binary codec" rather than "this batch is
-// bad": a JSON-only server answers a binary frame with 400 (its JSON
-// decoder chokes) and a strict intermediary may answer 415.
-func isCodecRejection(err error) bool {
-	var apiErr *APIError
-	return errors.As(err, &apiErr) &&
-		(apiErr.StatusCode == http.StatusBadRequest || apiErr.StatusCode == http.StatusUnsupportedMediaType)
+	return in.ingestBinary(ctx, els)
 }
 
 // Codec reports the wire transport this instance currently ingests
-// over: "stream" while a verdict stream is open (OpenStream), else
-// "json" or "binary" once pinned (by WithCodec or by CodecAuto's first
-// ingest), "auto" before the first ingest settles it — so a benchmark
-// or loadgen report can prove which arm it actually exercised.
+// over: "stream" while a verdict stream is open (OpenStream, or the one
+// IngestAuto pins), else the client's HTTP codec, "binary" or "json" —
+// so a benchmark or loadgen report can prove which arm it actually
+// exercised.
 func (in *Instance) Codec() string {
-	switch {
-	case in.streams.Load() > 0:
+	if in.streams.Load() > 0 {
 		return "stream"
-	case in.c.codec != CodecAuto:
-		return in.c.codec.String()
-	case in.negotiated.Load() == codecBinary:
-		return "binary"
-	case in.negotiated.Load() == codecJSON:
-		return "json"
-	default:
-		return "auto"
 	}
+	return in.c.codec.String()
 }
 
-// ingestJSON is the JSON arm of Ingest — the wire shapes every server
-// speaks.
+// ingestJSON is the JSON arm of Ingest.
 func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdict, error) {
 	req := ingestRequest{Elements: make([]wireElement, len(els))}
 	for i, el := range els {

@@ -272,10 +272,9 @@ func startServerWith(t *testing.T, opts ...client.Option) (*client.Client, *osp.
 	return c, srv
 }
 
-// startLegacyServer emulates a server predating the binary codec: it
-// strips the negotiating Content-Type before the real handler sees the
-// request, so binary frames hit the JSON decoder and 400 — exactly what
-// a pre-binary server does.
+// startLegacyServer emulates a server without the binary codec: it
+// strips the Content-Type before the real handler sees the request, so
+// binary frames hit the JSON decoder and 400.
 func startLegacyServer(t *testing.T, opts ...client.Option) *client.Client {
 	t.Helper()
 	srv := osp.NewServer(osp.ServerConfig{})
@@ -354,9 +353,9 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestCodecAutoNegotiatesBinary pins the happy path of CodecAuto: on a
-// binary-capable server the first ingest settles on the binary codec.
-func TestCodecAutoNegotiatesBinary(t *testing.T) {
+// TestDefaultCodecIsBinary: a client built without WithCodec ingests
+// over the binary codec from its first batch.
+func TestDefaultCodecIsBinary(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 20, 200, 3, 5)
 	c, _ := startServer(t)
@@ -364,8 +363,8 @@ func TestCodecAutoNegotiatesBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Codec(); got != "auto" {
-		t.Errorf("before first ingest: Codec() = %q, want auto", got)
+	if got := h.Codec(); got != "binary" {
+		t.Errorf("before first ingest: Codec() = %q, want binary", got)
 	}
 	if _, err := h.Ingest(ctx, inst.Elements[:50]); err != nil {
 		t.Fatal(err)
@@ -375,37 +374,9 @@ func TestCodecAutoNegotiatesBinary(t *testing.T) {
 	}
 }
 
-// TestCodecAutoFallsBackToJSON pins the compatibility path: against a
-// pre-binary server, CodecAuto retries the first batch as JSON, sticks
-// with JSON, and the run still verifies against the serial oracle.
-func TestCodecAutoFallsBackToJSON(t *testing.T) {
-	ctx := context.Background()
-	const seed = 31
-	inst := uniform(t, 30, 900, 4, 6)
-	c := startLegacyServer(t)
-	h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(ctx, t, h, inst, 128)
-	if got := h.Codec(); got != "json" {
-		t.Errorf("after fallback: Codec() = %q, want json", got)
-	}
-	res, err := h.Drain(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equal(serial) {
-		t.Errorf("fallback run differs from the serial oracle")
-	}
-}
-
-// TestCodecBinaryForcedSurfacesRejection: with CodecBinary pinned, a
-// server without the codec is an error, not a silent downgrade.
+// TestCodecBinaryForcedSurfacesRejection: with CodecBinary — the
+// default, here also set explicitly — a server without the codec is an
+// error, not a silent downgrade to JSON.
 func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
@@ -419,10 +390,10 @@ func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	}
 }
 
-// TestCodecAutoInvalidBatchStays400: the fallback must not mask a
-// genuinely invalid batch — the JSON retry's authoritative 400 comes
-// back, and valid batches keep flowing afterwards.
-func TestCodecAutoInvalidBatchStays400(t *testing.T) {
+// TestDefaultCodecInvalidBatchStays400: a genuinely invalid batch over
+// the default codec comes back as a 400, and valid batches keep flowing
+// afterwards.
+func TestDefaultCodecInvalidBatchStays400(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
 	c, _ := startServer(t)

@@ -118,9 +118,7 @@ func TestRetryPermanent4xxNotRetried(t *testing.T) {
 	}))
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-	// CodecJSON: one HTTP request per attempt (CodecAuto's binary→JSON
-	// probe would legitimately double the first attempt's request count).
-	c, err := client.New(hs.URL, client.WithCodec(client.CodecJSON),
+	c, err := client.New(hs.URL,
 		client.WithRetry(client.RetryPolicy{MaxAttempts: 6, BaseBackoff: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +174,8 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 	if err := h.IngestAuto(ctx, inst.Elements[:half], nil); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
-	if h.Transport() != "stream" {
-		t.Fatalf("transport = %q, want stream", h.Transport())
+	if h.Codec() != "stream" {
+		t.Fatalf("codec = %q, want stream", h.Codec())
 	}
 
 	// Kill the pinned stream between batches — the crashed-node
@@ -201,8 +199,8 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 			t.Fatalf("callback %d fired for element %d, want batch order", i, got)
 		}
 	}
-	if h.Transport() != "stream" {
-		t.Errorf("transport fell back to %q after reconnect, want stream", h.Transport())
+	if h.Codec() != "stream" {
+		t.Errorf("codec = %q after reconnect, want stream", h.Codec())
 	}
 
 	res, err := h.Drain(ctx)

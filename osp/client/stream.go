@@ -374,8 +374,8 @@ func (s *Stream) CloseSend() error {
 }
 
 // Close releases the connection. Safe to call more than once; the
-// instance's Codec reverts to its HTTP negotiation once no stream is
-// open.
+// instance's Codec reverts to the client's HTTP codec once no stream
+// is open.
 func (s *Stream) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
 		s.in.streams.Add(-1)
@@ -404,8 +404,7 @@ var funcPool = sync.Pool{New: func() any { return new(funcScratch) }}
 // per element, in batch order, with the parent sets the element was
 // admitted to. The admitted slice is reused scratch, valid only during
 // the callback. Over the binary codec the whole round trip reuses
-// pooled buffers; under CodecAuto the same one-time JSON fallback as
-// Ingest applies.
+// pooled buffers.
 //
 // With WithRetry configured, attempts buffer their callbacks and fn
 // fires only after an attempt succeeds — each element exactly once, in
@@ -427,27 +426,13 @@ func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i
 	return nil
 }
 
-// ingestFuncOnce is one callback-shaped ingest attempt: codec
-// negotiation included, retry policy excluded.
+// ingestFuncOnce is one callback-shaped ingest attempt, retry policy
+// excluded.
 func (in *Instance) ingestFuncOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	codec := in.c.codec
-	if codec == CodecJSON || (codec == CodecAuto && in.negotiated.Load() == codecJSON) {
+	if in.c.codec == CodecJSON {
 		return in.ingestFuncJSON(ctx, els, fn)
 	}
-	err := in.ingestFuncBinary(ctx, els, fn)
-	switch {
-	case err == nil:
-		in.negotiated.CompareAndSwap(codecUnresolved, codecBinary)
-		return nil
-	case codec == CodecAuto && in.negotiated.Load() == codecUnresolved && isCodecRejection(err):
-		if jerr := in.ingestFuncJSON(ctx, els, fn); jerr != nil {
-			return jerr
-		}
-		in.negotiated.Store(codecJSON)
-		return nil
-	default:
-		return err
-	}
+	return in.ingestFuncBinary(ctx, els, fn)
 }
 
 // ingestFuncJSON adapts the JSON arm to the callback shape.

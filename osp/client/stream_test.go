@@ -318,7 +318,7 @@ func TestIngestFuncMatchesIngest(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec client.Codec
-	}{{"auto", client.CodecAuto}, {"json", client.CodecJSON}} {
+	}{{"binary", client.CodecBinary}, {"json", client.CodecJSON}} {
 		t.Run(tc.name, func(t *testing.T) {
 			codec := tc.codec
 			ctx := context.Background()

@@ -2,41 +2,20 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
 	"repro/osp"
 )
 
-// Transport negotiation: IngestAuto prefers the pipelined stream
-// transport (one long-lived TCP connection to the server's
-// -stream-listen port) and falls back to binary HTTP — once, pinned per
-// instance — when the target node has no stream listener. This is the
-// transport-level mirror of CodecAuto's JSON fallback: a fleet
-// coordinator can point the same client code at a mixed fleet where
-// some nodes expose the stream port and some predate it, and every node
-// settles onto the fastest transport it actually speaks after at most
-// one failed dial.
-
-// Transport pinning outcomes for IngestAuto, reported by Transport.
-const (
-	transportUnresolved int32 = iota
-	transportStream
-	transportHTTP
-)
-
-// IngestAuto streams one batch like IngestFunc but negotiates the
-// transport as well as the codec: when the client has a stream address
-// (WithStreamAddr), the first call dials it and pins a long-lived
-// verdict stream for this instance; if the dial or handshake fails —
-// the node has no stream listener, or something else answers the port —
-// the batch is retried over binary HTTP exactly once and the instance
-// stays pinned to HTTP, never re-dialing per batch. A server that
-// speaks the stream protocol but *refuses* the instance (an Error
-// frame, surfaced as *APIError) is authoritative: no fallback, the
-// error is returned. The HTTP arm inherits CodecAuto's per-instance
-// JSON fallback unchanged.
+// IngestAuto streams one batch like IngestFunc over the transport the
+// client is configured for: with a stream address (WithStreamAddr) the
+// first call dials it and pins a long-lived verdict stream for this
+// instance; without one, the batch goes over HTTP in the client's codec.
+// A dial or handshake failure is returned, not papered over — WithRetry
+// retries it as a transport error, and the next call dials again. A
+// server that speaks the stream protocol but refuses the instance (an
+// Error frame) surfaces as *APIError.
 //
 // fn (nil allowed: verdicts are discarded) runs once per element, in
 // batch order, with the parent sets the element was admitted to; the
@@ -74,29 +53,18 @@ func (in *Instance) IngestAuto(ctx context.Context, els []osp.Element, fn func(i
 	return nil
 }
 
-// ingestAutoOnce is one transport-negotiated attempt; the caller holds
-// tmu.
+// ingestAutoOnce is one attempt on the configured transport; the
+// caller holds tmu.
 func (in *Instance) ingestAutoOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.transport.Load() == transportHTTP || in.c.streamAddr == "" {
-		in.transport.Store(transportHTTP)
+	if in.c.streamAddr == "" {
 		return in.ingestFuncOnce(ctx, els, fn)
 	}
 	if in.pinned == nil {
 		st, err := in.OpenStream(ctx)
 		if err != nil {
-			var apiErr *APIError
-			if in.transport.Load() == transportUnresolved && !errors.As(err, &apiErr) {
-				// The node does not speak the stream protocol on that
-				// address (no listener, or a different service). Fall back
-				// to binary HTTP and stay pinned: one failed dial per
-				// instance, not one per batch.
-				in.transport.Store(transportHTTP)
-				return in.ingestFuncOnce(ctx, els, fn)
-			}
 			return err
 		}
 		in.pinned = st
-		in.transport.Store(transportStream)
 	}
 	if err := in.pinned.Send(els); err != nil {
 		return in.dropPinned(err)
@@ -108,7 +76,7 @@ func (in *Instance) ingestAutoOnce(ctx context.Context, els []osp.Element, fn fu
 }
 
 // dropPinned tears down the pinned stream after a terminal error; the
-// transport stays pinned to stream, so the next IngestAuto re-dials.
+// next IngestAuto re-dials.
 func (in *Instance) dropPinned(err error) error {
 	in.pinned.Close() //nolint:errcheck // the stream is already broken
 	in.pinned = nil
@@ -118,7 +86,7 @@ func (in *Instance) dropPinned(err error) error {
 // StreamConnElements reports, per striped stream connection, how many
 // elements IngestAuto's pinned stream has sent down it — the
 // observable stripe balance for loadgen reporting. Nil when no stream
-// is pinned (HTTP transport, or before the first IngestAuto).
+// is pinned (no stream address, or before the first IngestAuto).
 func (in *Instance) StreamConnElements() []uint64 {
 	in.tmu.Lock()
 	defer in.tmu.Unlock()
@@ -126,19 +94,6 @@ func (in *Instance) StreamConnElements() []uint64 {
 		return nil
 	}
 	return in.pinned.ConnElements()
-}
-
-// Transport reports IngestAuto's pinned transport for this instance:
-// "stream" or "http" once the first call settles it, "auto" before.
-func (in *Instance) Transport() string {
-	switch in.transport.Load() {
-	case transportStream:
-		return "stream"
-	case transportHTTP:
-		return "http"
-	default:
-		return "auto"
-	}
 }
 
 // Close releases the instance's pinned stream, if IngestAuto opened

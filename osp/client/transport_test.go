@@ -6,76 +6,34 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultproxy"
 	"repro/osp"
 	"repro/osp/client"
 )
 
-// These tests pin the IngestAuto transport-negotiation contract the way
-// the PR 5 codec tests pin CodecAuto: a node without a stream listener
-// costs exactly one failed dial, the instance falls back to binary HTTP
-// and stays pinned there, and both arms produce verdicts bit-for-bit
-// equal to the serial oracle.
+// These tests pin the IngestAuto transport contract: with a stream
+// address the instance streams over one pinned connection, a failed
+// dial is returned rather than hidden behind HTTP, and every arm
+// produces verdicts bit-for-bit equal to the serial oracle.
 
-// countingProxy listens on its own port and forwards accepted
-// connections to dst, counting accepts — a stand-in for "the node's
-// stream port" that lets a test observe dial attempts. When dst is "",
-// accepted connections are closed immediately (a listener that is not a
-// stream server: the handshake dies before an Ack frame).
-func countingProxy(t *testing.T, dst string) (addr string, accepts *atomic.Int32) {
+// streamProxy fronts the server's stream listener with a faultproxy, so
+// a test can count dials (Accepted) and fail them on demand (Set).
+func streamProxy(t *testing.T, srv *osp.Server) *faultproxy.Proxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	accepts = new(atomic.Int32)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepts.Add(1)
-			if dst == "" {
-				conn.Close()
-				continue
-			}
-			up, err := net.Dial("tcp", dst)
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			go func() { pipe(conn, up) }()
-		}
-	}()
-	return ln.Addr().String(), accepts
-}
-
-func pipe(a, b net.Conn) {
-	done := make(chan struct{}, 2)
-	cp := func(dst, src net.Conn) {
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		done <- struct{}{}
+	go srv.ServeStream(ln) //nolint:errcheck // closed by cleanup or Shutdown
+	p, err := faultproxy.New(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	go cp(a, b)
-	go cp(b, a)
-	<-done
-	a.Close()
-	b.Close()
+	t.Cleanup(func() { p.Close() })
+	return p
 }
 
 // ingestAuto drives a whole instance through IngestAuto in fixed-size
@@ -114,13 +72,10 @@ func TestIngestAutoPinsStream(t *testing.T) {
 	srv := osp.NewServer(osp.ServerConfig{})
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	streamLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { streamLn.Close() })
-	go srv.ServeStream(streamLn)                             //nolint:errcheck // closed by cleanup or Shutdown
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+	// The stream port goes through a proxy so the test can assert the
+	// dial count.
+	proxy := streamProxy(t, srv)
 
 	const seed = 17
 	inst := uniform(t, 35, 1100, 4, 9)
@@ -130,16 +85,13 @@ func TestIngestAutoPinsStream(t *testing.T) {
 	}
 	httpH := registerTwin(t, c0, inst, seed)
 
-	// Same server, but the stream port goes through a counting proxy so
-	// the test can assert the dial count.
-	proxyAddr, accepts := countingProxy(t, streamLn.Addr().String())
-	c, err := client.New(hs.URL, client.WithStreamAddr(proxyAddr))
+	c, err := client.New(hs.URL, client.WithStreamAddr(proxy.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	autoH := registerTwin(t, c, inst, seed)
-	if got := autoH.Transport(); got != "auto" {
-		t.Fatalf("transport before first ingest = %q, want auto", got)
+	if got := autoH.Codec(); got != "binary" {
+		t.Fatalf("codec before first ingest = %q, want binary", got)
 	}
 
 	const batch = 97
@@ -159,13 +111,10 @@ func TestIngestAutoPinsStream(t *testing.T) {
 			t.Fatalf("element %d: IngestAuto admitted %s, HTTP twin %s", i, gotAuto[i], wantHTTP[i])
 		}
 	}
-	if got := autoH.Transport(); got != "stream" {
-		t.Fatalf("transport = %q, want stream", got)
-	}
 	if got := autoH.Codec(); got != "stream" {
 		t.Fatalf("codec = %q, want stream", got)
 	}
-	if n := accepts.Load(); n != 1 {
+	if n := proxy.Accepted(); n != 1 {
 		t.Fatalf("stream port dialed %d times across %d batches, want 1", n, (len(inst.Elements)+batch-1)/batch)
 	}
 	if err := autoH.Close(); err != nil {
@@ -190,74 +139,54 @@ func TestIngestAutoPinsStream(t *testing.T) {
 	}
 }
 
-// TestIngestAutoFallsBackToHTTP is the satellite fix under test: the
-// target node has no stream listener behind the configured address (the
-// port answers, then hangs up before the handshake — or nothing listens
-// at all). IngestAuto must retry the batch over binary HTTP once, pin
-// HTTP for the instance, and never dial the dead port again.
-func TestIngestAutoFallsBackToHTTP(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		addr func(t *testing.T) (string, *atomic.Int32)
-	}{
-		{"listener-not-stream-server", func(t *testing.T) (string, *atomic.Int32) {
-			return countingProxy(t, "") // accepts, then closes: handshake fails
-		}},
-		{"nothing-listening", func(t *testing.T) (string, *atomic.Int32) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := ln.Addr().String()
-			ln.Close() // free the port: dials are refused
-			return addr, nil
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			// HTTP only — this node predates the stream port.
-			srv := osp.NewServer(osp.ServerConfig{})
-			hs := httptest.NewServer(srv)
-			t.Cleanup(hs.Close)
-			t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-			deadAddr, accepts := tc.addr(t)
-			c, err := client.New(hs.URL, client.WithStreamAddr(deadAddr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const seed = 23
-			inst := uniform(t, 25, 700, 3, 5)
-			h := registerTwin(t, c, inst, seed)
+// TestIngestAutoRedialsAfterFailedDial: one failed dial must not pin
+// the instance off the stream. The stream port resets the first
+// connection, so the first IngestAuto returns the handshake error; once
+// the port heals, the next call dials again and streams. The failed
+// batch never reached the engine, so resending it keeps the drain equal
+// to the serial oracle.
+func TestIngestAutoRedialsAfterFailedDial(t *testing.T) {
+	ctx := context.Background()
+	srv := osp.NewServer(osp.ServerConfig{})
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+	proxy := streamProxy(t, srv)
+	c, err := client.New(hs.URL, client.WithStreamAddr(proxy.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 23
+	inst := uniform(t, 25, 700, 3, 5)
+	h := registerTwin(t, c, inst, seed)
 
-			const batch = 64
-			ingestAuto(t, h, inst, batch)
-			if got := h.Transport(); got != "http" {
-				t.Fatalf("transport after fallback = %q, want http", got)
-			}
-			// The HTTP arm underneath is the binary codec (the PR 5
-			// negotiation, untouched by the transport fallback).
-			if got := h.Codec(); got != "binary" {
-				t.Fatalf("codec after fallback = %q, want binary", got)
-			}
-			if accepts != nil {
-				if n := accepts.Load(); n != 1 {
-					t.Fatalf("dead stream port dialed %d times across %d batches, want exactly 1",
-						n, (len(inst.Elements)+batch-1)/batch)
-				}
-			}
+	const batch = 64
+	proxy.Set(faultproxy.Fault{Mode: faultproxy.Reset})
+	if err := h.IngestAuto(ctx, inst.Elements[:batch], nil); err == nil {
+		t.Fatal("IngestAuto through a resetting stream port succeeded, want the dial error")
+	}
+	proxy.Set(faultproxy.Fault{Mode: faultproxy.Pass})
+	ingestAuto(t, h, inst, batch)
+	if got := h.Codec(); got != "stream" {
+		t.Fatalf("codec after the port healed = %q, want stream", got)
+	}
+	if n := proxy.Accepted(); n < 2 {
+		t.Fatalf("stream port accepted %d connections, want a re-dial after the failed one", n)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := h.Drain(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Equal(serial) {
-				t.Fatal("drained result differs from serial oracle after HTTP fallback")
-			}
-		})
+	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(serial) {
+		t.Fatal("drained result differs from serial oracle after the re-dial")
 	}
 }
 
@@ -271,8 +200,8 @@ func TestIngestAutoNoStreamAddr(t *testing.T) {
 	inst := uniform(t, 15, 300, 3, 3)
 	h := registerTwin(t, c, inst, seed)
 	ingestAuto(t, h, inst, 50)
-	if got := h.Transport(); got != "http" {
-		t.Fatalf("transport = %q, want http", got)
+	if got := h.Codec(); got != "binary" {
+		t.Fatalf("codec = %q, want binary", got)
 	}
 	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
 	if err != nil {
@@ -288,10 +217,9 @@ func TestIngestAutoNoStreamAddr(t *testing.T) {
 }
 
 // TestIngestAutoServerRefusalIsAuthoritative: a server that SPEAKS the
-// stream protocol but refuses the instance (Error frame → *APIError)
-// must surface the error — falling back to HTTP would mask a real
-// registration problem, exactly like CodecAuto treats a JSON-retry
-// failure as authoritative.
+// stream protocol but refuses the instance (Error frame) must surface
+// as *APIError — a permanent error WithRetry does not repeat — and
+// leave no stream open.
 func TestIngestAutoServerRefusalIsAuthoritative(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startStreamServer(t)
@@ -303,9 +231,9 @@ func TestIngestAutoServerRefusalIsAuthoritative(t *testing.T) {
 	err := h.IngestAuto(ctx, inst.Elements[:1], func(int, []osp.SetID) {})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) {
-		t.Fatalf("IngestAuto on removed instance = %v, want APIError (no HTTP fallback)", err)
+		t.Fatalf("IngestAuto on removed instance = %v, want APIError", err)
 	}
-	if got := h.Transport(); got != "auto" {
-		t.Fatalf("transport after authoritative refusal = %q, want auto (unpinned)", got)
+	if got := h.Codec(); got == "stream" {
+		t.Fatalf("codec after authoritative refusal = %q, want no stream open", got)
 	}
 }
