@@ -13,6 +13,7 @@ package repro_test
 // at full parameter sweeps.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -323,6 +324,59 @@ func BenchmarkEngineShards1(b *testing.B) { benchEngineShards(b, 1) }
 func BenchmarkEngineShards2(b *testing.B) { benchEngineShards(b, 2) }
 func BenchmarkEngineShards4(b *testing.B) { benchEngineShards(b, 4) }
 func BenchmarkEngineShards8(b *testing.B) { benchEngineShards(b, 8) }
+
+// BenchmarkSubmitBatchFrame keeps one stream-shaped frame in flight on a
+// 2-shard engine — a batch with Done verdict masks is submitted and its
+// masks awaited before the next — at batch sizes on both sides of the
+// engine's split threshold (batches of 2048 elements and more are
+// decided in parts on both shards). Each iteration first copies the
+// frame's flat arrays into the borrowed batch, standing in for the
+// stream reader's socket read. Run it at -cpu 1,2: the split pays only
+// when the second shard has a core of its own.
+func BenchmarkSubmitBatchFrame(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	inst, err := workload.Uniform(workload.UniformConfig{
+		M: 8192, N: 4096, Load: 12, MinLoad: 4, Capacity: 4,
+	}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var members []setsystem.SetID
+	offs := []int32{0}
+	caps := make([]int32, 0, len(inst.Elements))
+	for _, el := range inst.Elements {
+		members = append(members, el.Members...)
+		offs = append(offs, int32(len(members)))
+		caps = append(caps, int32(el.Capacity))
+	}
+	for _, n := range []int{512, 1024, 2048, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
+			e, err := engine.New(core.InfoOf(inst), 1, engine.Config{Shards: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Drain()
+			back := make(chan []byte, 1)
+			done := func(_ uint32, m []byte) { back <- m }
+			var masks []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bt := e.BorrowBatch()
+				bt.Members = append(bt.Members, members[:offs[n]]...)
+				bt.Offs = append(bt.Offs, offs[:n+1]...)
+				bt.Caps = append(bt.Caps, caps[:n]...)
+				bt.Seq, bt.Masks, bt.Done = uint32(i), masks[:0], done
+				if err := e.SubmitBatch(bt); err != nil {
+					b.Fatal(err)
+				}
+				masks = <-back
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n)), "ns/element")
+		})
+	}
+}
 
 // BenchmarkEngineVsSerial pins the engine's single-shard overhead against
 // the serial HashRandPr runner on the same workload.

@@ -256,10 +256,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	rep.Decide, err = benchDecide(*quick, *reps, *seed)
-	if err != nil {
-		return err
-	}
+	rep.Decide = benchDecide(inst, *reps, *seed)
 	fmt.Fprintf(w, "decide kernel: %.1f ns/element (sort path %.1f, speedup %.2fx, allocs %.3f)\n",
 		rep.Decide.KernelNsPerElement, rep.Decide.SortNsPerElement, rep.Decide.Speedup, rep.Decide.AllocsPerElement)
 
@@ -552,22 +549,11 @@ func parseShards(s string) ([]int, error) {
 	return out, nil
 }
 
-// benchDecide times the pure selection kernel on a sample of capacity<=8
-// elements with loads exceeding capacity (so selection always trims), and
-// the sort-based reference on the identical sample.
-func benchDecide(quick bool, reps int, seed int64) (DecideBench, error) {
-	const m = 4096
-	n := 200_000
-	if quick {
-		n = 20_000
-	}
-	rng := rand.New(rand.NewSource(seed + 100))
-	inst, err := workload.Uniform(workload.UniformConfig{
-		M: m, N: n, Load: 16, MinLoad: 6, Capacity: 4,
-	}, rng)
-	if err != nil {
-		return DecideBench{}, err
-	}
+// benchDecide times the pure selection kernel on the matrix workload the
+// engine rows replay — loads above the capacity-4 link, so selection
+// always trims — and the sort-based reference on the identical sample,
+// so the kernel row is the floor under the engine rows.
+func benchDecide(inst *setsystem.Instance, reps int, seed int64) DecideBench {
 	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: uint64(seed)}, nil)
 	elems := inst.Elements
 	var totalLoad int
@@ -601,7 +587,7 @@ func benchDecide(quick bool, reps int, seed int64) (DecideBench, error) {
 		SortNsPerElement:   float64(sortNs) / float64(len(elems)),
 		Speedup:            float64(sortNs) / float64(kernelNs),
 		AllocsPerElement:   float64(allocs) / float64(len(elems)),
-	}, nil
+	}
 }
 
 // benchSerial times core.Run with HashRandPr — the single-threaded

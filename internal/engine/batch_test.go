@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/setsystem"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -39,8 +41,10 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deliberately odd wire-batch sizes, never aligned with BatchSize.
-		sizes := []int{1, 37, 300, 5}
+		// Deliberately odd wire-batch sizes, never aligned with BatchSize;
+		// 3·minPart splits into up to three parts, and the stream's short
+		// tail batch into two.
+		sizes := []int{1, 37, 300, 5, 3 * minPart}
 		for off, i := 0, 0; off < len(inst.Elements); i++ {
 			end := min(off+sizes[i%len(sizes)], len(inst.Elements))
 			b := e.BorrowBatch()
@@ -108,43 +112,125 @@ func TestSubmitBatchInterleavesWithSubmit(t *testing.T) {
 
 // TestSubmitBatchSteadyStateZeroAlloc extends the engine's headline
 // property to the wire path: borrow → fill → submit allocates nothing
-// once the batch population is warm.
+// once the batch population is warm — for a batch that stays whole and
+// for one split across both shards with Done masks, whose verdict
+// buffer round-trips through the callback the way the stream
+// transport's does.
 func TestSubmitBatchSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 100, N: 12000, Load: 6, Capacity: 2}, rng)
+	inst, err := workload.Uniform(workload.UniformConfig{M: 100, N: 1 << 16, Load: 6, Capacity: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(core.InfoOf(inst), 5, Config{Shards: 2, BatchSize: 64, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Drain()
-
-	const batchN = 256
-	submit := func(els []setsystem.Element) {
-		b := e.BorrowBatch()
-		fillBatch(b, els)
-		if err := e.SubmitBatch(b); err != nil {
+	for _, tc := range []struct {
+		batchN int
+		masks  bool
+	}{{256, false}, {2 * minPart, true}} {
+		e, err := New(core.InfoOf(inst), 5, Config{Shards: 2, BatchSize: 64, QueueDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With masks, one frame is in flight at a time and its buffer
+		// comes back through Done for the next submit.
+		back := make(chan []byte, 1)
+		done := func(_ uint32, m []byte) { back <- m }
+		var masks []byte
+		submit := func(els []setsystem.Element) {
+			b := e.BorrowBatch()
+			fillBatch(b, els)
+			if tc.masks {
+				b.Masks, b.Done = masks[:0], done
+			}
+			if err := e.SubmitBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			if tc.masks {
+				masks = <-back
+			}
+		}
+		// Warm-up: cycle at least twice the in-flight batch population
+		// (shards×(queue+1)+2 = 12 here) past the workload's high-water
+		// member count, so every recycled batch has grown its buffers.
+		warm := 24 * tc.batchN
+		for off := 0; off+tc.batchN <= warm; off += tc.batchN {
+			submit(inst.Elements[off : off+tc.batchN])
+		}
+		rest := inst.Elements[warm:]
+		pos := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			off := pos % (len(rest) - tc.batchN)
+			submit(rest[off : off+tc.batchN])
+			pos += tc.batchN
+		})
+		if perElement := allocs / float64(tc.batchN); perElement != 0 {
+			t.Errorf("steady-state SubmitBatch of %d (masks %v): %v allocs/element (%v per batch), want 0",
+				tc.batchN, tc.masks, perElement, allocs)
+		}
+		if _, err := e.Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm-up: cycle at least twice the in-flight batch population
-	// (shards×(queue+1)+2 = 12 here) past the workload's high-water
-	// member count, so every recycled batch has grown its buffers.
-	const warm = 24 * batchN
-	for off := 0; off+batchN <= warm; off += batchN {
-		submit(inst.Elements[off : off+batchN])
+}
+
+// TestSubmitBatchSplitsAcrossShards pins the dispatcher on one batch of
+// 2·minPart elements with Done masks on a 2-shard engine: both shards
+// decide a part, Done fires once, the masks are byte for byte the frame
+// a serial AppendVerdictMask walk builds, and the batch counts once.
+func TestSubmitBatchSplitsAcrossShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	inst, err := workload.Uniform(workload.UniformConfig{M: 200, N: 2 * minPart, Load: 13, MinLoad: 2, Capacity: 3}, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rest := inst.Elements[warm:]
-	pos := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		off := pos % (len(rest) - batchN)
-		submit(rest[off : off+batchN])
-		pos += batchN
-	})
-	if perElement := allocs / batchN; perElement != 0 {
-		t.Errorf("steady-state SubmitBatch: %v allocs/element (%v per batch), want 0", perElement, allocs)
+	const seed = 8
+	e, err := New(core.InfoOf(inst), seed, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	want = wire.AppendVerdictsHeader(want, len(inst.Elements))
+	var admitted []setsystem.SetID
+	for _, el := range inst.Elements {
+		admitted = e.Policy().Decide(el.Members, el.Capacity, admitted)
+		want = wire.AppendVerdictMask(want, el.Members, admitted)
+	}
+
+	calls := make(chan []byte, 2)
+	b := e.BorrowBatch()
+	fillBatch(b, inst.Elements)
+	b.Seq = 3
+	b.Masks = wire.AppendVerdictsHeader(nil, len(inst.Elements))
+	b.Done = func(seq uint32, masks []byte) {
+		if seq != 3 {
+			t.Errorf("Done(seq %d), want 3", seq)
+		}
+		calls <- masks
+	}
+	if err := e.SubmitBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, got, serial(t, inst, seed), "split batch")
+	for i, s := range e.shards {
+		moved := false
+		for _, c := range s.assigned {
+			moved = moved || c != 0
+		}
+		if !moved {
+			t.Errorf("shard %d assigned nothing: the batch was not split", i)
+		}
+	}
+	if len(calls) != 1 {
+		t.Fatalf("Done fired %d times, want once", len(calls))
+	}
+	if masks := <-calls; !bytes.Equal(masks, want) {
+		t.Errorf("verdict frame differs from the serial AppendVerdictMask frame (%d vs %d bytes)", len(masks), len(want))
+	}
+	if snap := e.Metrics().Snapshot(); snap.Batches != 1 || snap.Processed != uint64(len(inst.Elements)) {
+		t.Errorf("snapshot: %d batches, %d processed; want 1 batch, %d processed", snap.Batches, snap.Processed, len(inst.Elements))
 	}
 }
 

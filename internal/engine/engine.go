@@ -15,13 +15,18 @@
 //     every shard a read-only view of the resulting state.
 //   - Submit copies arriving elements into a flat structure-of-arrays
 //     batch — one shared member buffer plus per-element offset/capacity
-//     arrays — and hands full batches to shard workers round-robin over
-//     bounded channels; a full queue blocks the submitter, giving natural
-//     backpressure. Batches are recycled through a free list, so
-//     steady-state ingestion allocates nothing.
-//   - Each shard decides its elements with the policy state's
+//     arrays — and SubmitBatch takes one filled by the caller. One
+//     dispatcher hands every batch to the shard workers over bounded
+//     channels: a batch of n elements travels as min(shards, n/minPart)
+//     contiguous parts of about equal member counts, each to the next
+//     shard round-robin, so one large batch keeps every shard busy; a
+//     full queue blocks the submitter, giving natural backpressure.
+//     Batches are recycled through a free list, so steady-state ingestion
+//     allocates nothing.
+//   - Each shard decides its part's elements with the policy state's
 //     DecideInPlace directly on the batch buffer and accumulates per-set
-//     assignment counts in shard-local arrays.
+//     assignment counts in shard-local arrays; the shard that finishes a
+//     batch's last part recycles it.
 //   - Drain flushes, stops the workers and merges the shard counters into
 //     a Result that is bit-for-bit identical to a serial core.Run with
 //     the policy's oracle (core.PolicyAlgorithm — HashRandPr for the
@@ -30,15 +35,17 @@
 //     ascending order exactly as the serial runner does.
 //
 // Live progress is observable through Metrics while the stream is open.
-// All metric publication is amortized to one atomic update per batch:
-// the submit side publishes submitted counts at flush, the shard side
-// publishes processed/assigned/dropped after deciding the batch.
+// All metric publication is amortized to one atomic update per batch or
+// part: the submit side publishes submitted counts at dispatch, the
+// shard side publishes processed/assigned/dropped after deciding a part
+// and counts the batch when its last part is done.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,14 +90,14 @@ func (s State) String() string {
 }
 
 // Config sizes the engine and names its admission policy. The zero value
-// is usable: one shard per CPU, 64-element batches, 8 queued batches per
-// shard, the randpr policy.
+// is usable: one shard per CPU, 64-element batches, 8 queued batch parts
+// per shard, the randpr policy.
 type Config struct {
 	// Shards is the number of worker goroutines; 0 means GOMAXPROCS.
 	Shards int
 	// BatchSize is the number of elements per ingestion batch; 0 means 64.
 	BatchSize int
-	// QueueDepth is the number of batches each shard buffers before
+	// QueueDepth is the number of batch parts each shard buffers before
 	// Submit blocks (backpressure); 0 means 8.
 	QueueDepth int
 	// Policy names the admission policy, resolved through
@@ -147,25 +154,29 @@ var (
 // The fields are exported for the zero-copy wire path: BorrowBatch hands
 // out a recycled Batch, wire decoding appends straight into its buffers
 // (internal/wire.DecodeBatch produces exactly this shape), and
-// SubmitBatch hands it to a shard whole — no intermediate element
-// structs, no second copy.
+// SubmitBatch hands it to the shards in place — no intermediate element
+// structs, no second copy. A large batch is decided as several
+// contiguous parts on different shards at once; the elements never move.
 type Batch struct {
 	Members []setsystem.SetID
 	Offs    []int32 // len = n+1; Offs[0] == 0
 	Caps    []int32 // len = n
 
 	// Seq, Masks and Done form the callback-verdict contract of the
-	// streaming wire path. When Done is non-nil, the deciding shard
-	// appends one wire verdict bitmask per element onto Masks — computed
-	// against the element's pre-decide member order, exactly the bits
-	// wire.AppendVerdictMask produces — and, after the batch's counters
-	// are published, invokes Done(Seq, Masks) on the shard goroutine.
-	// This is what lets a transport answer verdicts from the engine's one
-	// decide instead of running a second replica decide per element the
-	// way the HTTP handler does. The callback must not block (shards
-	// share connections); hand the masks to a buffered channel. Ownership
-	// of the Masks buffer passes back to the caller at the callback; the
-	// batch itself is recycled before Done runs and must not be touched.
+	// streaming wire path. When Done is non-nil, the engine extends Masks
+	// by the batch's verdict bytes (wire.MaskLen of each element's load,
+	// zeroed) and every deciding shard writes its part's bitmasks into
+	// their positions — computed against each element's pre-decide member
+	// order, so the bytes equal one wire.AppendVerdictMask per element in
+	// batch order. After the batch's last part is decided and counted,
+	// Done(Seq, Masks) runs once, on the goroutine of the shard that
+	// finished it. This is what lets a transport answer verdicts from the
+	// engine's one decide instead of running a second replica decide per
+	// element the way the HTTP handler does. The callback must not block
+	// (shards share connections); hand the masks to a buffered channel.
+	// Ownership of the Masks buffer passes back to the caller at the
+	// callback; the batch itself is recycled before Done runs and must
+	// not be touched.
 	Seq   uint32
 	Masks []byte
 	Done  func(seq uint32, masks []byte)
@@ -186,9 +197,27 @@ type Batch struct {
 	// the submitted counter before this batch — giving every sampled
 	// decision a stable element index without per-element bookkeeping.
 	base uint64
-	// enq is the flush time, read by the shard to observe queue wait.
+	// enq is the dispatch time, read by the shards to observe queue wait.
 	// Only stamped when telemetry is attached.
 	enq time.Time
+	// pending counts the batch's parts not yet decided; the shard that
+	// takes it to zero counts, recycles and answers the batch.
+	pending atomic.Int32
+}
+
+// minPart is the fewest elements the dispatcher puts in one part: a batch
+// is split across shards only where every part keeps at least this many,
+// since each part pays a channel handoff, a goroutine wake-up and the
+// shared countdown. DESIGN.md §4 records BenchmarkSubmitBatchFrame around
+// this value and why it is not smaller.
+const minPart = 1024
+
+// part is one shard's share of a batch: elements [lo, hi), whose verdict
+// masks (when the batch has Done) start at byte maskOff of b.Masks.
+type part struct {
+	b       *Batch
+	lo, hi  int
+	maskOff int
 }
 
 // add bulk-copies one element into the batch.
@@ -284,7 +313,7 @@ type Engine struct {
 
 // shard is one worker: a bounded inbox and shard-local bookkeeping.
 type shard struct {
-	in       chan *Batch
+	in       chan part
 	assigned []int32
 	idx      int // shard index, keys the telemetry ring
 	// scratch preserves a sampled element's member order across
@@ -342,7 +371,7 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 	e.metrics.start()
 	for i := range e.shards {
 		s := &shard{
-			in:       make(chan *Batch, cfg.QueueDepth),
+			in:       make(chan part, cfg.QueueDepth),
 			assigned: make([]int32, info.NumSets()),
 			idx:      i,
 		}
@@ -354,13 +383,14 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 }
 
 // run is the shard worker loop: decide every element of every inbound
-// batch with the policy's pure decide rule and count assignments locally.
-// No locks, no shared writes — only the amortized per-batch metrics
-// publication. With telemetry attached the loop additionally observes
-// queue wait and decide time once per batch and, for every sampled
-// element (a shard-local countdown), records the decision into the
-// shard's preallocated ring — all of it allocation-free, which is what
-// keeps the telemetry-enabled alloc gate at zero.
+// batch part with the policy's pure decide rule and count assignments
+// locally. No locks, no shared writes — only the amortized per-part
+// metrics publication and the batch's countdown. With telemetry attached
+// the loop additionally observes queue wait and decide time once per
+// part and, for every sampled element (a shard-local countdown), records
+// the decision into the shard's preallocated ring — all of it
+// allocation-free, which is what keeps the telemetry-enabled alloc gate
+// at zero.
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
 	decider := e.decider
@@ -371,7 +401,8 @@ func (e *Engine) run(s *shard) {
 		qwait = e.tel.QueueWait
 		decide = e.tel.Decide
 	}
-	for b := range s.in {
+	for p := range s.in {
+		b := p.b
 		var t0 time.Time
 		if qwait != nil || decide != nil {
 			t0 = time.Now()
@@ -380,16 +411,16 @@ func (e *Engine) run(s *shard) {
 			}
 		}
 		base := b.base
-		n := b.Len()
 		wantMasks := b.Done != nil
-		// Hoist the per-batch invariants out of the element loop: the
-		// slice headers never change across the batch (only Masks is
-		// reassigned, tracked locally), so the loop reads registers
-		// instead of reloading through the batch pointer every element.
+		// Hoist the per-part invariants out of the element loop: the
+		// slice headers never change while parts are in flight, so the
+		// loop reads registers instead of reloading through the batch
+		// pointer every element.
 		batchMembers, offs, caps, masks := b.Members, b.Offs, b.Caps, b.Masks
 		counts, scratch := s.assigned, s.scratch
+		at := p.maskOff
 		var assigned, dropped uint64
-		for i := 0; i < n; i++ {
+		for i := p.lo; i < p.hi; i++ {
 			members := batchMembers[offs[i]:offs[i+1]]
 			// A sampled or mask-carrying element's members are copied to
 			// shard scratch before the decide reorders them, so the verdict
@@ -407,7 +438,7 @@ func (e *Engine) run(s *shard) {
 			assigned += uint64(len(choice))
 			dropped += uint64(len(members) - len(choice))
 			if wantMasks {
-				masks = wire.AppendVerdictMask(masks, scratch, choice)
+				at = wire.PutVerdictMask(masks, at, scratch, choice)
 			}
 			if sampled {
 				slog.Record(obs.Record{
@@ -423,7 +454,13 @@ func (e *Engine) run(s *shard) {
 		if decide != nil {
 			decide.Observe(time.Since(t0))
 		}
-		e.metrics.observeBatch(uint64(n), assigned, dropped)
+		// Past the countdown only the last part's shard may touch b: the
+		// others' writes happen before its decrement reaches zero.
+		last := b.pending.Add(-1) == 0
+		e.metrics.observePart(uint64(p.hi-p.lo), assigned, dropped, last)
+		if !last {
+			continue
+		}
 		// Detach the callback trio before recycling: Done runs after the
 		// batch is back on the free list, so it must not see the batch.
 		// Aliased batches are not free-listed — the transport slot that
@@ -510,23 +547,24 @@ func (e *Engine) ReturnBatch(b *Batch) {
 	}
 }
 
-// SubmitBatch hands a borrowed, filled batch to the next shard whole,
-// skipping the per-element copy Submit does: the wire bytes were decoded
-// straight into this batch's buffers and ownership now passes to the
-// engine. The caller must have validated the contents with
-// Batch.Validate (SubmitBatch trusts them the way SubmitValidated does)
-// and must not touch the batch afterwards, whatever the outcome — on
-// error the batch is returned to the free list internally. Like Submit,
-// it blocks when the target shard's queue is full (backpressure), and it
-// must be called from the same single submitter goroutine.
+// SubmitBatch hands a borrowed, filled batch to the shards, skipping the
+// per-element copy Submit does: the wire bytes were decoded straight into
+// this batch's buffers and ownership now passes to the engine. The caller
+// must have validated the contents with Batch.Validate (SubmitBatch
+// trusts them the way SubmitValidated does) and must not touch the batch
+// afterwards, whatever the outcome — on error the batch is returned to
+// the free list internally. Like Submit, it blocks when a target shard's
+// queue is full (backpressure), and it must be called from the same
+// single submitter goroutine.
 //
 // Batch sizing is the caller's: a wire batch is not re-split to
-// Config.BatchSize, it reaches one shard as one unit. Round-robin over
-// wire batches keeps shards balanced exactly as flush does.
+// Config.BatchSize. A batch of at least 2·minPart elements is decided in
+// up to NumShards contiguous parts on consecutive shards at once (see
+// dispatch); a smaller one goes to the next shard round-robin as one part.
 func (e *Engine) SubmitBatch(b *Batch) error { return e.submitBatch(b, &e.next) }
 
-// submitBatch hands b to shard *next and advances that round-robin
-// cursor — the engine's own for SubmitBatch, a lane's private one for
+// submitBatch checks b and dispatches it from the round-robin cursor
+// *next — the engine's own for SubmitBatch, a lane's private one for
 // Lane.SubmitBatch.
 func (e *Engine) submitBatch(b *Batch, next *int) error {
 	st := State(e.state.Load())
@@ -546,13 +584,69 @@ func (e *Engine) submitBatch(b *Batch, next *int) error {
 	if st == StateIdle {
 		e.state.Store(int32(StateStreaming))
 	}
+	e.dispatch(b, next)
+	return nil
+}
+
+// dispatch is the one path from a submitter to the shards. It publishes
+// the batch's elements as submitted, then cuts the batch into k =
+// min(shards, n/minPart) contiguous parts (at least one) holding about
+// equal member counts, sends part j to shard *next+j and advances the
+// cursor by k. For a batch with Done it first extends Masks by the whole
+// frame's zeroed verdict bytes, so each part writes its own byte range
+// and no shard waits on another. The batch must be non-empty and
+// well-formed; once the last part is sent it belongs to the shards, so
+// nothing here reads it after that send.
+func (e *Engine) dispatch(b *Batch, next *int) {
+	offs := b.Offs
+	n := len(offs) - 1
 	b.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
 	if e.tel != nil {
 		b.enq = time.Now()
 	}
-	e.shards[*next].in <- b
-	*next = (*next + 1) % len(e.shards)
-	return nil
+	wantMasks := b.Done != nil
+	maskOff := 0
+	if wantMasks {
+		// A short buffer grows through append's own steps, as the
+		// per-element appends of one shard used to grow it: jumping
+		// straight to the needed size (slices.Grow) cost ~2 MB of server
+		// RSS on perfbench bulk. A recycled buffer is resliced and zeroed.
+		maskOff = len(b.Masks)
+		need := maskOff + maskBytes(offs, 0, n)
+		for cap(b.Masks) < need {
+			b.Masks = append(b.Masks[:cap(b.Masks)], 0)
+		}
+		b.Masks = b.Masks[:need]
+		clear(b.Masks[maskOff:])
+	}
+	k := max(1, min(len(e.shards), n/minPart))
+	b.pending.Store(int32(k))
+	nmem := int(offs[n])
+	lo := 0
+	for j := 1; j <= k; j++ {
+		hi := n
+		if j < k {
+			// The first element at or past the j-th k-quantile of
+			// members, leaving every part at least one element.
+			i, _ := slices.BinarySearch(offs[lo+1:n-(k-j)], int32(j*nmem/k))
+			hi = lo + 1 + i
+		}
+		e.shards[(*next+j-1)%len(e.shards)].in <- part{b: b, lo: lo, hi: hi, maskOff: maskOff}
+		if wantMasks && j < k {
+			maskOff += maskBytes(offs, lo, hi)
+		}
+		lo = hi
+	}
+	*next = (*next + k) % len(e.shards)
+}
+
+// maskBytes returns the verdict-frame bytes of elements [lo, hi).
+func maskBytes(offs []int32, lo, hi int) int {
+	total := 0
+	for i := lo; i < hi; i++ {
+		total += wire.MaskLen(int(offs[i+1] - offs[i]))
+	}
+	return total
 }
 
 // Lane is an independent batch submitter: where SubmitBatch shares the
@@ -592,10 +686,10 @@ func (l *Lane) SubmitBatch(b *Batch) error { return l.e.submitBatch(b, &l.next) 
 
 // Submit offers one arriving element to the stream. It validates the
 // element, bulk-copies it into the current flat batch and, when the batch
-// is full, hands it to the next shard — blocking if that shard's queue is
-// full (backpressure). The element's Members slice is copied immediately
-// and never retained, so callers are free to reuse member buffers between
-// calls.
+// is full, dispatches it to the shards — blocking if a target shard's
+// queue is full (backpressure). The element's Members slice is copied
+// immediately and never retained, so callers are free to reuse member
+// buffers between calls.
 func (e *Engine) Submit(el setsystem.Element) error {
 	st := State(e.state.Load())
 	if st == StateDrained {
@@ -635,20 +729,14 @@ func (e *Engine) ingest(el setsystem.Element, st State) {
 	}
 }
 
-// flush hands the current batch to the next shard round-robin, publishing
-// the batch's element count to the submitted counter — one atomic update
-// per batch, not per element.
+// flush dispatches the current batch from the engine's round-robin
+// cursor, publishing its element count to the submitted counter — one
+// atomic update per batch, not per element.
 func (e *Engine) flush() {
-	n := e.batch.Len()
-	if n == 0 {
+	if e.batch.Len() == 0 {
 		return
 	}
-	e.batch.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
-	if e.tel != nil {
-		e.batch.enq = time.Now()
-	}
-	e.shards[e.next].in <- e.batch
-	e.next = (e.next + 1) % len(e.shards)
+	e.dispatch(e.batch, &e.next)
 	e.batch = e.getBatch()
 }
 

@@ -27,45 +27,57 @@ func TestLaneSubmitMatchesSerial(t *testing.T) {
 	const seed = 17
 	want := serial(t, inst, seed)
 
-	for _, lanes := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 3} {
-			e, err := New(core.InfoOf(inst), seed, Config{Shards: shards, BatchSize: 64, QueueDepth: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pre-chunk the stream into batches, then stripe batch k to
-			// lane k%lanes — the exact shape of a striped stream client.
-			const batchN = 97
-			var chunks [][]setsystem.Element
-			for off := 0; off < len(inst.Elements); off += batchN {
-				chunks = append(chunks, inst.Elements[off:min(off+batchN, len(inst.Elements))])
-			}
-			var wg sync.WaitGroup
-			for li := 0; li < lanes; li++ {
-				wg.Add(1)
-				go func(li int) {
-					defer wg.Done()
-					lane := e.Lane(li)
-					for k := li; k < len(chunks); k += lanes {
-						b := e.BorrowBatch()
-						fillBatch(b, chunks[k])
-						if err := lane.SubmitBatch(b); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(li)
-			}
-			wg.Wait()
-			got, err := e.Drain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEquivalent(t, got, want, "lane-striped stream")
-			if snap := e.Metrics().Snapshot(); snap.Processed != uint64(len(inst.Elements)) {
-				t.Errorf("lanes=%d shards=%d: processed %d of %d elements", lanes, shards, snap.Processed, len(inst.Elements))
+	// 2·minPart-element batches are split across shards (the stream's
+	// 8000 elements leave a short whole batch at the end); 97 never is.
+	for _, batchN := range []int{97, 2 * minPart} {
+		for _, lanes := range []int{1, 2, 4} {
+			for _, shards := range []int{1, 3} {
+				laneSubmitMatchesSerial(t, inst, seed, want, batchN, lanes, shards)
 			}
 		}
+	}
+}
+
+// laneSubmitMatchesSerial stripes inst, cut into batchN-element batches,
+// over concurrent lanes of a fresh engine and checks the drain against
+// want.
+func laneSubmitMatchesSerial(t *testing.T, inst *setsystem.Instance, seed uint64, want *core.Result, batchN, lanes, shards int) {
+	t.Helper()
+	e, err := New(core.InfoOf(inst), seed, Config{Shards: shards, BatchSize: 64, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-chunk the stream into batches, then stripe batch k to
+	// lane k%lanes — the exact shape of a striped stream client.
+	var chunks [][]setsystem.Element
+	for off := 0; off < len(inst.Elements); off += batchN {
+		chunks = append(chunks, inst.Elements[off:min(off+batchN, len(inst.Elements))])
+	}
+	var wg sync.WaitGroup
+	for li := 0; li < lanes; li++ {
+		wg.Add(1)
+		go func(li int) {
+			defer wg.Done()
+			lane := e.Lane(li)
+			for k := li; k < len(chunks); k += lanes {
+				b := e.BorrowBatch()
+				fillBatch(b, chunks[k])
+				if err := lane.SubmitBatch(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(li)
+	}
+	wg.Wait()
+	got, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, got, want, "lane-striped stream")
+	if snap := e.Metrics().Snapshot(); snap.Processed != uint64(len(inst.Elements)) || snap.Batches != uint64(len(chunks)) {
+		t.Errorf("batch=%d lanes=%d shards=%d: processed %d of %d elements in %d of %d batches",
+			batchN, lanes, shards, snap.Processed, len(inst.Elements), snap.Batches, len(chunks))
 	}
 }
 

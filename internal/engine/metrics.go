@@ -10,17 +10,18 @@ import (
 )
 
 // Metrics is the engine's live instrumentation: lock-free counters updated
-// once per batch on both sides of the channel — the submit side publishes
-// submitted counts when a batch is flushed to a shard, the shard side
-// publishes processed/assigned/dropped after deciding a batch. No counter
-// is touched per element. Read a consistent-enough view with Snapshot at
-// any time during or after the stream.
+// once per batch or batch part on both sides of the channel — the submit
+// side publishes submitted counts when a batch is dispatched to the
+// shards, the shard side publishes processed/assigned/dropped after
+// deciding a part. No counter is touched per element. Read a
+// consistent-enough view with Snapshot at any time during or after the
+// stream.
 type Metrics struct {
 	startedAt time.Time
 
-	submitted atomic.Uint64 // elements flushed to shards (published per batch)
-	processed atomic.Uint64 // elements decided by shard workers
-	batches   atomic.Uint64 // batches handed to shards
+	submitted atomic.Uint64 // elements dispatched to shards (published per batch)
+	processed atomic.Uint64 // elements decided by shard workers (published per part)
+	batches   atomic.Uint64 // batches decided, each counted once by its last part
 	assigned  atomic.Uint64 // element→set assignments made
 	dropped   atomic.Uint64 // memberships denied (packets dropped)
 
@@ -31,10 +32,15 @@ type Metrics struct {
 
 func (m *Metrics) start() { m.startedAt = time.Now() }
 
-// observeBatch publishes one processed batch's counters.
-func (m *Metrics) observeBatch(elements, assigned, dropped uint64) {
+// observePart publishes one decided batch part's counters; last marks
+// the batch's final part, which counts the batch. The batch is counted
+// before processed grows, so a reader that sees every submitted element
+// processed (Checkpoint's quiesce) also sees every batch counted.
+func (m *Metrics) observePart(elements, assigned, dropped uint64, last bool) {
+	if last {
+		m.batches.Add(1)
+	}
 	m.processed.Add(elements)
-	m.batches.Add(1)
 	m.assigned.Add(assigned)
 	m.dropped.Add(dropped)
 }
@@ -55,12 +61,13 @@ func (m *Metrics) finish(res *core.Result) {
 
 // Snapshot is a point-in-time copy of the counters with derived rates.
 type Snapshot struct {
-	// Submitted counts elements flushed to shards (published once per
+	// Submitted counts elements dispatched to shards (published once per
 	// batch, so elements still buffering in a partial batch are not yet
 	// visible); Processed counts elements already decided by a shard.
 	// Submitted−Processed is the queued-batch backlog.
 	Submitted, Processed uint64
-	// Batches is the number of batches handed to shards.
+	// Batches is the number of batches the shards have decided; a batch
+	// split across shards counts once.
 	Batches uint64
 	// Assigned is the total element→set assignments made; Dropped is the
 	// memberships denied — in the router reading, packets dropped.

@@ -228,12 +228,12 @@ func TestSnapshotElapsedPinnedAfterDrain(t *testing.T) {
 	}
 }
 
-// TestQueueWaitAndDecideHistograms checks the per-batch stage probes:
-// after a replay with telemetry, both histograms hold one observation
-// per flushed batch.
+// TestQueueWaitAndDecideHistograms checks the per-part stage probes:
+// after a stream of 64-element batches and one batch split across both
+// shards, both histograms hold one observation per batch part.
 func TestQueueWaitAndDecideHistograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 40, N: 1024, Load: 4, Capacity: 2}, rng)
+	inst, err := workload.Uniform(workload.UniformConfig{M: 40, N: 1024 + 2*minPart, Load: 4, Capacity: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,19 +243,24 @@ func TestQueueWaitAndDecideHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, el := range inst.Elements {
+	for _, el := range inst.Elements[:1024] {
 		if err := e.Submit(el); err != nil {
 			t.Fatal(err)
 		}
 	}
+	b := e.BorrowBatch()
+	fillBatch(b, inst.Elements[1024:])
+	if err := e.SubmitBatch(b); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	batches := e.Metrics().Snapshot().Batches
-	if got := tel.QueueWait.Snapshot().Count; got != batches {
-		t.Errorf("queue-wait observations = %d, want %d (one per batch)", got, batches)
+	parts := e.Metrics().Snapshot().Batches + 1 // the split batch is two parts
+	if got := tel.QueueWait.Snapshot().Count; got != parts {
+		t.Errorf("queue-wait observations = %d, want %d (one per part)", got, parts)
 	}
-	if got := tel.Decide.Snapshot().Count; got != batches {
-		t.Errorf("decide observations = %d, want %d (one per batch)", got, batches)
+	if got := tel.Decide.Snapshot().Count; got != parts {
+		t.Errorf("decide observations = %d, want %d (one per part)", got, parts)
 	}
 }

@@ -422,12 +422,13 @@ func (d *DecisionLog) Close() error {
 // (engine.Config.Telemetry). Any field may be nil to disable that
 // instrument; the engine's hot path pays one branch per element for a
 // disabled decision log and nothing at all per element for histograms
-// (both are observed once per batch).
+// (both are observed once per batch part — a batch the engine splits
+// across shards is one part per shard).
 type EngineTelemetry struct {
 	// Decisions samples admission decisions into the decision log.
 	Decisions *DecisionLogger
-	// QueueWait observes flush→shard-dequeue wait, once per batch.
+	// QueueWait observes dispatch→shard-dequeue wait, once per batch part.
 	QueueWait *Histogram
-	// Decide observes the shard's whole-batch decide time.
+	// Decide observes a shard's decide time of one batch part.
 	Decide *Histogram
 }

@@ -25,8 +25,8 @@ type serverObs struct {
 
 	// The pipeline stages, in request order: decoding the wire payload
 	// into elements (both HTTP codecs), the same decode on the stream
-	// transport, a batch's wait in a shard queue, a shard's whole-batch
-	// decide, and the full HTTP round trip.
+	// transport, a batch part's wait in a shard queue, a shard's decide
+	// of one batch part, and the full HTTP round trip.
 	ingestDecode obs.Histogram
 	streamDecode obs.Histogram
 	queueWait    obs.Histogram

@@ -237,17 +237,11 @@ func AppendVerdictsHeader(dst []byte, count int) []byte {
 }
 
 // AppendVerdictMask appends one element's byte-aligned admitted bitmask:
-// bit j (LSB first) is set iff members[j] is in admitted. Both slices
-// must be in ascending SetID order — members as the element arrived,
-// admitted as every PolicyState returns it. The mask bytes are
-// zero-extended in one step and only the admitted bits are set, so the
-// cost scales with admissions (bounded by capacity b(u)) plus the
-// cursor's advance through members — not with a per-member
-// accumulator loop. An admitted ID absent from members sets no bit and
-// stops the walk; the round trip through AppendAdmitted surfaces the
-// mismatch.
+// bit j (LSB first) is set iff members[j] is in admitted. It zero-extends
+// dst by MaskLen(len(members)) bytes and fills them with PutVerdictMask,
+// whose ordering rules apply.
 func AppendVerdictMask(dst []byte, members, admitted []setsystem.SetID) []byte {
-	base, ml := len(dst), (len(members)+7)>>3
+	at, ml := len(dst), MaskLen(len(members))
 	if ml <= 4 {
 		// The common small-degree case: a few byte appends beat the
 		// runtime memclr call append(dst, make(...)...) compiles to.
@@ -257,6 +251,23 @@ func AppendVerdictMask(dst []byte, members, admitted []setsystem.SetID) []byte {
 	} else {
 		dst = append(dst, make([]byte, ml)...)
 	}
+	PutVerdictMask(dst, at, members, admitted)
+	return dst
+}
+
+// PutVerdictMask writes one element's admitted bitmask into the
+// MaskLen(len(members)) bytes of dst starting at at, which must be zero,
+// and returns the offset just past them — where the next element's mask
+// goes. Writers that size a whole verdicts frame up front (the engine,
+// whose shards each fill their own part of one frame) call it directly;
+// AppendVerdictMask is the growing form. Both slices must be in
+// ascending SetID order — members as the element arrived, admitted as
+// every PolicyState returns it. Only the admitted bits are set, so the
+// cost scales with admissions (bounded by capacity b(u)) plus the
+// cursor's advance through members — not with a per-member accumulator
+// loop. An admitted ID absent from members sets no bit and stops the
+// walk; the round trip through AppendAdmitted surfaces the mismatch.
+func PutVerdictMask(dst []byte, at int, members, admitted []setsystem.SetID) int {
 	j := 0
 	for _, a := range admitted {
 		for j < len(members) && members[j] != a {
@@ -265,10 +276,10 @@ func AppendVerdictMask(dst []byte, members, admitted []setsystem.SetID) []byte {
 		if j == len(members) {
 			break
 		}
-		dst[base+(j>>3)] |= 1 << (j & 7)
+		dst[at+(j>>3)] |= 1 << (j & 7)
 		j++
 	}
-	return dst
+	return at + MaskLen(len(members))
 }
 
 // DecodeVerdicts parses a verdicts frame header and returns the mask
