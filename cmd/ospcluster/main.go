@@ -1,9 +1,9 @@
 // Command ospcluster runs an admission cluster end to end: a
 // coordinator over N service nodes, one instance placed by consistent
 // hashing or fanned out across the fleet by element hash, ingest
-// forwarded over each node's stream transport (binary HTTP for nodes
-// without one), and the per-node drains merged and cross-checked bit-for-bit against the
-// serial policy oracle. With -kill it doubles as the failover demo:
+// forwarded over each node's verdict stream (its -stream-nodes port, or
+// an HTTP upgrade of its base URL), and the per-node drains merged and
+// cross-checked bit-for-bit against the serial policy oracle. With -kill it doubles as the failover demo:
 // kill a node mid-stream, replay the registration log onto a fresh
 // replacement, and verify the merged drain is still exact (journal on)
 // or exactly accounted (journal off, Instance.Lost).
@@ -53,7 +53,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		spawn     = fs.Int("spawn", 3, "embedded fleet: number of in-process nodes (ignored with -nodes)")
 		nodesFlag = fs.String("nodes", "", "external fleet: comma-separated node base URLs, in slot order")
-		strmFlag  = fs.String("stream-nodes", "", "external fleet: comma-separated stream listener host:ports, parallel to -nodes (\"\" entries = HTTP-only node)")
+		strmFlag  = fs.String("stream-nodes", "", "external fleet: comma-separated raw stream listener host:ports, parallel to -nodes (\"\" entries stream through the node's HTTP upgrade)")
 		m         = fs.Int("m", 200, "uniform workload: number of sets")
 		n         = fs.Int("n", 100000, "uniform workload: number of elements")
 		load      = fs.Int("load", 8, "uniform workload: element load σ(u)")

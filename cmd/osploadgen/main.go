@@ -1,6 +1,6 @@
 // Command osploadgen is the load generator for the networked admission
 // service (ospserve -listen): it sustains a target element rate against
-// a live server over the HTTP client, then drains and cross-checks the
+// a live server through osp/client, then drains and cross-checks the
 // result bit-for-bit against a serial run of the registered admission
 // policy on the same workload under the same seed — the remote producers
 // of the paper's bottleneck-router story, with the admission guarantee
@@ -12,14 +12,15 @@
 //	osploadgen -n 500000                 # no -addr: embeds a server in-process
 //	osploadgen -n 200000 -rate 0        # full speed, report the sustained rate
 //	osploadgen -policy first-fit -n 100000  # register a non-default policy
-//	osploadgen -codec json -n 200000    # the JSON wire path instead of binary
-//	osploadgen -transport stream -n 500000  # pipelined frames over one TCP connection
-//	osploadgen -transport stream -conns 4   # stripe the stream across 4 TCP connections
-//	osploadgen -addr http://host:8080 -stream-addr host:8081 -transport stream
+//	osploadgen -codec json -n 200000    # one JSON request per batch instead of the stream
+//	osploadgen -pipeline 1 -n 500000    # one batch in flight on the verdict stream
+//	osploadgen -addr http://host:8080 -stream-addr host:8081
+//	                                    # stream over the raw port, not the HTTP upgrade
 //	osploadgen -policy randpr-weighted -zipf 1.2  # skewed Zipf(1.2) set weights,
 //	                                    # where the weighted variant actually diverges
 //	osploadgen -nodes http://a:8080,http://b:8080 -stream-nodes a:8081,b:8081
 //	                                    # cluster mode: fan the stream across a fleet
+//	                                    # (an empty -stream-nodes entry upgrades instead)
 package main
 
 import (
@@ -62,13 +63,11 @@ func run(args []string, w io.Writer) error {
 		batch    = fs.Int("batch", 1000, "elements per ingest request")
 		shards   = fs.Int("shards", 0, "server-side engine shards (0 = server default)")
 		policy   = fs.String("policy", "", "admission policy: "+strings.Join(osp.PolicyNames(), ", ")+` ("" = server default randpr)`)
-		codec    = fs.String("codec", "binary", "HTTP ingest wire codec: binary or json")
-		trans    = fs.String("transport", "http", "ingest transport: http (one request per batch) or stream (pipelined frames over one TCP connection)")
-		pipeline = fs.Int("pipeline", 8, "stream transport: batches kept in flight (capped by the server's window)")
-		conns    = fs.Int("conns", 1, "stream transport: striped TCP connections per stream (verdict order preserved; applies per node in cluster mode)")
-		strmAddr = fs.String("stream-addr", "", "host:port of the server's stream listener (ospserve -stream-listen); defaults to the embedded server's")
+		codec    = fs.String("codec", "binary", "ingest codec: binary (pipelined frames over one verdict stream) or json (one HTTP request per batch)")
+		pipeline = fs.Int("pipeline", 8, "binary codec: batches kept in flight on the stream (capped by the server's window)")
+		strmAddr = fs.String("stream-addr", "", "host:port of the server's raw stream listener (ospserve -stream-listen); empty streams through an HTTP upgrade of -addr")
 		nodesCSV = fs.String("nodes", "", "cluster mode: comma-separated node base URLs, in slot order; ingest routes through a cluster coordinator instead of one server")
-		strmCSV  = fs.String("stream-nodes", "", "cluster mode: comma-separated stream listener host:ports, parallel to -nodes (\"\" entries = HTTP-only node)")
+		strmCSV  = fs.String("stream-nodes", "", "cluster mode: comma-separated raw stream listener host:ports, parallel to -nodes (\"\" entries stream through the node's HTTP upgrade)")
 		zipf     = fs.Float64("zipf", 0, "Zipf exponent s for skewed set weights w(S_i) ∝ 1/(i+1)^s (0 = unit weights)")
 		label    = fs.String("label", "loadgen", "metrics label for the registered instance")
 		verify   = fs.Bool("verify", true, "cross-check the drained result against the policy's serial oracle")
@@ -88,16 +87,8 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown codec %q (binary, json)", *codec)
 	}
-	switch *trans {
-	case "http", "stream":
-	default:
-		return fmt.Errorf("unknown transport %q (http, stream)", *trans)
-	}
 	if *pipeline < 1 {
 		return fmt.Errorf("pipeline depth must be >= 1, got %d", *pipeline)
-	}
-	if *conns < 1 {
-		return fmt.Errorf("conns must be >= 1, got %d", *conns)
 	}
 	var weightFn func(i int) float64
 	if *zipf > 0 {
@@ -125,36 +116,28 @@ func run(args []string, w io.Writer) error {
 		return runCluster(w, inst, clusterRun{
 			nodes: *nodesCSV, streamNodes: *strmCSV,
 			seed: *seed, rate: *rate, batch: *batch, shards: *shards,
-			conns: *conns, policy: *policy, label: *label, verify: *verify,
+			policy: *policy, label: *label, verify: *verify,
 		})
 	}
 
 	base := *addr
-	streamAddr := *strmAddr
 	embedded := ""
 	if base == "" {
-		stopEmbedded, bound, streamBound, err := startEmbedded()
+		stopEmbedded, bound, err := startEmbedded()
 		if err != nil {
 			return err
 		}
 		defer stopEmbedded()
 		base = "http://" + bound
-		if streamAddr == "" {
-			streamAddr = streamBound
-		}
 		embedded = " (embedded)"
-	}
-	if *trans == "stream" && streamAddr == "" {
-		return errors.New("-transport stream against a remote server needs -stream-addr (ospserve -stream-listen)")
 	}
 
 	ctx := context.Background()
 	opts := []client.Option{client.WithCodec(wireCodec)}
-	if streamAddr != "" {
-		opts = append(opts, client.WithStreamAddr(streamAddr))
-		if *conns > 1 {
-			opts = append(opts, client.WithStreamConns(*conns))
-		}
+	via := "HTTP upgrade"
+	if *strmAddr != "" {
+		opts = append(opts, client.WithStreamAddr(*strmAddr))
+		via = *strmAddr
 	}
 	c, err := client.New(base, opts...)
 	if err != nil {
@@ -178,8 +161,6 @@ func run(args []string, w io.Writer) error {
 	var admitted, dropped uint64
 	start := time.Now()
 	batches := 0
-	codecName := ""
-	var perConn []uint64
 	lat := make([]time.Duration, 0, (len(inst.Elements)+*batch-1)/(*batch))
 	pace := func(off int) {
 		if *rate > 0 {
@@ -190,7 +171,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	ingestHTTP := func() error {
+	ingestJSON := func() error {
 		for off := 0; off < len(inst.Elements); off += *batch {
 			pace(off)
 			end := min(off+*batch, len(inst.Elements))
@@ -206,7 +187,6 @@ func run(args []string, w io.Writer) error {
 			}
 			batches++
 		}
-		codecName = h.Codec()
 		return nil
 	}
 
@@ -266,14 +246,12 @@ func run(args []string, w io.Writer) error {
 		if err := st.Recv(func(int, []osp.SetID) {}); err != io.EOF {
 			return fmt.Errorf("stream fin: %v", err)
 		}
-		perConn = st.ConnElements()
-		codecName = h.Codec() // "stream" while the stream is open
 		return nil
 	}
 
-	ingest := ingestHTTP
-	if *trans == "stream" {
-		ingest = ingestStream
+	ingest, arm := ingestStream, fmt.Sprintf("codec %s, pipeline %d via %s", h.Codec(), *pipeline, via)
+	if wireCodec == client.CodecJSON {
+		ingest, arm = ingestJSON, "codec "+h.Codec()
 	}
 	if err := ingest(); err != nil {
 		// Drain the instance anyway so the server side stops cleanly,
@@ -289,11 +267,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	sustained := float64(len(inst.Elements)) / elapsed.Seconds()
-	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, transport %s, codec %s)\n",
-		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, *trans, codecName)
-	if len(perConn) > 1 {
-		fmt.Fprintf(w, "stripes:  %d connections, elements per connection %v\n", len(perConn), perConn)
-	}
+	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, %s)\n",
+		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, arm)
 	p50, p95, p99 := latencyPercentiles(lat)
 	fmt.Fprintf(w, "latency:  per-batch client-observed p50 %v, p95 %v, p99 %v\n",
 		p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
@@ -335,15 +310,14 @@ type clusterRun struct {
 	seed               int64
 	rate               float64
 	batch, shards      int
-	conns              int
 	policy, label      string
 	verify             bool
 }
 
 // runCluster is the -nodes arm: the same load-and-verify loop, routed
 // through a cluster coordinator that fans the element stream across the
-// fleet by element hash, forwards each share over the best transport
-// the node speaks, and merges the per-node drains. The merged result is
+// fleet by element hash, forwards each share over the node's verdict
+// stream, and merges the per-node drains. The merged result is
 // still checked bit-for-bit against the serial oracle — placement
 // cannot change a verdict.
 func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
@@ -360,7 +334,7 @@ func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
 	for i, b := range bases {
 		fleet[i] = cluster.Node{BaseURL: strings.TrimSpace(b), StreamAddr: strings.TrimSpace(streams[i])}
 	}
-	co, err := cluster.New(cluster.Config{Nodes: fleet, StreamConns: p.conns})
+	co, err := cluster.New(cluster.Config{Nodes: fleet})
 	if err != nil {
 		return err
 	}
@@ -402,9 +376,6 @@ func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
 	}
 	elapsed := time.Since(start)
 
-	// Capture stripe balance before Drain — draining closes each node's
-	// pinned stream, and the per-connection counters go with it.
-	striped := in.StreamConnElements()
 	res, err := in.Drain(ctx)
 	if err != nil {
 		return err
@@ -412,13 +383,6 @@ func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
 	sustained := float64(len(inst.Elements)) / elapsed.Seconds()
 	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, cluster fan-out)\n",
 		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches)
-	if p.conns > 1 {
-		for _, slot := range in.Slots() {
-			if per, ok := striped[slot]; ok {
-				fmt.Fprintf(w, "stripes:  node %d: %d connections, elements per connection %v\n", slot, len(per), per)
-			}
-		}
-	}
 	p50, p95, p99 := latencyPercentiles(lat)
 	fmt.Fprintf(w, "latency:  per-batch client-observed p50 %v, p95 %v, p99 %v\n",
 		p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
@@ -455,31 +419,24 @@ func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
 	return nil
 }
 
-// startEmbedded runs a full admission service on loopback listeners in
+// startEmbedded runs a full admission service on a loopback listener in
 // this process — the zero-setup path for benchmarking and CI smoke runs.
-// Both transports are live: the HTTP API on addr, the stream transport
-// on streamAddr (Server.Shutdown closes the stream listener).
-func startEmbedded() (stop func(), addr, streamAddr string, err error) {
+// The verdict stream reaches it through the HTTP upgrade.
+func startEmbedded() (stop func(), addr string, err error) {
 	srv := osp.NewServer(osp.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", "", err
-	}
-	sln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		ln.Close()
-		return nil, "", "", err
+		return nil, "", err
 	}
 	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)         //nolint:errcheck // closed via stop
-	go srv.ServeStream(sln) //nolint:errcheck // closed via stop
+	go hs.Serve(ln) //nolint:errcheck // closed via stop
 	stop = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		hs.Shutdown(ctx)  //nolint:errcheck
-		srv.Shutdown(ctx) //nolint:errcheck
+		srv.Shutdown(ctx) //nolint:errcheck // drains upgraded streams too
 	}
-	return stop, ln.Addr().String(), sln.Addr().String(), nil
+	return stop, ln.Addr().String(), nil
 }
 
 // latencyPercentiles sorts the recorded per-batch round-trip times and

@@ -55,61 +55,50 @@ func TestLoadgenPolicies(t *testing.T) {
 	}
 }
 
-// TestLoadgenStreamTransport runs the pipelined stream path against the
-// embedded server: the oracle check must pass, and the report must name
-// both the transport and the stream codec it actually used.
+// TestLoadgenStreamTransport runs the pipelined stream path on both
+// entries — the HTTP upgrade of the embedded server, and a node's raw
+// stream listener named by -stream-addr: the oracle check must pass,
+// and the report must name the codec, depth and entry it actually used.
+// The retired -transport and -conns flags are undefined.
 func TestLoadgenStreamTransport(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-m", "40", "-n", "6000", "-load", "4", "-batch", "250",
-		"-seed", "9", "-transport", "stream", "-pipeline", "4"}, &buf)
+	node, err := cluster.StartLocalNode(osp.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, frag := range []string{
-		"transport stream, codec stream",
-		"latency:  per-batch client-observed p50",
-		"verify:   drained result bit-for-bit identical",
+	t.Cleanup(func() { node.Shutdown(context.Background()) }) //nolint:errcheck
+	for _, tc := range []struct {
+		args []string
+		via  string
+	}{
+		{nil, "codec stream, pipeline 4 via HTTP upgrade"},
+		{[]string{"-addr", node.Config().BaseURL, "-stream-addr", node.Config().StreamAddr},
+			"codec stream, pipeline 4 via " + node.Config().StreamAddr},
 	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("output missing %q:\n%s", frag, out)
+		var buf bytes.Buffer
+		args := append([]string{"-m", "40", "-n", "6000", "-load", "4", "-batch", "250",
+			"-seed", "9", "-pipeline", "4"}, tc.args...)
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range []string{
+			tc.via,
+			"latency:  per-batch client-observed p50",
+			"verify:   drained result bit-for-bit identical",
+		} {
+			if !strings.Contains(buf.String(), frag) {
+				t.Errorf("output missing %q:\n%s", frag, buf.String())
+			}
 		}
 	}
 
-	if err := run([]string{"-transport", "bogus", "-n", "10"}, &buf); err == nil {
-		t.Error("bogus transport accepted")
-	}
+	var buf bytes.Buffer
 	if err := run([]string{"-pipeline", "0", "-n", "10"}, &buf); err == nil {
 		t.Error("pipeline depth 0 accepted")
 	}
-	if err := run([]string{"-conns", "0", "-n", "10"}, &buf); err == nil {
-		t.Error("conns 0 accepted")
-	}
-	// A remote server without a stream address cannot carry the stream
-	// transport.
-	if err := run([]string{"-addr", "http://127.0.0.1:1", "-transport", "stream", "-n", "10"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "stream-addr") {
-		t.Errorf("remote stream without -stream-addr = %v, want config error", err)
-	}
-}
-
-// TestLoadgenStreamConns runs the striped multi-connection stream path:
-// the oracle check must still pass and the stripe-balance line must
-// report every connection carrying elements.
-func TestLoadgenStreamConns(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-m", "40", "-n", "6000", "-load", "4", "-batch", "250",
-		"-seed", "9", "-transport", "stream", "-pipeline", "4", "-conns", "3"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{
-		"stripes:  3 connections, elements per connection",
-		"verify:   drained result bit-for-bit identical",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("output missing %q:\n%s", frag, out)
+	for _, retired := range [][]string{{"-transport", "stream"}, {"-conns", "2"}} {
+		if err := run(append(retired, "-n", "10"), &buf); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v = %v, want an undefined-flag error", retired, err)
 		}
 	}
 }
@@ -169,9 +158,9 @@ func TestLoadgenErrors(t *testing.T) {
 // actually used.
 func TestLoadgenCodecs(t *testing.T) {
 	for _, tc := range []struct{ flag, want string }{
-		{"", "codec binary"}, // the default
+		{"", "codec stream"}, // the default
 		{"json", "codec json"},
-		{"binary", "codec binary"},
+		{"binary", "codec stream"},
 	} {
 		args := []string{"-m", "30", "-n", "3000", "-load", "4", "-batch", "300", "-seed", "11"}
 		if tc.flag != "" {
@@ -200,7 +189,8 @@ func TestLoadgenCodecs(t *testing.T) {
 
 // TestLoadgenClusterMode routes the generator through a 2-node cluster
 // coordinator (-nodes): the element stream fans across both nodes by
-// element hash, forwards over each node's stream listener, and the
+// element hash, forwards over node 0's raw stream listener and, for
+// node 1's empty -stream-nodes entry, through its HTTP upgrade, and the
 // merged drain still verifies bit-for-bit against the serial oracle.
 func TestLoadgenClusterMode(t *testing.T) {
 	var nodes, streams []string
@@ -215,8 +205,7 @@ func TestLoadgenClusterMode(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	err := run([]string{"-m", "30", "-n", "3000", "-load", "3", "-batch", "250", "-seed", "21",
-		"-conns", "2",
-		"-nodes", strings.Join(nodes, ","), "-stream-nodes", strings.Join(streams, ",")}, &buf)
+		"-nodes", strings.Join(nodes, ","), "-stream-nodes", streams[0] + ","}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +213,6 @@ func TestLoadgenClusterMode(t *testing.T) {
 	for _, frag := range []string{
 		"target:   cluster of 2 nodes, instance c-0 on slots [0 1]",
 		"loadgen:  3000 elements",
-		"stripes:  node 0: 2 connections, elements per connection",
-		"stripes:  node 1: 2 connections, elements per connection",
 		"verify:   merged cluster drain bit-for-bit identical to serial randpr oracle",
 	} {
 		if !strings.Contains(out, frag) {

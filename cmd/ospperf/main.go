@@ -5,11 +5,10 @@
 // engine across a shard-count matrix, every registered admission policy
 // on both the uniform and the skewed Zipf-weight workload, the
 // service-level mode — the full networked ingest path over an embedded
-// server: JSON over HTTP, the zero-allocation binary codec over HTTP,
-// and the same binary frames pipelined over the raw-TCP stream
-// transport, across a striped connection-count matrix (conns=1,2,4) —
-// and the cluster scaling rows: the same workload fanned across N
-// coordinator-fronted nodes by element hash and merged on drain.
+// server: JSON over HTTP, and the binary frames pipelined over one
+// raw-TCP verdict stream — and the cluster scaling rows: the same
+// workload fanned across N coordinator-fronted nodes by element hash
+// and merged on drain.
 //
 // Usage:
 //
@@ -23,9 +22,9 @@
 //
 // The JSON is the regression contract: future PRs rerun ospperf and
 // diff against the committed baseline with -compare (engine rows must
-// stay within noise; the binary and stream service rows anchor the
-// wire-path win; the cluster and conns>1 rows anchor scaling,
-// meaningful only on multi-core runners). CI runs the -quick
+// stay within noise; the stream service row anchors the wire-path win
+// over JSON; the cluster rows anchor scaling, meaningful only on
+// multi-core runners). CI runs the -quick
 // -failonalloc mode on every push, uploads the artifact, and compares
 // it against the committed baseline — informational on single-vCPU
 // runners, enforced where parallelism is real.
@@ -77,7 +76,8 @@ type Report struct {
 	EngineTelemetry ShardBench    `json:"engine_telemetry"`
 	Policies        []PolicyBench `json:"policies"`
 	// Service is the end-to-end networked ingest path (embedded HTTP
-	// server, real client, loopback TCP), one row per wire codec.
+	// server, real client, loopback TCP): the JSON row, then the stream
+	// row.
 	Service []ServiceBench `json:"service"`
 	// Cluster is the horizontal-scaling matrix: the same workload fanned
 	// across N coordinator-fronted nodes by element hash, one row per
@@ -136,28 +136,23 @@ type PolicyBench struct {
 // ServiceBench is the networked ingest path under one wire codec and
 // transport: the matrix workload streamed through a real server on
 // loopback sockets via osp/client, timed end to end (register, batched
-// ingest with verdicts, drain). Transport "http" is one keep-alive
-// request per batch; "stream" is pipelined batch frames over one
-// long-lived TCP connection. AllocsPerElement is process-wide — client
-// encode + server decode + verdict paths together — so it bounds the
-// serve-side number from above; the serve package's alloc-regression
-// tests pin the decode paths themselves at 0. SpeedupVsJSON is filled
-// on non-JSON rows; SpeedupVsBinary compares the stream row against the
-// binary-HTTP row — the same codec, so it isolates the transport win.
-// Stream rows carry one extra column: Conns is the striped
-// TCP-connection count (client.WithStreamConns; 0 or 1 is the single
-// connection).
+// ingest with verdicts, drain). Codec "json" over transport "http" is
+// one keep-alive request per batch; codec "binary" over transport
+// "stream" is pipelined batch frames over one long-lived connection
+// upgraded from the same HTTP listener. AllocsPerElement is process-wide — client encode +
+// server decode + verdict paths together — so it bounds the serve-side
+// number from above; the serve package's alloc-regression tests pin
+// the decode paths themselves at 0. SpeedupVsJSON is filled on the
+// stream row.
 type ServiceBench struct {
 	Codec            string  `json:"codec"`
 	Transport        string  `json:"transport"`
-	Conns            int     `json:"conns,omitempty"`
 	Elements         int     `json:"elements"`
 	Batch            int     `json:"batch"`
 	NsPerElement     float64 `json:"ns_per_element"`
 	ElementsPerSec   float64 `json:"elements_per_sec"`
 	AllocsPerElement float64 `json:"allocs_per_element"`
 	SpeedupVsJSON    float64 `json:"speedup_vs_json,omitempty"`
-	SpeedupVsBinary  float64 `json:"speedup_vs_binary,omitempty"`
 }
 
 // ClusterBench is one fleet size of the cluster scaling matrix: the
@@ -300,38 +295,17 @@ func run(args []string, w io.Writer) error {
 	if *quick {
 		svcBatch = 1024
 	}
-	var jsonRate, binRate float64
-	for _, codec := range []client.Codec{client.CodecJSON, client.CodecBinary} {
-		sb, err := benchService(inst, codec, svcBatch, *reps, *seed)
-		if err != nil {
-			return err
-		}
-		if codec == client.CodecJSON {
-			jsonRate = sb.ElementsPerSec
-		} else {
-			binRate = sb.ElementsPerSec
-			if jsonRate > 0 {
-				sb.SpeedupVsJSON = sb.ElementsPerSec / jsonRate
-			}
-		}
-		rep.Service = append(rep.Service, sb)
-		printService(w, sb)
+	jsonRow, err := benchService(inst, client.CodecJSON, svcBatch, *reps, *seed)
+	if err != nil {
+		return err
 	}
-	// Stream matrix over the striped connection counts. On a
-	// single-core runner conns>1 cannot beat conns=1; CI gates the
-	// striping floor only on multi-core runners.
-	for _, conns := range []int{1, 2, 4} {
-		sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, conns)
-		if err != nil {
-			return err
-		}
-		if jsonRate > 0 {
-			sb.SpeedupVsJSON = sb.ElementsPerSec / jsonRate
-		}
-		if binRate > 0 {
-			sb.SpeedupVsBinary = sb.ElementsPerSec / binRate
-		}
-		rep.Service = append(rep.Service, sb)
+	streamRow, err := benchService(inst, client.CodecBinary, svcBatch, *reps, *seed)
+	if err != nil {
+		return err
+	}
+	streamRow.SpeedupVsJSON = streamRow.ElementsPerSec / jsonRow.ElementsPerSec
+	rep.Service = []ServiceBench{jsonRow, streamRow}
+	for _, sb := range rep.Service {
 		printService(w, sb)
 	}
 
@@ -388,13 +362,9 @@ func run(args []string, w io.Writer) error {
 		// Service rows are measured process-wide (client marshal included),
 		// so the JSON row legitimately allocates; the serve-side decode
 		// path's 0 allocs/element is enforced by the alloc-regression tests
-		// in internal/serve instead. Still guard the binary row against
-		// gross per-element regressions, and hold the stream row — whose
-		// client and server sides both run on pooled buffers — near zero.
+		// in internal/serve instead. Hold the stream row — whose client
+		// and server sides both run on pooled buffers — near zero.
 		for _, sb := range rep.Service {
-			if sb.Codec == "binary" && sb.Transport == "http" && sb.AllocsPerElement > 1 {
-				return fmt.Errorf("binary service path allocates %.3f/element process-wide, want <= 1", sb.AllocsPerElement)
-			}
 			if sb.Transport == "stream" && sb.AllocsPerElement > 0.1 {
 				return fmt.Errorf("stream service path allocates %.3f/element process-wide, want <= 0.1", sb.AllocsPerElement)
 			}
@@ -405,25 +375,19 @@ func run(args []string, w io.Writer) error {
 
 // printService renders one service row on the progress log.
 func printService(w io.Writer, sb ServiceBench) {
-	extra := ""
-	if sb.Conns > 0 {
-		extra = fmt.Sprintf(" conns=%d", sb.Conns)
-	}
-	fmt.Fprintf(w, "service codec=%s transport=%s%s: %.1f ns/element, %.0f elements/s, allocs/element %.3f",
-		sb.Codec, sb.Transport, extra, sb.NsPerElement, sb.ElementsPerSec, sb.AllocsPerElement)
+	fmt.Fprintf(w, "service codec=%s transport=%s: %.1f ns/element, %.0f elements/s, allocs/element %.3f",
+		sb.Codec, sb.Transport, sb.NsPerElement, sb.ElementsPerSec, sb.AllocsPerElement)
 	if sb.SpeedupVsJSON > 0 {
 		fmt.Fprintf(w, ", %.2fx JSON", sb.SpeedupVsJSON)
-	}
-	if sb.SpeedupVsBinary > 0 {
-		fmt.Fprintf(w, ", %.2fx binary-HTTP", sb.SpeedupVsBinary)
 	}
 	fmt.Fprintln(w)
 }
 
 // compareRow is one comparable cell of a report: a stable key and the
 // row's ns/element. Keys are chosen so the same measurement matches
-// across schema generations — BENCH_5's single stream row carried no
-// conns column and keys identically to the conns=1 row it became.
+// across schema generations: older reports' stream rows key by codec
+// and transport alone, and the first of them (their single-connection
+// row) is the one compared.
 type compareRow struct {
 	key string
 	ns  float64
@@ -446,11 +410,7 @@ func reportRows(rep Report) []compareRow {
 		rows = append(rows, compareRow{fmt.Sprintf("policy/%s/%s", pb.Policy, pb.Workload), pb.NsPerElement})
 	}
 	for _, sb := range rep.Service {
-		key := fmt.Sprintf("service/%s/%s", sb.Codec, sb.Transport)
-		if sb.Conns > 1 {
-			key += fmt.Sprintf("/conns=%d", sb.Conns)
-		}
-		rows = append(rows, compareRow{key, sb.NsPerElement})
+		rows = append(rows, compareRow{fmt.Sprintf("service/%s/%s", sb.Codec, sb.Transport), sb.NsPerElement})
 	}
 	for _, cb := range rep.Cluster {
 		rows = append(rows, compareRow{fmt.Sprintf("cluster/nodes=%d", cb.Nodes), cb.NsPerElement})
@@ -497,9 +457,8 @@ func compareReports(oldPath, newPath string, threshold float64, w io.Writer) err
 	oldRows := reportRows(oldRep)
 	oldNs := make(map[string]float64, len(oldRows))
 	for _, r := range oldRows {
-		// First row of a key wins: BENCH_6's trailing copy-decode stream
-		// row keys like the conns=1 row now that the decode column is
-		// gone.
+		// First row of a key wins: BENCH_6's striped and copy-decode
+		// stream rows key like its conns=1 row, which comes first.
 		if _, dup := oldNs[r.key]; !dup {
 			oldNs[r.key] = r.ns
 		}
@@ -745,12 +704,16 @@ func benchEngineConfig(inst *setsystem.Instance, cfg engine.Config, pol core.Pol
 	return ns, allocs, nil
 }
 
-// benchService measures the full networked ingest path: an embedded
-// admission server on a loopback listener, the real osp/client driving
-// one codec, the matrix workload streamed in fixed batches. Each timed
-// pass registers a fresh instance, ingests everything, drains and
-// removes it; the drained result of the first pass is verified
-// bit-for-bit against the serial randpr oracle.
+// benchService measures one service row: an embedded admission server
+// on a loopback listener, the real osp/client, the matrix workload in
+// fixed batches. Under CodecJSON each batch is one keep-alive request;
+// under CodecBinary the batches go out as frames pipelined 8 deep over
+// one verdict stream (upgraded from the same listener) and verdicts
+// come back as in-order frames decoded in place — no request envelope,
+// no response materialization. Each timed pass registers a fresh
+// instance, ingests everything, drains and removes it, so both rows pay
+// registration and drain alike; the drained result of the first pass
+// is verified bit-for-bit against the serial randpr oracle.
 func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int, seed int64) (ServiceBench, error) {
 	srv := osp.NewServer(osp.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -767,8 +730,8 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 	}()
 
 	// Pin the HTTP client's connection reuse so the rows are comparable
-	// run to run and against the stream transport: one warm keep-alive
-	// connection, no compression — the best case HTTP can put up.
+	// run to run: one warm keep-alive connection, no compression — the
+	// best case HTTP can put up.
 	c, err := client.New("http://"+ln.Addr().String(), client.WithCodec(codec),
 		client.WithHTTPClient(&http.Client{Transport: &http.Transport{
 			MaxIdleConns:        4,
@@ -780,16 +743,54 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 		return ServiceBench{}, err
 	}
 	ctx := context.Background()
+	ingestJSON := func(h *client.Instance) error {
+		for off := 0; off < len(inst.Elements); off += batch {
+			if _, err := h.Ingest(ctx, inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	discard := func(int, []osp.SetID) {}
+	ingestStream := func(h *client.Instance) error {
+		st, err := h.OpenStream(ctx)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		depth := min(8, st.Window())
+		for off := 0; off < len(inst.Elements); off += batch {
+			if st.Outstanding() == depth {
+				if err := st.Recv(discard); err != nil {
+					return err
+				}
+			}
+			if err := st.Send(inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
+				return err
+			}
+		}
+		if err := st.CloseSend(); err != nil {
+			return err
+		}
+		for {
+			if err := st.Recv(discard); err == io.EOF {
+				return st.Close()
+			} else if err != nil {
+				return err
+			}
+		}
+	}
+	ingest, transport := ingestStream, "stream"
+	if codec == client.CodecJSON {
+		ingest, transport = ingestJSON, "http"
+	}
 	pass := func() (*core.Result, error) {
 		h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: uint64(seed)})
 		if err != nil {
 			return nil, err
 		}
-		for off := 0; off < len(inst.Elements); off += batch {
-			end := min(off+batch, len(inst.Elements))
-			if _, err := h.Ingest(ctx, inst.Elements[off:end]); err != nil {
-				return nil, err
-			}
+		if err := ingest(h); err != nil {
+			return nil, err
 		}
 		res, err := h.Drain(ctx)
 		if err != nil {
@@ -833,134 +834,7 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 	n := inst.NumElements()
 	return ServiceBench{
 		Codec:            codec.String(),
-		Transport:        "http",
-		Elements:         n,
-		Batch:            batch,
-		NsPerElement:     float64(ns) / float64(n),
-		ElementsPerSec:   float64(n) / (float64(ns) * 1e-9),
-		AllocsPerElement: float64(allocs) / float64(n),
-	}, nil
-}
-
-// benchServiceStream measures one stream-transport row: the same
-// embedded server and workload as benchService, but batches go out as
-// pipelined frames over conns long-lived striped TCP connections
-// (depth 8 in flight overall) and verdicts come back as in-order frames
-// decoded in place — no request envelope, no response materialization.
-// Registration and drain stay on the HTTP API,
-// outside the timed ingest loop's hot path but inside the pass (same as
-// the HTTP rows, so the comparison is like for like).
-func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, conns int) (ServiceBench, error) {
-	srv := osp.NewServer(osp.ServerConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	sln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		ln.Close()
-		return ServiceBench{}, err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)         //nolint:errcheck // closed below
-	go srv.ServeStream(sln) //nolint:errcheck // closed below
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)  //nolint:errcheck
-		srv.Shutdown(ctx) //nolint:errcheck
-	}()
-
-	copts := []client.Option{client.WithStreamAddr(sln.Addr().String())}
-	if conns > 1 {
-		copts = append(copts, client.WithStreamConns(conns))
-	}
-	c, err := client.New("http://"+ln.Addr().String(), copts...)
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	ctx := context.Background()
-	const depth = 8
-	discard := func(int, []osp.SetID) {}
-	pass := func() (*core.Result, error) {
-		h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: uint64(seed)})
-		if err != nil {
-			return nil, err
-		}
-		st, err := h.OpenStream(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer st.Close()
-		window := min(depth, st.Window())
-		for off := 0; off < len(inst.Elements); off += batch {
-			if st.Outstanding() == window {
-				if err := st.Recv(discard); err != nil {
-					return nil, err
-				}
-			}
-			end := min(off+batch, len(inst.Elements))
-			if err := st.Send(inst.Elements[off:end]); err != nil {
-				return nil, err
-			}
-		}
-		if err := st.CloseSend(); err != nil {
-			return nil, err
-		}
-		for {
-			if err := st.Recv(discard); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-		}
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
-		res, err := h.Drain(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res, h.Remove(ctx)
-	}
-
-	// Correctness first: one verified pass before any timing.
-	res, err := pass()
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	serial, err := core.Run(inst, &core.HashRandPr{Hasher: hashpr.Mixer{Seed: uint64(seed)}}, nil)
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	if !res.Equal(serial) {
-		return ServiceBench{}, fmt.Errorf("service transport=stream: drained result differs from the serial oracle")
-	}
-
-	var passErr error
-	ns := timeBest(reps, func() {
-		if passErr != nil {
-			return
-		}
-		_, passErr = pass()
-	})
-	if passErr != nil {
-		return ServiceBench{}, passErr
-	}
-	allocs := allocsDuring(2, func() {
-		if passErr == nil {
-			_, passErr = pass()
-		}
-	})
-	if passErr != nil {
-		return ServiceBench{}, passErr
-	}
-
-	n := inst.NumElements()
-	return ServiceBench{
-		Codec:            "binary",
-		Transport:        "stream",
-		Conns:            conns,
+		Transport:        transport,
 		Elements:         n,
 		Batch:            batch,
 		NsPerElement:     float64(ns) / float64(n),

@@ -78,33 +78,25 @@ func TestQuickMatrix(t *testing.T) {
 			benefit["randpr/zipf"])
 	}
 
-	// Service rows: json and binary over HTTP, then the stream matrix
-	// over striped connection counts 1/2/4.
-	if len(rep.Service) != 5 ||
+	// Service rows: json over HTTP, then binary over the stream.
+	if len(rep.Service) != 2 ||
 		rep.Service[0].Codec != "json" || rep.Service[0].Transport != "http" ||
-		rep.Service[1].Codec != "binary" || rep.Service[1].Transport != "http" ||
-		rep.Service[2].Transport != "stream" || rep.Service[2].Conns != 1 ||
-		rep.Service[3].Transport != "stream" || rep.Service[3].Conns != 2 ||
-		rep.Service[4].Transport != "stream" || rep.Service[4].Conns != 4 {
-		t.Fatalf("service rows = %+v, want [json/http binary/http stream/conns=1,2,4]", rep.Service)
+		rep.Service[1].Codec != "binary" || rep.Service[1].Transport != "stream" {
+		t.Fatalf("service rows = %+v, want [json/http binary/stream]", rep.Service)
 	}
 	for _, sb := range rep.Service {
 		if sb.ElementsPerSec <= 0 || sb.NsPerElement <= 0 {
 			t.Errorf("service %s/%s: timings not populated: %+v", sb.Codec, sb.Transport, sb)
 		}
 	}
-	// The tentpole floors (>= 4x JSON for binary-HTTP, stream faster
-	// still) even at smoke sizes.
+	// The wire-path floor even at smoke sizes: the stream at >= 4x JSON,
+	// what the retired binary-HTTP row's two floors (>= 4x JSON, stream
+	// faster still) implied together.
 	if sp := rep.Service[1].SpeedupVsJSON; sp < 4 {
-		t.Errorf("binary service path is %.2fx JSON, want >= 4x", sp)
+		t.Errorf("stream service path is %.2fx JSON, want >= 4x", sp)
 	}
-	if sp := rep.Service[2].SpeedupVsBinary; sp <= 1 {
-		t.Errorf("stream service path is %.2fx binary-HTTP, want > 1x", sp)
-	}
-	for _, i := range []int{2, 3, 4} {
-		if a := rep.Service[i].AllocsPerElement; a > 0.1 {
-			t.Errorf("stream service row %d allocates %.3f/element process-wide, want <= 0.1", i, a)
-		}
+	if a := rep.Service[1].AllocsPerElement; a > 0.1 {
+		t.Errorf("stream service row allocates %.3f/element process-wide, want <= 0.1", a)
 	}
 
 	// Cluster scaling rows: the quick matrix runs fleets of 1 and 2, the
@@ -125,10 +117,10 @@ func TestQuickMatrix(t *testing.T) {
 	}
 }
 
-// TestCompareMode pins the -compare arm: matched rows get deltas (the
-// BENCH_5-era stream row, carrying no conns column, must match the new
-// conns=1 row, and a later row under the same key — BENCH_6's
-// copy-decode row — must not displace it), regressions past -regress
+// TestCompareMode pins the -compare arm: matched rows get deltas (an
+// older report's first stream row is the baseline for the stream row,
+// and a later row under the same key — BENCH_6's striped and
+// copy-decode rows — must not displace it), regressions past -regress
 // fail, pure speedups and new rows pass, and bad invocations error
 // cleanly.
 func TestCompareMode(t *testing.T) {
@@ -150,8 +142,8 @@ func TestCompareMode(t *testing.T) {
 		Serial: SerialBench{Elements: 100, NsPerElement: 100},
 		Engine: []ShardBench{{Shards: 1, Elements: 100, NsPerElement: 200}},
 		Service: []ServiceBench{
-			{Codec: "binary", Transport: "stream", NsPerElement: 370},           // BENCH_5 schema: no conns
-			{Codec: "binary", Transport: "stream", Conns: 1, NsPerElement: 100}, // same key, not the baseline
+			{Codec: "binary", Transport: "stream", NsPerElement: 370}, // the single-connection row
+			{Codec: "binary", Transport: "stream", NsPerElement: 100}, // same key, not the baseline
 		},
 	}
 	newRep := Report{
@@ -159,8 +151,8 @@ func TestCompareMode(t *testing.T) {
 		Serial: SerialBench{Elements: 100, NsPerElement: 105}, // +5%: within threshold
 		Engine: []ShardBench{{Shards: 1, Elements: 100, NsPerElement: 150}},
 		Service: []ServiceBench{
-			{Codec: "binary", Transport: "stream", Conns: 1, NsPerElement: 290},
-			{Codec: "binary", Transport: "stream", Conns: 4, NsPerElement: 250}, // new row
+			{Codec: "json", Transport: "http", NsPerElement: 2500}, // new row
+			{Codec: "binary", Transport: "stream", NsPerElement: 290},
 		},
 	}
 	oldPath, newPath := write("old.json", oldRep), write("new.json", newRep)
@@ -171,8 +163,8 @@ func TestCompareMode(t *testing.T) {
 	}
 	out := buf.String()
 	for _, frag := range []string{
-		"service/binary/stream ", // the schema-bridged match gets a delta line
-		"service/binary/stream/conns=4",
+		"service/binary/stream ", // the first-row match gets a delta line
+		"service/json/http",
 		"(new row)",
 		"no row regressed",
 	} {

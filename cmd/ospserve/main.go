@@ -11,12 +11,13 @@
 // service instead: an HTTP API for remote producers (register a set
 // system, stream element batches for immediate verdicts, drain the
 // final result) with Prometheus metrics at /metrics and graceful drain
-// of every live engine on SIGINT/SIGTERM. -stream-listen additionally
-// mounts the raw-TCP stream transport: one long-lived connection per
-// producer carrying pipelined binary batch frames, for when even
-// keep-alive HTTP per-batch overhead is too much. See docs/OPERATIONS.md
-// for the endpoint and metrics reference, and cmd/osploadgen for a
-// traffic source.
+// of every live engine on SIGINT/SIGTERM. Binary ingest is the stream
+// transport — one long-lived connection per producer carrying
+// pipelined binary batch frames — reached through an HTTP/1.1 Upgrade
+// on the -listen port (GET /v1/stream); -stream-listen additionally
+// serves it on a raw-TCP port of its own. See docs/OPERATIONS.md for
+// the endpoint and metrics reference, and cmd/osploadgen for a traffic
+// source.
 //
 // Usage:
 //

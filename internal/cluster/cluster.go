@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hashpr"
 	"repro/internal/obs"
 	"repro/osp"
@@ -21,10 +22,9 @@ type Node struct {
 	// BaseURL is the node's HTTP API, e.g. "http://10.0.0.7:8080".
 	BaseURL string
 	// StreamAddr is the node's raw-TCP stream listener (ospserve
-	// -stream-listen), "" when the node is HTTP-only. The coordinator
-	// forwards ingest over the stream when set and over binary HTTP when
-	// empty (client.IngestAuto), so a mixed fleet works — each node runs
-	// at the transport it is configured for.
+	// -stream-listen). The coordinator forwards ingest over a verdict
+	// stream either way (client.Instance.IngestFunc): dialed here when
+	// set, an HTTP/1.1 Upgrade of BaseURL's listener when empty.
 	StreamAddr string
 }
 
@@ -52,9 +52,9 @@ type Config struct {
 	// Vnodes is the consistent-hash virtual-node count per slot;
 	// 0 means the default (64).
 	Vnodes int
-	// StreamConns is the number of striped TCP connections each node's
-	// stream client opens (client.WithStreamConns); 0 or 1 means a
-	// single connection. Only nodes with a StreamAddr are affected.
+	// StreamConns is the number of stream connections per node and
+	// instance. Only 0 or 1 is accepted: one connection reaches every
+	// shard of the node's engine, so New rejects any other value.
 	StreamConns int
 	// Retry, when set, threads a deadline-budgeted retry policy through
 	// every node client's ingest and drain paths (client.WithRetry) — a
@@ -114,13 +114,10 @@ type member struct {
 	errs     atomic.Uint64
 }
 
-func dialMember(slot int, cfg Node, hc *http.Client, conns int, retry *client.RetryPolicy) (*member, error) {
+func dialMember(slot int, cfg Node, hc *http.Client, retry *client.RetryPolicy) (*member, error) {
 	opts := []client.Option{client.WithHTTPClient(hc)}
 	if cfg.StreamAddr != "" {
 		opts = append(opts, client.WithStreamAddr(cfg.StreamAddr))
-		if conns > 1 {
-			opts = append(opts, client.WithStreamConns(conns))
-		}
 	}
 	if retry != nil {
 		opts = append(opts, client.WithRetry(*retry))
@@ -139,7 +136,6 @@ func dialMember(slot int, cfg Node, hc *http.Client, conns int, retry *client.Re
 // order is part of the arrival order the oracle sees).
 type Coordinator struct {
 	journal bool
-	conns   int
 	ring    *Ring
 	log     *Log
 	httpc   *http.Client
@@ -163,6 +159,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: at least one node required")
 	}
+	if cfg.StreamConns < 0 || cfg.StreamConns > 1 {
+		return nil, fmt.Errorf("cluster: StreamConns %d, want 0 or 1 (one stream connection per node)", cfg.StreamConns)
+	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -173,7 +172,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		journal: cfg.Journal,
-		conns:   cfg.StreamConns,
 		ring:    NewRing(len(cfg.Nodes), cfg.Vnodes),
 		log:     lg,
 		httpc:   hc,
@@ -182,7 +180,7 @@ func New(cfg Config) (*Coordinator, error) {
 		insts:   make(map[string]*Instance),
 	}
 	for i, n := range cfg.Nodes {
-		m, err := dialMember(i, n, hc, cfg.StreamConns, cfg.Retry)
+		m, err := dialMember(i, n, hc, cfg.Retry)
 		if err != nil {
 			return nil, err
 		}
@@ -304,23 +302,6 @@ func (in *Instance) ID() string { return in.id }
 // Slots returns the hosting slot indices, ascending: one for a pinned
 // instance, all of them for fan-out.
 func (in *Instance) Slots() []int { return append([]int(nil), in.slots...) }
-
-// StreamConnElements reports, per hosting slot, the element count each
-// striped stream connection to that node has carried
-// (client.Instance.StreamConnElements) — the loadgen's view of stripe
-// balance across the fleet. Slots whose transport settled on HTTP (or
-// that have not ingested yet) are absent from the map.
-func (in *Instance) StreamConnElements() map[int][]uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[int][]uint64, len(in.handles))
-	for slot, h := range in.handles {
-		if per := h.StreamConnElements(); per != nil {
-			out[slot] = per
-		}
-	}
-	return out
-}
 
 // Owner returns the hosting slot that decides el — the fan-out hash for
 // a split instance, the pinned slot otherwise. Exported so tests (and
@@ -452,7 +433,7 @@ func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element, fn func(i
 				}
 			}
 			start := time.Now()
-			err := h.IngestAuto(ctx, s.els, cb)
+			err := h.IngestFunc(ctx, s.els, cb)
 			in.co.forward.Observe(time.Since(start))
 			if err != nil {
 				m.errs.Add(1)
@@ -501,9 +482,7 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	m := len(in.spec.Info.Weights)
 	total := make([]int32, m)
 	for _, slot := range in.slots {
-		h := in.handles[slot]
-		h.Close() //nolint:errcheck // pinned stream teardown; drain is the authority
-		res, err := h.Drain(ctx)
+		res, err := in.handles[slot].Drain(ctx)
 		if err != nil {
 			nm := in.co.memberAt(slot)
 			return nil, &NodeError{Slot: slot, Node: nm.cfg.BaseURL, Err: err}
@@ -517,13 +496,7 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 			total[i] += c
 		}
 	}
-	res := &osp.Result{Assigned: total}
-	for i, w := range in.spec.Info.Weights {
-		if int(total[i]) == in.spec.Info.Sizes[i] {
-			res.Completed = append(res.Completed, osp.SetID(i))
-			res.Benefit += w
-		}
-	}
+	res := core.ResultFromCounts(in.spec.Info, total)
 	in.drained = res
 	// The stream is closed: retained shares have served their purpose.
 	in.journal = nil
@@ -550,7 +523,7 @@ func (co *Coordinator) ReplaceNode(ctx context.Context, slot int, replacement No
 	if err := co.ring.validateSlot(slot); err != nil {
 		return err
 	}
-	m, err := dialMember(slot, replacement, co.httpc, co.conns, co.retry)
+	m, err := dialMember(slot, replacement, co.httpc, co.retry)
 	if err != nil {
 		return err
 	}
@@ -603,7 +576,7 @@ func (in *Instance) rehome(ctx context.Context, slot int, m *member) error {
 	in.journal[slot] = nil
 	in.failed[slot] = nil
 	for k, els := range resend {
-		if err := h.IngestAuto(ctx, els, nil); err != nil {
+		if err := h.IngestFunc(ctx, els, nil); err != nil {
 			// The replacement failed mid-replay: retain what it has not
 			// acknowledged so a further ReplaceNode can still recover.
 			in.failed[slot] = append(in.failed[slot], resend[k:]...)

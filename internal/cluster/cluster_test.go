@@ -262,3 +262,20 @@ func TestClusterMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsStreamConns: one stream connection reaches every shard
+// of a node, so the coordinator accepts StreamConns 0 or 1 and nothing
+// else.
+func TestNewRejectsStreamConns(t *testing.T) {
+	nodes := []cluster.Node{{BaseURL: "http://127.0.0.1:1"}}
+	for _, n := range []int{0, 1} {
+		if _, err := cluster.New(cluster.Config{Nodes: nodes, StreamConns: n}); err != nil {
+			t.Errorf("StreamConns %d: %v", n, err)
+		}
+	}
+	for _, n := range []int{-1, 2, 4} {
+		if _, err := cluster.New(cluster.Config{Nodes: nodes, StreamConns: n}); err == nil {
+			t.Errorf("StreamConns %d accepted", n)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -102,76 +101,67 @@ func TestFailoverJournalExact(t *testing.T) {
 	}
 }
 
-// TestFailoverMultiConnStream: the fault-injection suite over STRIPED
-// streams — every node's pinned stream runs N TCP connections
-// (Config.StreamConns), a kill mid-stream tears all stripes down
-// abruptly, and with the journal on the replay onto a replacement is
-// still exact. Pins that multi-connection striping preserves the
-// per-node element order the oracle equality depends on, including
-// across a connection kill.
-func TestFailoverMultiConnStream(t *testing.T) {
-	for _, conns := range []int{2, 4} {
-		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
-			ctx := context.Background()
-			const seed = 59
-			inst := workload(t, 40, 2000, 4, 23)
-			co, nodes := startFleet(t, 3, cluster.Config{Journal: true, StreamConns: conns})
-			in, err := co.Register(ctx, cluster.Spec{
-				Info: osp.InfoOf(inst), Seed: seed, FanOut: true,
-				Engine: osp.EngineConfig{Shards: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			victim := in.Slots()[0]
+// TestFailoverUpgradeStream: the fault-injection suite over streams
+// that ride an HTTP upgrade — every node is named by its base URL
+// alone, so each pinned stream is an upgraded connection the HTTP
+// server no longer tracks. A kill mid-stream still tears it down, the
+// coordinator still sees a *NodeError, and with the journal on the
+// replay onto a replacement is exact.
+func TestFailoverUpgradeStream(t *testing.T) {
+	ctx := context.Background()
+	const seed = 59
+	inst := workload(t, 40, 2000, 4, 23)
+	nodes := make([]*cluster.LocalNode, 3)
+	cfg := cluster.Config{Journal: true}
+	for i := range nodes {
+		ln, err := cluster.StartLocalNode(osp.ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = ln
+		cfg.Nodes = append(cfg.Nodes, cluster.Node{BaseURL: ln.Config().BaseURL})
+		t.Cleanup(func() { ln.Shutdown(context.Background()) }) //nolint:errcheck
+	}
+	co, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() }) //nolint:errcheck
+	in, err := co.Register(ctx, cluster.Spec{
+		Info: osp.InfoOf(inst), Seed: seed, FanOut: true,
+		Engine: osp.EngineConfig{Shards: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := in.Slots()[0]
 
-			// Ragged batch size so stripes stay unaligned with batch
-			// boundaries. Fan-out interleaves callback indices across
-			// node shares, so the check here is exactly-once coverage;
-			// strict submit-order is the per-stream contract, pinned by
-			// the client suite (TestStreamMultiConnOrderingMatchesHTTP).
-			const batch = 137
-			half := len(inst.Elements) / 2 / batch * batch
-			for off := 0; off < half; off += batch {
-				els := inst.Elements[off : off+batch]
-				seen := make([]bool, len(els))
-				err := in.Ingest(ctx, els, func(i int, _ []osp.SetID) {
-					if i < 0 || i >= len(els) || seen[i] {
-						t.Errorf("verdict callback for element %d out of range or repeated", i)
-						return
-					}
-					seen[i] = true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, ok := range seen {
-					if !ok {
-						t.Fatalf("element %d got no verdict callback", off+i)
-					}
-				}
-			}
-			killAndReplace(t, co, nodes, victim, in, inst.Elements[half:half+batch])
-			for off := half + batch; off < len(inst.Elements); off += batch {
-				if err := in.Ingest(ctx, inst.Elements[off:min(off+batch, len(inst.Elements))], nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := in.Drain(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Equal(serial) {
-				t.Fatal("multi-conn failover drain differs from uninterrupted serial oracle")
-			}
-			if in.Lost() != 0 {
-				t.Fatalf("Lost() = %d with the journal on, want 0", in.Lost())
-			}
-		})
+	const batch = 137
+	half := len(inst.Elements) / 2 / batch * batch
+	for off := 0; off < half; off += batch {
+		if err := in.Ingest(ctx, inst.Elements[off:off+batch], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	killAndReplace(t, co, nodes, victim, in, inst.Elements[half:half+batch])
+	for off := half + batch; off < len(inst.Elements); off += batch {
+		if err := in.Ingest(ctx, inst.Elements[off:min(off+batch, len(inst.Elements))], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := in.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(serial) {
+		t.Fatal("upgrade-stream failover drain differs from uninterrupted serial oracle")
+	}
+	if in.Lost() != 0 {
+		t.Fatalf("Lost() = %d with the journal on, want 0", in.Lost())
 	}
 }
 

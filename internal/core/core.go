@@ -217,14 +217,24 @@ func RunSource(src Source, alg Algorithm, rng *rand.Rand) (*Result, *setsystem.I
 	}
 
 	inst := &setsystem.Instance{Weights: info.Weights, Sizes: info.Sizes, Elements: elements}
-	res := &Result{Assigned: st.assigned}
-	for i := range info.Weights {
-		if int(st.assigned[i]) == info.Sizes[i] {
+	return ResultFromCounts(info, st.assigned), inst, nil
+}
+
+// ResultFromCounts builds the Result a run with these per-set assignment
+// counts reports: a set is completed when its count reaches its declared
+// size, and Benefit sums the completed weights in ascending set order —
+// the one float-add order every runner, engine drain and cluster merge
+// shares, which is what keeps their Results bit-for-bit equal. The
+// Result takes ownership of assigned.
+func ResultFromCounts(info Info, assigned []int32) *Result {
+	res := &Result{Assigned: assigned}
+	for i, w := range info.Weights {
+		if int(assigned[i]) == info.Sizes[i] {
 			res.Completed = append(res.Completed, setsystem.SetID(i))
-			res.Benefit += info.Weights[i]
+			res.Benefit += w
 		}
 	}
-	return res, inst, nil
+	return res
 }
 
 func validateChoice(elem setsystem.Element, choice []setsystem.SetID) error {

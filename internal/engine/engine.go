@@ -766,13 +766,7 @@ func (e *Engine) Drain() (*core.Result, error) {
 			total[i] += c
 		}
 	}
-	res := &core.Result{Assigned: total}
-	for i, w := range e.info.Weights {
-		if int(total[i]) == e.info.Sizes[i] {
-			res.Completed = append(res.Completed, setsystem.SetID(i))
-			res.Benefit += w
-		}
-	}
+	res := core.ResultFromCounts(e.info, total)
 	e.result = res
 	e.metrics.finish(res)
 	e.state.Store(int32(StateDrained))

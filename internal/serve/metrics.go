@@ -130,7 +130,7 @@ func writeMetrics(w io.Writer, s *Server) {
 // _count.
 func writeStageHistograms(w io.Writer, o *serverObs) {
 	const name = "osp_stage_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Latency by pipeline stage: ingest_decode (wire payload to validated elements, HTTP), stream_decode (the same on the stream transport), queue_wait (batch dispatch to shard dequeue, once per batch part), decide (a shard's policy decide of one batch part), request (full HTTP round trip).\n", name)
+	fmt.Fprintf(w, "# HELP %s Latency by pipeline stage: ingest_decode (JSON body to validated elements), stream_decode (batch frame to validated batch on the stream), queue_wait (batch dispatch to shard dequeue, once per batch part), decide (a shard's policy decide of one batch part), request (full HTTP round trip).\n", name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	stages := []struct {
 		stage string

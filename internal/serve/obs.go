@@ -23,10 +23,10 @@ import (
 type serverObs struct {
 	decisions *obs.DecisionLog // nil: decision logging disabled
 
-	// The pipeline stages, in request order: decoding the wire payload
-	// into elements (both HTTP codecs), the same decode on the stream
-	// transport, a batch part's wait in a shard queue, a shard's decide
-	// of one batch part, and the full HTTP round trip.
+	// The pipeline stages, in request order: decoding a JSON ingest
+	// body into elements, decoding a batch frame on the stream, a batch
+	// part's wait in a shard queue, a shard's decide of one batch part,
+	// and the full HTTP round trip.
 	ingestDecode obs.Histogram
 	streamDecode obs.Histogram
 	queueWait    obs.Histogram
@@ -105,13 +105,16 @@ func (h *httpStats) snapshot() ([]httpKey, []uint64) {
 }
 
 // statusRecorder captures the response status for the request counters.
-// Recorders are pooled: the middleware runs on every request including
-// the zero-alloc binary ingest path, so it must not add per-request
-// garbage of its own.
+// Recorders are pooled: the middleware runs on every request, so it must
+// not add per-request garbage of its own. Unwrap lets
+// http.NewResponseController reach the server's writer — the stream
+// upgrade hijacks through it.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 }
+
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	if r.status == 0 {

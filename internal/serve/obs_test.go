@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // ---- exposition parser (the satellite's parser-based /metrics test) ----
@@ -301,7 +300,8 @@ func scrape(t *testing.T, s *Server) map[string]*promFamily {
 }
 
 // TestMetricsExpositionWellFormed drives a workload through both ingest
-// codecs, several error responses and a drain, then validates the whole
+// arms (JSON, and the stream through the upgrade), several error
+// responses and a drain, then validates the whole
 // scrape with the exposition parser — every family has HELP/TYPE,
 // histogram buckets are cumulative and +Inf equals _count — and checks
 // the new server-level families are present and consistent.
@@ -319,11 +319,11 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
-	// Binary ingest.
-	frame := wire.AppendElements(nil, inst.Elements[600:])
-	if rec := doBinary(t, s, id, frame); rec.Code != http.StatusOK {
-		t.Fatalf("binary ingest: status %d", rec.Code)
-	}
+	// Stream ingest through the upgrade of the main listener.
+	ts := upgradeStream(t, startHTTP(t, s), id)
+	ts.send(inst.Elements[600:])
+	ts.recv(inst.Elements[600:])
+	ts.fin()
 	// Provoke countable non-2xx outcomes.
 	do(t, s, "GET", "/v1/instances/i-999", nil, nil)          // 404
 	do(t, s, "POST", "/v1/instances", RegisterRequest{}, nil) // 400
@@ -347,7 +347,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Errorf("stage %q has no series", want)
 		}
 	}
-	// Both codecs decoded and the engine ran, so these stages observed.
+	// The JSON arm decoded and the engine ran, so these stages observed.
 	for _, smp := range hist.samples {
 		if smp.name == "osp_stage_duration_seconds_count" &&
 			(smp.labels["stage"] == "ingest_decode" || smp.labels["stage"] == "request") &&
@@ -366,6 +366,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	for _, want := range []string{
 		"POST /v1/instances/{id}/elements|200",
+		"GET /v1/stream|101",
 		"GET /v1/instances/{id}|404",
 		"POST /v1/instances|400",
 		"POST /v1/instances|201",
@@ -535,57 +536,5 @@ func TestPprofGate(t *testing.T) {
 	off.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("pprof disabled: GET /debug/pprof/ status %d, want 404", rec.Code)
-	}
-}
-
-// TestBinaryIngestSteadyStateAllocsTelemetry is the telemetry-enabled
-// twin of TestBinaryIngestSteadyStateAllocs and the CI alloc gate the
-// tentpole demands: with decision-log sampling, stage histograms and
-// the HTTP middleware all active, warm binary ingest must still not
-// allocate per element.
-func TestBinaryIngestSteadyStateAllocsTelemetry(t *testing.T) {
-	dlog := obs.NewDecisionLog(obs.DecisionLogConfig{
-		SampleEvery: 8,
-		RingSize:    512,
-		FlushEvery:  time.Millisecond, // drainer stays hot during the probe
-	})
-	defer dlog.Close()
-	inst := uniformInst(t, 200, 16384, 8, 21)
-	s := New(Config{Decisions: dlog})
-	defer s.Shutdown(t.Context())
-	id := register(t, s, inst, 5)
-
-	const batch = 2048
-	frames := make([][]byte, 0, len(inst.Elements)/batch)
-	for off := 0; off+batch <= len(inst.Elements); off += batch {
-		frames = append(frames, wire.AppendElements(nil, inst.Elements[off:off+batch]))
-	}
-	body := new(bodyReader)
-	w := &discardResponseWriter{h: make(http.Header, 4)}
-	req := httptest.NewRequest("POST", "/v1/instances/"+id+"/elements", body)
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-
-	send := func(frame []byte) {
-		body.Reset(frame)
-		req.ContentLength = int64(len(frame))
-		req.Body = body
-		for k := range w.h {
-			delete(w.h, k)
-		}
-		s.ServeHTTP(w, req)
-	}
-	for _, frame := range frames[:6] {
-		send(frame)
-	}
-	pos := 0
-	allocs := testing.AllocsPerRun(30, func() {
-		send(frames[pos%len(frames)])
-		pos++
-	})
-	perElement := allocs / batch
-	t.Logf("warm binary ingest with telemetry: %.1f allocs/request over %d elements (%.4f/element)", allocs, batch, perElement)
-	if perElement > 0.05 {
-		t.Errorf("telemetry-enabled binary ingest allocates %.4f/element (%v per %d-element request), want per-request-constant ~0",
-			perElement, allocs, batch)
 	}
 }

@@ -98,3 +98,38 @@ func TestRegisterUnknownPolicy400(t *testing.T) {
 		t.Errorf("rejected registration leaked an instance into the pool")
 	}
 }
+
+// TestPoliciesEndpoint covers the discovery endpoint: every registered
+// policy appears with a non-empty one-line description, sorted by name —
+// the registry-driven replacement for hardcoding the built-in names.
+func TestPoliciesEndpoint(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(t.Context())
+	var resp PoliciesResponse
+	rec := do(t, s, "GET", "/v1/policies", nil, &resp)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/policies: status %d: %s", rec.Code, rec.Body.String())
+	}
+	want := []string{"first-fit", "greedy-remaining", "randpr", "randpr-weighted"}
+	if len(resp.Policies) < len(want) {
+		t.Fatalf("%d policies, want at least %d", len(resp.Policies), len(want))
+	}
+	byName := map[string]string{}
+	var names []string
+	for _, p := range resp.Policies {
+		byName[p.Name] = p.Description
+		names = append(names, p.Name)
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Errorf("policies not sorted: %q before %q", names[i-1], names[i])
+		}
+	}
+	for _, name := range want {
+		if desc, ok := byName[name]; !ok {
+			t.Errorf("built-in %q missing from /v1/policies", name)
+		} else if desc == "" {
+			t.Errorf("built-in %q has an empty description", name)
+		}
+	}
+}

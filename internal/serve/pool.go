@@ -135,16 +135,6 @@ func (in *Instance) Ingest(els []setsystem.Element) error {
 	return nil
 }
 
-// IngestBatch submits one borrowed, filled and validated engine batch —
-// the binary wire path's zero-copy unit — serialized onto the engine's
-// single-submitter contract like Ingest. Ownership of the batch passes
-// to the engine whatever the outcome.
-func (in *Instance) IngestBatch(b *engine.Batch) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.eng.SubmitBatch(b)
-}
-
 // IngestLane is a per-connection batch submitter: each stream
 // connection gets its own lane (engine.Lane semantics — a private
 // shard round-robin cursor), so N connections ingesting into one
@@ -164,7 +154,7 @@ func (in *Instance) IngestLane(i int) *IngestLane {
 
 // IngestBatch submits one borrowed (or aliased), filled and validated
 // engine batch on this lane. Ownership of the batch passes to the
-// engine whatever the outcome, exactly as Instance.IngestBatch.
+// engine whatever the outcome.
 func (l *IngestLane) IngestBatch(b *engine.Batch) error {
 	l.in.rw.RLock()
 	defer l.in.rw.RUnlock()

@@ -13,9 +13,8 @@
 //	                                     from a snapshot frame instead)
 //	GET    /v1/instances                 list instances with live metrics
 //	GET    /v1/instances/{id}            one instance's status
-//	POST   /v1/instances/{id}/elements   batched element ingest → admit/drop verdicts
-//	                                     (JSON, or the zero-allocation binary codec
-//	                                     negotiated via Content-Type — see binary.go)
+//	POST   /v1/instances/{id}/elements   batched JSON element ingest → admit/drop
+//	                                     verdicts (binary batches go over the stream)
 //	POST   /v1/instances/{id}/snapshot   quiesce → snapshot frame of the
 //	                                     instance's recoverable state (persisted
 //	                                     to -snapshot-dir when configured)
@@ -28,11 +27,17 @@
 //	                                     per-stage latency histograms, HTTP outcome
 //	                                     counters, runtime gauges, build info)
 //	GET    /healthz                      liveness probe
+//	GET    /v1/stream                    HTTP/1.1 Upgrade (osp-stream) to the binary
+//	                                     stream protocol of internal/stream (stream.go)
 //	GET    /debug/pprof/                 net/http/pprof (only with Config.EnablePprof)
 //
-// Verdicts are computed synchronously in the handler from the engine's
-// shared priority vector — the same pure decision rule the shards apply —
-// while the engine itself ingests the batch asynchronously behind bounded
+// Binary ingest is the stream protocol, reached either through that
+// upgrade on the main listener or on a separate raw-TCP listener
+// (ServeStream); its verdicts are built by the engine shard during its
+// one decide. The JSON arm is the curl/debug path: its verdicts are
+// computed synchronously in the handler from the engine's shared
+// priority vector — the same pure decision rule the shards apply — while
+// the engine itself ingests the batch asynchronously behind bounded
 // queues. The two never disagree: the faithful randPr decision depends
 // only on the element and the fixed hash-derived priorities (Section
 // 3.1), never on run state, so handler and shard are just two replicas of
@@ -52,12 +57,14 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/setsystem"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -87,7 +94,8 @@ type Config struct {
 	// StreamWindow is the pipelining window of the raw-TCP stream
 	// transport (ServeStream): how many unanswered batch frames one
 	// connection may have in flight. Each slot costs one pooled verdict
-	// buffer per connection. 0 means 32; values above 1024 are clamped.
+	// buffer per connection. 0 means 32; values above stream.MaxWindow
+	// (1024) are clamped.
 	StreamWindow int
 	// StreamTimings records per-batch decode latency into the
 	// osp_stream_decode histogram. Off by default: the two time.Now
@@ -145,8 +153,8 @@ func (c Config) withDefaults() Config {
 	if c.StreamWindow <= 0 {
 		c.StreamWindow = 32
 	}
-	if c.StreamWindow > 1024 {
-		c.StreamWindow = 1024
+	if c.StreamWindow > stream.MaxWindow {
+		c.StreamWindow = stream.MaxWindow
 	}
 	if c.StreamDrainGrace <= 0 {
 		c.StreamDrainGrace = time.Second
@@ -187,6 +195,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/instances/{id}/decisions", s.handleDecisions)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET "+stream.UpgradePath, s.handleStreamUpgrade)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -347,6 +356,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// mediaType strips parameters and whitespace off a Content-Type value.
+func mediaType(ct string) string {
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = ct[:i]
+	}
+	return strings.TrimSpace(ct)
+}
+
 // instance resolves the {id} path parameter, answering 404 on a miss.
 func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bool) {
 	id := r.PathValue("id")
@@ -358,16 +375,12 @@ func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bo
 	return in, true
 }
 
-// handleIngest streams one batch: POST /v1/instances/{id}/elements.
+// handleIngest streams one JSON batch: POST /v1/instances/{id}/elements.
 // Batches are atomic: every element is validated before any is submitted,
 // so a malformed batch changes nothing. On success the response carries
-// the immediate admit/drop verdict of every element.
-//
-// The wire codec is negotiated per request by Content-Type:
-// application/x-osp-batch takes the zero-allocation binary path
-// (handleIngestBinary, answered with application/x-osp-verdicts); any
-// other content type decodes as the JSON shapes below, byte-for-byte
-// compatible with pre-binary servers and clients.
+// the immediate admit/drop verdict of every element. A binary batch
+// frame (Content-Type application/x-osp-batch) is refused with 415:
+// binary ingest is the stream protocol, GET /v1/stream.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instance(w, r)
 	if !ok {
@@ -377,8 +390,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", ErrPoolClosed)
 		return
 	}
-	if isBinaryBatch(r) {
-		s.handleIngestBinary(w, r, in)
+	if mediaType(r.Header.Get("Content-Type")) == wire.ContentTypeBatch {
+		writeError(w, http.StatusUnsupportedMediaType,
+			"ingest: %s batches go over the stream protocol (GET %s with Upgrade: %s)",
+			wire.ContentTypeBatch, stream.UpgradePath, stream.UpgradeToken)
 		return
 	}
 	decodeStart := time.Now()

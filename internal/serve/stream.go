@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,14 +19,18 @@ import (
 	"repro/internal/wire"
 )
 
-// The raw-TCP stream arm: one long-lived connection carrying pipelined
-// wire batch frames (internal/stream envelopes), answered with verdict
-// frames in batch order. It exists to amortize what the HTTP arm pays
-// per request — connection bookkeeping, header parse, scratch checkout,
-// one blocking round trip per batch — over a whole element stream, and
-// to retire the HTTP arm's double decide: stream verdicts are built by
-// the engine shard during its one decide (engine.Batch.Done), not by a
-// second handler-side replica decide. Steady state allocates nothing
+// The stream arm, the service's one binary ingest path: one long-lived
+// connection carrying pipelined wire batch frames (internal/stream
+// envelopes), answered with verdict frames in batch order. A connection
+// arrives either through an HTTP/1.1 Upgrade on the main listener
+// (GET /v1/stream, handleStreamUpgrade) or on a raw-TCP listener
+// (ServeStream); from the Hello on, both are the same connection
+// handler. It amortizes what an HTTP request pays per batch —
+// connection bookkeeping, header parse, scratch checkout, one blocking
+// round trip per batch — over a whole element stream, and it decides
+// each element once: stream verdicts are built by the engine shard
+// during its decide (engine.Batch.Done), not by a second handler-side
+// replica decide as on the JSON arm. Steady state allocates nothing
 // per element, and the default decode is zero-copy: a batch frame's
 // payload is read off the socket straight into an aligned per-slot
 // buffer and the engine's caps/members views alias those bytes in
@@ -65,12 +73,12 @@ import (
 // frame — routed through the same seq-ordered writer, so every batch
 // read before the error still gets its verdicts first.
 //
-// Graceful drain (Server.Shutdown): stream listeners close, live
-// connections get StreamDrainGrace to finish — frames already read are
-// answered with real verdicts because the engine pool drains only
-// AFTER the connections quiesce — then readers time out and end their
-// streams with a "shutting down" Error frame behind any pending
-// verdicts.
+// Graceful drain (Server.Shutdown): stream listeners close, upgrades
+// are refused with 503, live connections get StreamDrainGrace to
+// finish — frames already read are answered with real verdicts because
+// the engine pool drains only AFTER the connections quiesce — then
+// readers time out and end their streams with a "shutting down" Error
+// frame behind any pending verdicts.
 
 // streamState tracks the stream listeners and live connections for
 // graceful drain.
@@ -160,13 +168,97 @@ func (s *Server) ServeStream(ln net.Listener) error {
 			}
 			return err
 		}
-		st.wg.Add(1)
+		if !st.track() {
+			nc.Close()
+			return nil
+		}
 		go s.handleStreamConn(nc)
 	}
 }
 
-// handleStreamConn owns one accepted connection's lifecycle: counter
-// and drain-registry bookkeeping around the protocol itself.
+// track counts one more live connection for the drain's wait; false
+// once Shutdown has begun. Add and the draining check share the lock,
+// so no connection is admitted after drainStreams starts waiting.
+func (st *streamState) track() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.draining {
+		return false
+	}
+	st.wg.Add(1)
+	return true
+}
+
+// handleStreamUpgrade is the stream protocol's entry on the main HTTP
+// listener: GET /v1/stream with "Connection: Upgrade" and "Upgrade:
+// osp-stream". It answers 426 without those headers and 503 once the
+// server is closing; otherwise it hijacks the connection, writes 101
+// Switching Protocols, clears the HTTP server's deadlines and hands the
+// connection — bytes the HTTP reader already buffered included — to
+// the same handler ServeStream uses, so graceful drain and the
+// osp_stream_* counters cover it. It returns at once: the request
+// histogram times the upgrade, not the stream.
+func (s *Server) handleStreamUpgrade(w http.ResponseWriter, r *http.Request) {
+	if !headerHasToken(r.Header, "Connection", "upgrade") || !headerHasToken(r.Header, "Upgrade", stream.UpgradeToken) {
+		w.Header().Set("Upgrade", stream.UpgradeToken)
+		w.Header().Set("Connection", "Upgrade")
+		writeError(w, http.StatusUpgradeRequired,
+			"stream: GET %s needs Connection: Upgrade and Upgrade: %s", stream.UpgradePath, stream.UpgradeToken)
+		return
+	}
+	st := &s.stream
+	if s.pool.Closed() || !st.track() {
+		writeError(w, http.StatusServiceUnavailable, "%v", ErrPoolClosed)
+		return
+	}
+	nc, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		st.wg.Done()
+		writeError(w, http.StatusInternalServerError, "stream: upgrade: %v", err)
+		return
+	}
+	nc.SetDeadline(time.Time{}) //nolint:errcheck // the stream sets its own
+	if n := brw.Reader.Buffered(); n > 0 {
+		early, _ := brw.Reader.Peek(n)
+		nc = &prefixedConn{Conn: nc, r: io.MultiReader(bytes.NewReader(early), nc)}
+	}
+	if _, err := io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+
+		stream.UpgradeToken+"\r\n\r\n"); err != nil {
+		nc.Close()
+		st.wg.Done()
+		return
+	}
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.status = http.StatusSwitchingProtocols // the 101 bypassed the ResponseWriter
+	}
+	go s.handleStreamConn(nc)
+}
+
+// headerHasToken reports whether a comma-separated header lists token,
+// compared case-insensitively ("Connection: keep-alive, Upgrade").
+func headerHasToken(h http.Header, key, token string) bool {
+	for _, v := range h.Values(key) {
+		for _, t := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(t), token) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// prefixedConn replays bytes the HTTP server read ahead of the upgrade
+// before reading the connection itself.
+type prefixedConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *prefixedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// handleStreamConn owns one stream connection's lifecycle: counter and
+// drain-registry bookkeeping around the protocol itself. The caller
+// has tracked the connection (streamState.track).
 func (s *Server) handleStreamConn(nc net.Conn) {
 	st := &s.stream
 	defer st.wg.Done()
@@ -204,27 +296,27 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 	if err != nil {
 		return // nothing promised yet
 	}
-	fail := func(format string, args ...any) {
+	fail := func(status int, format string, args ...any) {
 		s.obs.stream.errors.Add(1)
-		fc.WriteFrame(stream.FrameError, 0, fmt.Appendf(nil, format, args...)) //nolint:errcheck
-		fc.Flush()                                                             //nolint:errcheck
+		fc.WriteFrame(stream.FrameError, 0, stream.AppendError(nil, status, fmt.Sprintf(format, args...))) //nolint:errcheck
+		fc.Flush()                                                                                         //nolint:errcheck
 	}
 	if typ != stream.FrameHello {
-		fail("stream: expected hello, got frame %c", typ)
+		fail(http.StatusBadRequest, "stream: expected hello, got frame %c", typ)
 		return
 	}
 	id, err := stream.ParseHello(payload)
 	if err != nil {
-		fail("%v", err)
+		fail(http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.pool.Closed() {
-		fail("%v", ErrPoolClosed)
+		fail(http.StatusServiceUnavailable, "%v", ErrPoolClosed)
 		return
 	}
 	in, ok := s.pool.Get(id)
 	if !ok {
-		fail("unknown instance %q", id)
+		fail(http.StatusNotFound, "unknown instance %q", id)
 		return
 	}
 	window := s.cfg.StreamWindow
@@ -273,14 +365,20 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 	copyDecode := s.copyDecode
 	timings := s.cfg.StreamTimings
 	next := uint32(0) // seq of the next expected batch = batches submitted
-	terminate := func(typ byte, format string, args ...any) {
-		var msg []byte
-		if typ == stream.FrameError {
-			s.obs.stream.errors.Add(1)
-			msg = fmt.Appendf(nil, format, args...)
-		}
+	// terminate hands the writer the connection's last frame: Fin, or
+	// 0 for a silent close (the peer is gone or aborted).
+	terminate := func(typ byte) {
 		select {
-		case resp <- respFrame{typ, next, msg}:
+		case resp <- respFrame{typ, next, nil}:
+		case <-writerDone:
+		}
+	}
+	// fail ends the stream with an Error frame carrying the status the
+	// HTTP API answers for the same condition.
+	fail := func(status int, format string, args ...any) {
+		s.obs.stream.errors.Add(1)
+		select {
+		case resp <- respFrame{stream.FrameError, next, stream.AppendError(nil, status, fmt.Sprintf(format, args...))}:
 		case <-writerDone:
 		}
 	}
@@ -293,10 +391,15 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 	for {
 		typ, seq, n, err := fc.ReadHeader()
 		if err != nil {
-			if sc.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
-				terminate(stream.FrameError, "stream: server shutting down (%d batches answered)", next)
-			} else {
-				terminate(0, "") // peer gone or writer died: flush and close
+			switch {
+			case sc.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded):
+				fail(http.StatusServiceUnavailable, "stream: server shutting down (%d batches answered)", next)
+			case errors.Is(err, stream.ErrTooLarge):
+				fail(http.StatusRequestEntityTooLarge, "%v", err) // the peer is there and owed a reason
+			case errors.Is(err, stream.ErrFrame):
+				fail(http.StatusBadRequest, "%v", err)
+			default:
+				terminate(0) // peer gone or writer died: flush and close
 			}
 			return
 		}
@@ -304,7 +407,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 		case stream.FrameBatch:
 			if seq != next {
 				// The payload is left unread; terminal either way.
-				terminate(stream.FrameError, "stream: batch seq %d, want %d", seq, next)
+				fail(http.StatusBadRequest, "stream: batch seq %d, want %d", seq, next)
 				return
 			}
 			// Taking the token takes the window slot; blocking here (peer
@@ -328,7 +431,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 			pad := wire.BatchAliasShift(raw)
 			payload := raw[pad : pad+n]
 			if err := fc.ReadPayloadInto(payload); err != nil {
-				terminate(0, "")
+				terminate(0)
 				return
 			}
 			// Enforce the batch cap from the frame header BEFORE decoding,
@@ -336,14 +439,14 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 			// fills engine free-list buffers that live as long as the
 			// instance.
 			if c, ok := wire.PeekBatchCount(payload); ok && c > s.cfg.MaxBatch {
-				terminate(stream.FrameError, "ingest: batch of %d exceeds limit %d", c, s.cfg.MaxBatch)
+				fail(http.StatusBadRequest, "ingest: batch of %d exceeds limit %d", c, s.cfg.MaxBatch)
 				return
 			}
 			var b *engine.Batch
 			if !copyDecode {
 				members, offs, caps, ok, aerr := wire.AliasBatch(payload, slot.offs[:0])
 				if aerr != nil {
-					terminate(stream.FrameError, "ingest: %v", aerr)
+					fail(http.StatusBadRequest, "ingest: %v", aerr)
 					return
 				}
 				if ok {
@@ -359,7 +462,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				b.Members, b.Offs, b.Caps, err = wire.DecodeBatch(payload, b.Members[:0], b.Offs[:0], b.Caps[:0])
 				if err != nil {
 					eng.ReturnBatch(b)
-					terminate(stream.FrameError, "ingest: %v", err)
+					fail(http.StatusBadRequest, "ingest: %v", err)
 					return
 				}
 			}
@@ -370,7 +473,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 			// rejected, which is what lets AliasBatch skip that scan.
 			if err := b.Validate(numSets); err != nil {
 				eng.ReturnBatch(b)
-				terminate(stream.FrameError, "ingest: %v", err)
+				fail(http.StatusBadRequest, "ingest: %v", err)
 				return
 			}
 			if timings {
@@ -383,10 +486,13 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				// The engine detached the batch (Reset dropped the
 				// callback), so no verdict for this seq is coming: next
 				// still counts only submitted batches.
-				if errors.Is(err, engine.ErrDrained) {
-					terminate(stream.FrameError, "ingest: instance %s is already drained", in.ID())
-				} else {
-					terminate(stream.FrameError, "ingest: %v", err)
+				switch {
+				case errors.Is(err, engine.ErrDrained) && s.pool.Closed():
+					fail(http.StatusServiceUnavailable, "%v", ErrPoolClosed)
+				case errors.Is(err, engine.ErrDrained):
+					fail(http.StatusConflict, "ingest: instance %s is already drained", in.ID())
+				default:
+					fail(http.StatusBadRequest, "ingest: %v", err)
 				}
 				return
 			}
@@ -394,25 +500,25 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 			s.obs.stream.batches.Add(1)
 		case stream.FrameFin:
 			if _, err := fc.ReadPayload(n); err != nil {
-				terminate(0, "")
+				terminate(0)
 				return
 			}
 			if seq != next {
-				terminate(stream.FrameError, "stream: fin declares %d batches, %d submitted", seq, next)
+				fail(http.StatusBadRequest, "stream: fin declares %d batches, %d submitted", seq, next)
 				return
 			}
-			terminate(stream.FrameFin, "")
+			terminate(stream.FrameFin)
 			return
 		case stream.FrameError:
 			if _, err := fc.ReadPayload(n); err != nil {
-				terminate(0, "")
+				terminate(0)
 				return
 			}
 			s.obs.stream.errors.Add(1)
-			terminate(0, "") // client aborted: flush what it is owed, close
+			terminate(0) // client aborted: flush what it is owed, close
 			return
 		default:
-			terminate(stream.FrameError, "stream: unexpected frame %c", typ)
+			fail(http.StatusBadRequest, "stream: unexpected frame %c", typ)
 			return
 		}
 	}

@@ -15,6 +15,9 @@
 //
 // Protocol, client side first:
 //
+//	(HTTP/1.1 GET /v1/stream, Upgrade: osp-stream → 101, when the
+//	 stream shares the server's main listener; a raw stream port
+//	 starts directly with Hello)
 //	C→S  Hello  (seq 0, payload "OSPS" + version + instance id)
 //	S→C  Ack    (seq 0, payload version + window + policy name)
 //	C→S  Batch  (seq k, payload one wire OSPB frame)   — at most
@@ -23,7 +26,8 @@
 //	C→S  Fin    (seq = number of batches sent)
 //	S→C  Fin    (after every pending verdict is written)
 //
-// Either side may end the stream with an Error frame (UTF-8 message);
+// Either side may end the stream with an Error frame (UTF-8 message; the
+// server's carries an HTTP status prefix, AppendError);
 // the server routes it through the same seq-ordered writer as verdicts,
 // so every batch read before the error still gets its verdicts first.
 package stream
@@ -35,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"time"
 )
 
@@ -44,6 +49,21 @@ const Version = 1
 // HeaderLen is the fixed envelope size: type byte, uint32 sequence
 // number, uint32 payload length (both little-endian).
 const HeaderLen = 9
+
+// MaxWindow is the largest pipelining window an Ack may announce. The
+// server clamps its configured window to it and ParseAck rejects larger
+// ones, so a peer cannot make the client size its in-flight ring from
+// an arbitrary uint32.
+const MaxWindow = 1024
+
+// The HTTP/1.1 entry to the protocol on a server's main listener: a GET
+// of UpgradePath with "Connection: Upgrade" and "Upgrade: UpgradeToken"
+// is answered 101 Switching Protocols, after which the connection
+// speaks exactly the framing below, Hello first.
+const (
+	UpgradePath  = "/v1/stream"
+	UpgradeToken = "osp-stream"
+)
 
 // Frame types. Hello/Ack handshake, Batch/Verdicts data plane,
 // Error/Fin teardown.
@@ -192,6 +212,10 @@ func (c *Conn) Flush() error { return c.bw.Flush() }
 // writer died.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
+// SetDeadline sets the read and write deadlines of the underlying
+// connection — the client binds a call's context to the stream with it.
+func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
+
 // Close closes the underlying connection without flushing.
 func (c *Conn) Close() error { return c.raw.Close() }
 
@@ -216,6 +240,28 @@ func ParseHello(payload []byte) (instance string, err error) {
 	return string(payload[5:]), nil
 }
 
+// AppendError builds a server Error payload: the HTTP status the
+// condition maps to (404 unknown instance, 409 drained, 413 frame too
+// large, 503 shutting down, 400 otherwise) as three digits and a space,
+// then the UTF-8 message — so a client surfaces the same status the
+// HTTP API would answer, and retries by the same rule.
+func AppendError(dst []byte, status int, msg string) []byte {
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	return append(dst, msg...)
+}
+
+// ParseError splits an Error payload into status and message. A payload
+// without the status prefix is a plain message with status 400.
+func ParseError(payload []byte) (status int, msg string) {
+	if len(payload) >= 4 && payload[3] == ' ' {
+		if n, err := strconv.Atoi(string(payload[:3])); err == nil && n >= 400 && n <= 599 {
+			return n, string(payload[4:])
+		}
+	}
+	return 400, string(payload)
+}
+
 // AppendAck builds the Ack payload: version, pipelining window (the
 // maximum number of unanswered batch frames the server accepts on this
 // connection), and the instance's policy name — the client surfaces the
@@ -235,8 +281,8 @@ func ParseAck(payload []byte) (window uint32, policy string, err error) {
 		return 0, "", fmt.Errorf("%w: version %d, this side speaks %d", ErrVersion, payload[0], Version)
 	}
 	window = binary.LittleEndian.Uint32(payload[1:])
-	if window == 0 {
-		return 0, "", fmt.Errorf("%w: zero pipelining window", ErrFrame)
+	if window == 0 || window > MaxWindow {
+		return 0, "", fmt.Errorf("%w: pipelining window %d outside [1, %d]", ErrFrame, window, MaxWindow)
 	}
 	return window, string(payload[5:]), nil
 }

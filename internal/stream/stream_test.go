@@ -150,6 +150,14 @@ func TestAckRoundTrip(t *testing.T) {
 	if _, _, err := ParseAck(AppendAck(nil, 0, "x")); !errors.Is(err, ErrFrame) {
 		t.Fatalf("zero window: err = %v, want ErrFrame", err)
 	}
+	if w, _, err := ParseAck(AppendAck(nil, MaxWindow, "x")); err != nil || w != MaxWindow {
+		t.Fatalf("window MaxWindow: got (%d, %v), want (%d, nil)", w, err, MaxWindow)
+	}
+	for _, w := range []uint32{MaxWindow + 1, 1<<32 - 1} {
+		if _, _, err := ParseAck(AppendAck(nil, w, "x")); !errors.Is(err, ErrFrame) {
+			t.Fatalf("window %d: err = %v, want ErrFrame", w, err)
+		}
+	}
 	bad := AppendAck(nil, 8, "x")
 	bad[0] = 99
 	if _, _, err := ParseAck(bad); !errors.Is(err, ErrVersion) {

@@ -7,11 +7,10 @@
 // codec decodes straight into the engine's flat structure-of-arrays
 // batch buffers and answers with one bit per membership.
 //
-// Codec selection is negotiated per request via Content-Type
-// (ContentTypeBatch on ingest requests; the server answers with
-// ContentTypeVerdicts). Requests with any other content type take the
-// JSON path unchanged, so the binary codec is purely additive: old
-// clients and curl keep working bit-for-bit.
+// The frames travel as the payloads of the stream protocol
+// (internal/stream): one batch frame per Batch envelope, one verdicts
+// frame per Verdicts envelope. The JSON ingest endpoint stays for curl
+// and debugging; it refuses a ContentTypeBatch body and names the stream.
 //
 // # Batch frame (requests)
 //
@@ -61,14 +60,9 @@ import (
 	"repro/internal/setsystem"
 )
 
-// Content types negotiating the binary codec on the ingest endpoint.
-const (
-	// ContentTypeBatch marks a request body as a binary batch frame.
-	ContentTypeBatch = "application/x-osp-batch"
-	// ContentTypeVerdicts marks a response body as a binary verdicts
-	// frame.
-	ContentTypeVerdicts = "application/x-osp-verdicts"
-)
+// ContentTypeBatch marks an HTTP body as a binary batch frame; the JSON
+// ingest endpoint answers it with 415 and points at the stream.
+const ContentTypeBatch = "application/x-osp-batch"
 
 // Version is the frame version this package encodes and accepts.
 const Version = 1

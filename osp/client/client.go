@@ -7,6 +7,9 @@
 // information — per-set weights and declared sizes plus the shared
 // priority seed — then elements stream in batches, each answered with
 // the verdict the engine's coordination-free admission policy reached.
+// Batches ride a binary verdict stream (an HTTP/1.1 Upgrade of the
+// server's own listener, or its raw stream port) by default; CodecJSON
+// sends them as JSON requests, the shapes curl speaks.
 // The drained Result is bit-for-bit identical to a serial osp.Run with
 // the matching osp.NewPolicyAlgorithm(policy, seed) over the same
 // elements — osp.NewHashRandPr(seed) for the default randpr policy —
@@ -27,13 +30,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/wire"
 	"repro/osp"
 )
 
@@ -41,10 +43,11 @@ import (
 type Codec int
 
 const (
-	// CodecBinary — the default — sends the compact binary codec; a
-	// server that rejects it surfaces the resulting *APIError.
+	// CodecBinary — the default — sends binary batch frames over the
+	// instance's verdict stream; a server that refuses the stream
+	// surfaces the resulting *APIError.
 	CodecBinary Codec = iota
-	// CodecJSON sends the JSON wire shapes on every request.
+	// CodecJSON sends every batch as a JSON request.
 	CodecJSON
 )
 
@@ -59,12 +62,13 @@ func (c Codec) String() string {
 // Client talks to one admission server. Safe for concurrent use (the
 // underlying http.Client is).
 type Client struct {
-	base        string
-	hc          *http.Client
-	codec       Codec
-	streamAddr  string       // host:port of the raw-TCP stream listener, "" = none
-	streamConns int          // TCP connections per verdict stream, 0/1 = one
-	retry       *RetryPolicy // nil = no retries (WithRetry)
+	base       string
+	host       string // base URL's host:port, the stream upgrade's dial target
+	https      bool
+	hc         *http.Client
+	codec      Codec
+	streamAddr string       // host:port of the raw-TCP stream listener, "" = upgrade
+	retry      *RetryPolicy // nil = no retries (WithRetry)
 }
 
 // Option customizes a Client.
@@ -77,10 +81,11 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithCodec picks the HTTP ingest wire codec. The default, CodecBinary,
-// sends binary batches (internal/wire's flat frames — the
-// zero-allocation server path, measured severalfold faster than JSON
-// end to end); CodecJSON sends the JSON shapes curl speaks.
+// WithCodec picks the ingest wire codec. The default, CodecBinary,
+// sends internal/wire's flat batch frames over a verdict stream — the
+// zero-allocation path, measured severalfold faster than JSON end to
+// end; CodecJSON sends one JSON request per batch, the shapes curl
+// speaks.
 func WithCodec(codec Codec) Option {
 	return func(c *Client) { c.codec = codec }
 }
@@ -95,7 +100,19 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("client: base URL %q must be http or https", baseURL)
 	}
-	c := &Client{base: strings.TrimRight(u.String(), "/"), hc: &http.Client{}}
+	port := u.Port()
+	if port == "" {
+		port = "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+	}
+	c := &Client{
+		base:  strings.TrimRight(u.String(), "/"),
+		host:  net.JoinHostPort(u.Hostname(), port),
+		https: u.Scheme == "https",
+		hc:    &http.Client{},
+	}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -107,7 +124,8 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 type APIError struct {
 	// StatusCode is the HTTP status (400 malformed, 404 unknown
 	// instance, 409 ingest after drain, 413 body too large, 429 pool
-	// full, 503 shutting down).
+	// full, 503 shutting down). A stream's Error frame carries the
+	// status the HTTP API would have answered.
 	StatusCode int
 	// Message is the server's error text.
 	Message string
@@ -199,14 +217,10 @@ type Instance struct {
 	shards int
 	policy string
 
-	// streams counts this instance's open verdict streams (OpenStream);
-	// while positive, Codec reports "stream".
-	streams atomic.Int32
-
-	// tmu serializes IngestAuto/Close over the pinned stream, which is
-	// a single in-order connection.
+	// tmu serializes binary ingest and Close over the pinned stream,
+	// which is a single in-order connection.
 	tmu sync.Mutex
-	// pinned is the long-lived verdict stream IngestAuto opened, nil
+	// pinned is the long-lived verdict stream binary ingest opened, nil
 	// when none is open (guarded by tmu).
 	pinned *Stream
 }
@@ -418,23 +432,52 @@ func (in *Instance) Policy() string { return in.policy }
 // full the call blocks — backpressure propagates to the producer, which
 // is the paper's admission deadline made tangible.
 //
-// The wire representation follows the client's codec (WithCodec):
-// binary by default, JSON under CodecJSON. Either way the verdicts and
-// the eventual drained result are bit-for-bit identical — the
-// serve-side decode paths share one policy state.
+// The wire representation follows the client's codec (WithCodec): by
+// default the batch rides the instance's pinned verdict stream, exactly
+// as IngestFunc sends it; under CodecJSON it is one JSON request.
+// Either way the verdicts and the eventual drained result are
+// bit-for-bit identical — every arm applies one policy state.
 //
 // With WithRetry configured, transient failures (transport errors, 429,
 // 5xx) are retried under the policy's backoff and budget; permanent 4xx
 // rejections are returned immediately.
 func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	if in.c.retry == nil {
-		return in.ingestOnce(ctx, els)
+	if in.c.codec == CodecJSON {
+		var verdicts []Verdict
+		err := in.c.withRetry(ctx, func(ctx context.Context) (err error) {
+			verdicts, err = in.ingestJSON(ctx, els)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return verdicts, nil
 	}
-	var verdicts []Verdict
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		v, err := in.ingestOnce(ctx, els)
-		verdicts = v
-		return err
+	// Two arrays back the whole batch's verdicts: admitted is the
+	// callback's list, dropped the element's other members, both in
+	// member order.
+	total := 0
+	for _, el := range els {
+		total += len(el.Members)
+	}
+	admitted := make([]osp.SetID, 0, total)
+	dropped := make([]osp.SetID, 0, total)
+	verdicts := make([]Verdict, len(els))
+	err := in.IngestFunc(ctx, els, func(i int, adm []osp.SetID) {
+		aStart, dStart := len(admitted), len(dropped)
+		k := 0
+		for _, s := range els[i].Members {
+			if k < len(adm) && adm[k] == s {
+				admitted = append(admitted, s)
+				k++
+			} else {
+				dropped = append(dropped, s)
+			}
+		}
+		verdicts[i] = Verdict{
+			Admitted: admitted[aStart:len(admitted):len(admitted)],
+			Dropped:  dropped[dStart:len(dropped):len(dropped)],
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -442,24 +485,14 @@ func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, e
 	return verdicts, nil
 }
 
-// ingestOnce is one ingest attempt, retry policy excluded.
-func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	if in.c.codec == CodecJSON {
-		return in.ingestJSON(ctx, els)
-	}
-	return in.ingestBinary(ctx, els)
-}
-
-// Codec reports the wire transport this instance currently ingests
-// over: "stream" while a verdict stream is open (OpenStream, or the one
-// IngestAuto pins), else the client's HTTP codec, "binary" or "json" —
-// so a benchmark or loadgen report can prove which arm it actually
-// exercised.
+// Codec reports the arm Ingest and IngestFunc use: "stream" under the
+// default CodecBinary, "json" under CodecJSON — so a benchmark or
+// loadgen report can name the arm it exercised.
 func (in *Instance) Codec() string {
-	if in.streams.Load() > 0 {
-		return "stream"
+	if in.c.codec == CodecJSON {
+		return "json"
 	}
-	return in.c.codec.String()
+	return "stream"
 }
 
 // ingestJSON is the JSON arm of Ingest.
@@ -475,94 +508,18 @@ func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdic
 	return resp.Verdicts, nil
 }
 
-// framePool recycles binary request/response buffers across Ingest
-// calls (client-side; the server pools its own).
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// ingestBinary is the binary arm of Ingest: the batch goes out as one
-// flat wire frame, the reply comes back as one bitmask per element over
-// the members this client just sent.
-func (in *Instance) ingestBinary(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	bufp := framePool.Get().(*[]byte)
-	defer framePool.Put(bufp)
-	frame := wire.AppendElements((*bufp)[:0], els)
-	*bufp = frame
-
-	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+"/v1/instances/"+in.id+"/elements", bytes.NewReader(frame))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-	resp, err := in.c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: POST elements (binary): %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, apiError(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeVerdicts {
-		return nil, fmt.Errorf("client: binary ingest answered with Content-Type %q, want %q", ct, wire.ContentTypeVerdicts)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: read verdicts frame: %w", err)
-	}
-	return decodeVerdictFrame(raw, els)
-}
-
-// decodeVerdictFrame unpacks a verdicts frame into the same []Verdict
-// the JSON path returns, batching the backing storage: two arrays for
-// the whole batch instead of two slices per element.
-func decodeVerdictFrame(raw []byte, els []osp.Element) ([]Verdict, error) {
-	payload, count, err := wire.DecodeVerdicts(raw)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	if count != len(els) {
-		return nil, fmt.Errorf("client: verdicts frame counts %d elements, batch sent %d", count, len(els))
-	}
-	totalMembers := 0
-	for _, el := range els {
-		totalMembers += len(el.Members)
-	}
-	admitted := make([]osp.SetID, 0, totalMembers)
-	dropped := make([]osp.SetID, 0, totalMembers)
-	verdicts := make([]Verdict, len(els))
-	for i, el := range els {
-		var mask []byte
-		mask, payload, err = wire.MaskAt(payload, len(el.Members))
-		if err != nil {
-			return nil, fmt.Errorf("client: element %d: %w", i, err)
-		}
-		aStart, dStart := len(admitted), len(dropped)
-		for j, s := range el.Members {
-			if wire.MaskBit(mask, j) {
-				admitted = append(admitted, s)
-			} else {
-				dropped = append(dropped, s)
-			}
-		}
-		verdicts[i] = Verdict{
-			Admitted: admitted[aStart:len(admitted):len(admitted)],
-			Dropped:  dropped[dStart:len(dropped):len(dropped)],
-		}
-	}
-	if len(payload) != 0 {
-		// A length mismatch here means the server's mask boundaries do
-		// not line up with the elements we sent (version skew, proxy
-		// mangling) — the verdicts above would be misaligned garbage.
-		return nil, fmt.Errorf("client: %d verdict mask bytes left over after the last element", len(payload))
-	}
-	return verdicts, nil
-}
-
 // Drain closes the stream and returns the final Result — bit-for-bit
 // identical to a serial osp.Run with osp.NewHashRandPr under the
-// instance's seed over the same elements. Idempotent: draining again
-// returns the same Result — which is also what makes it safe to retry
-// under WithRetry.
+// instance's seed over the same elements. The instance's pinned verdict
+// stream, if any, is released first: every batch it carried has been
+// answered. Idempotent: draining again returns the same Result — which
+// is also what makes it safe to retry under WithRetry.
 func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
+	in.tmu.Lock()
+	if in.pinned != nil {
+		in.dropPinned()
+	}
+	in.tmu.Unlock()
 	var resp drainResponse
 	err := in.c.withRetry(ctx, func(ctx context.Context) error {
 		return in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/drain", nil, &resp)

@@ -272,14 +272,16 @@ func startServerWith(t *testing.T, opts ...client.Option) (*client.Client, *osp.
 	return c, srv
 }
 
-// startLegacyServer emulates a server without the binary codec: it
-// strips the Content-Type before the real handler sees the request, so
-// binary frames hit the JSON decoder and 400.
+// startLegacyServer emulates a server without the stream upgrade:
+// GET /v1/stream is answered 404 before the real handler sees it.
 func startLegacyServer(t *testing.T, opts ...client.Option) *client.Client {
 	t.Helper()
 	srv := osp.NewServer(osp.ServerConfig{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Content-Type")
+		if r.URL.Path == "/v1/stream" {
+			http.NotFound(w, r)
+			return
+		}
 		srv.ServeHTTP(w, r)
 	}))
 	t.Cleanup(hs.Close)
@@ -310,9 +312,11 @@ func ingestAll(ctx context.Context, t *testing.T, h *client.Instance, inst *osp.
 }
 
 // TestCodecEquivalence is the client-side codec contract: the same
-// stream ingested with CodecJSON and CodecBinary produces identical
-// verdict aggregates and bit-for-bit identical drained results, both
-// equal to the serial oracle.
+// stream ingested over JSON, over the stream on the raw listener, over
+// the stream through the HTTP upgrade and over the upgrade of an https
+// listener (the http.Client's TLS configuration carries over) produces
+// identical verdict aggregates and bit-for-bit identical drained
+// results, all equal to the serial oracle.
 func TestCodecEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const seed = 23
@@ -322,39 +326,48 @@ func TestCodecEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results := map[client.Codec]*osp.Result{}
-	admits := map[client.Codec]int{}
-	for _, codec := range []client.Codec{client.CodecJSON, client.CodecBinary} {
-		c, _ := startServerWith(t, client.WithCodec(codec))
-		h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed})
+	cJSON, _ := startServerWith(t, client.WithCodec(client.CodecJSON))
+	cAddr, _ := startStreamServer(t)
+	cUpgrade, _ := startServer(t)
+	srv := osp.NewServer(osp.ServerConfig{})
+	hs := httptest.NewTLSServer(srv)
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+	cTLS, err := client.New(hs.URL, client.WithHTTPClient(hs.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admits []int
+	for _, arm := range []struct {
+		name, codec string
+		c           *client.Client
+	}{{"json", "json", cJSON}, {"stream-addr", "stream", cAddr}, {"upgrade", "stream", cUpgrade}, {"upgrade-tls", "stream", cTLS}} {
+		h, err := arm.c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Codec(); got != codec.String() {
-			t.Errorf("forced %v: Codec() = %q", codec, got)
+		if got := h.Codec(); got != arm.codec {
+			t.Errorf("%s: Codec() = %q, want %q", arm.name, got, arm.codec)
 		}
 		adm, _ := ingestAll(ctx, t, h, inst, 170)
-		admits[codec] = adm
+		admits = append(admits, adm)
 		res, err := h.Drain(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[codec] = res
+		if !res.Equal(serial) {
+			t.Errorf("%s: drained result differs from the serial oracle", arm.name)
+		}
 	}
-	if admits[client.CodecJSON] != admits[client.CodecBinary] {
-		t.Errorf("admitted memberships differ: json %d, binary %d",
-			admits[client.CodecJSON], admits[client.CodecBinary])
-	}
-	if !results[client.CodecJSON].Equal(results[client.CodecBinary]) {
-		t.Errorf("drained results differ across codecs")
-	}
-	if !results[client.CodecBinary].Equal(serial) {
-		t.Errorf("binary-codec result differs from the serial oracle")
+	for _, a := range admits[1:] {
+		if a != admits[0] {
+			t.Errorf("admitted memberships differ across arms (json, stream-addr, upgrade, upgrade-tls): %v", admits)
+		}
 	}
 }
 
 // TestDefaultCodecIsBinary: a client built without WithCodec ingests
-// over the binary codec from its first batch.
+// binary frames over the verdict stream from its first batch.
 func TestDefaultCodecIsBinary(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 20, 200, 3, 5)
@@ -363,20 +376,18 @@ func TestDefaultCodecIsBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Codec(); got != "binary" {
-		t.Errorf("before first ingest: Codec() = %q, want binary", got)
+	if got := h.Codec(); got != "stream" {
+		t.Errorf("Codec() = %q, want stream", got)
 	}
 	if _, err := h.Ingest(ctx, inst.Elements[:50]); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Codec(); got != "binary" {
-		t.Errorf("after first ingest: Codec() = %q, want binary", got)
-	}
+	assertStreamConns(t, c, 1)
 }
 
 // TestCodecBinaryForcedSurfacesRejection: with CodecBinary — the
-// default, here also set explicitly — a server without the codec is an
-// error, not a silent downgrade to JSON.
+// default, here also set explicitly — a server without the stream
+// upgrade is an error, not a silent downgrade to JSON.
 func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
@@ -385,14 +396,14 @@ func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Ingest(ctx, inst.Elements[:10]); !isStatus(err, http.StatusBadRequest) {
-		t.Errorf("forced binary against a legacy server: err = %v, want 400 APIError", err)
+	if _, err := h.Ingest(ctx, inst.Elements[:10]); !isStatus(err, http.StatusNotFound) {
+		t.Errorf("forced binary against a legacy server: err = %v, want 404 APIError", err)
 	}
 }
 
 // TestDefaultCodecInvalidBatchStays400: a genuinely invalid batch over
-// the default codec comes back as a 400, and valid batches keep flowing
-// afterwards.
+// the default codec comes back as a 400 *APIError — the stream's Error
+// frame ends that stream — and the next call re-dials and flows.
 func TestDefaultCodecInvalidBatchStays400(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
@@ -408,6 +419,7 @@ func TestDefaultCodecInvalidBatchStays400(t *testing.T) {
 	if _, err := h.Ingest(ctx, inst.Elements[:10]); err != nil {
 		t.Errorf("valid batch after a 400: %v", err)
 	}
+	assertStreamConns(t, c, 2)
 }
 
 // TestClientPolicies covers the discovery endpoint through the client.

@@ -50,8 +50,8 @@ type RetryPolicy struct {
 }
 
 // WithRetry enables the deadline-budgeted retry policy on this client's
-// ingest paths (Ingest, IngestFunc, IngestAuto — including re-dialing a
-// broken verdict stream) and on Drain (idempotent server-side). Verdict
+// ingest paths (Ingest and IngestFunc — including re-dialing a broken
+// verdict stream) and on Drain (idempotent server-side). Verdict
 // callbacks are buffered per attempt and delivered only after the
 // attempt succeeds, so a batch that rides through a failover fires each
 // element's callback exactly once, in batch order.

@@ -104,15 +104,15 @@ func TestRetryBudgetExhausted(t *testing.T) {
 
 // TestRetryPermanent4xxNotRetried pins the must-NOT-retry arm: a batch
 // the server rejects as malformed is returned immediately — exactly one
-// request on the wire, no backoff burned on a request that can never
+// stream opened for it, no backoff burned on a request that can never
 // succeed.
 func TestRetryPermanent4xxNotRetried(t *testing.T) {
 	ctx := context.Background()
 	srv := osp.NewServer(osp.ServerConfig{})
-	var ingestPosts atomic.Int32
+	var upgrades atomic.Int32
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == "POST" && len(r.URL.Path) > 9 && r.URL.Path[len(r.URL.Path)-9:] == "/elements" {
-			ingestPosts.Add(1)
+		if r.URL.Path == "/v1/stream" {
+			upgrades.Add(1)
 		}
 		srv.ServeHTTP(w, r)
 	}))
@@ -132,8 +132,8 @@ func TestRetryPermanent4xxNotRetried(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad batch error = %v, want *APIError 400", err)
 	}
-	if n := ingestPosts.Load(); n != 1 {
-		t.Fatalf("server saw %d ingest requests for a permanent 400, want exactly 1 (no retries)", n)
+	if n := upgrades.Load(); n != 1 {
+		t.Fatalf("server saw %d stream upgrades for a permanent 400, want exactly 1 (no retries)", n)
 	}
 }
 
@@ -171,11 +171,11 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 	h := registerTwin(t, c, inst, seed)
 
 	half := len(inst.Elements) / 2
-	if err := h.IngestAuto(ctx, inst.Elements[:half], nil); err != nil {
+	if err := h.IngestFunc(ctx, inst.Elements[:half], nil); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
-	if h.Codec() != "stream" {
-		t.Fatalf("codec = %q, want stream", h.Codec())
+	if n := p.Accepted(); n != 1 {
+		t.Fatalf("stream port accepted %d connections for the first batch, want 1", n)
 	}
 
 	// Kill the pinned stream between batches — the crashed-node
@@ -185,7 +185,7 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 	}
 	var order []int
 	second := inst.Elements[half:]
-	err = h.IngestAuto(ctx, second, func(i int, admitted []osp.SetID) {
+	err = h.IngestFunc(ctx, second, func(i int, admitted []osp.SetID) {
 		order = append(order, i)
 	})
 	if err != nil {
@@ -199,8 +199,8 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 			t.Fatalf("callback %d fired for element %d, want batch order", i, got)
 		}
 	}
-	if h.Codec() != "stream" {
-		t.Errorf("codec = %q after reconnect, want stream", h.Codec())
+	if n := p.Accepted(); n < 2 {
+		t.Errorf("stream port accepted %d connections, want a re-dial after the cut", n)
 	}
 
 	res, err := h.Drain(ctx)

@@ -1,13 +1,15 @@
 package client
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,15 +19,17 @@ import (
 	"repro/osp"
 )
 
-// The stream transport: one long-lived TCP connection to the server's
-// -stream-listen port, carrying pipelined binary batch frames instead
-// of one HTTP request per batch. Registration, drain and removal stay
-// on the HTTP API — the stream carries only the hot path, element
-// batches and their verdicts. Verdict frames are decoded in place
-// against the elements the caller sent: the per-element callback
+// The stream transport, the client's one binary path: one long-lived
+// TCP connection carrying pipelined binary batch frames instead of one
+// HTTP request per batch. The connection is an HTTP/1.1 Upgrade of the
+// server's main listener (GET /v1/stream) by default, or a dial of the
+// raw-TCP stream listener when WithStreamAddr names one; either way the
+// framing after the handshake is identical. Registration, drain and
+// removal stay on the HTTP API — the stream carries only the hot path,
+// element batches and their verdicts. Verdict frames are decoded in
+// place against the elements the caller sent: the per-element callback
 // receives a reused admitted slice, so a steady-state Send/Recv loop
-// allocates nothing per element — the []Verdict materialization of
-// Ingest, today's dominant client-side allocation, never happens.
+// allocates nothing per element.
 
 // ErrWindowFull is returned by Stream.Send when the pipelining window
 // is exhausted: Recv must consume a verdict frame before another batch
@@ -33,168 +37,214 @@ import (
 var ErrWindowFull = errors.New("client: stream window full (Recv before Send)")
 
 // WithStreamAddr sets the host:port of the server's raw-TCP stream
-// listener (ospserve -stream-listen), enabling Instance.OpenStream.
+// listener (ospserve -stream-listen). Streams then dial it directly
+// instead of upgrading a connection to the base URL's host.
 func WithStreamAddr(addr string) Option {
 	return func(c *Client) { c.streamAddr = addr }
 }
 
-// WithStreamConns stripes each verdict stream over n TCP connections
-// (default 1). Batches are distributed round-robin — batch k rides
-// connection k mod n with its own per-connection sequence numbers —
-// and Recv restores global submit order, so the caller-visible
-// contract is unchanged: verdict callbacks fire in the exact order the
-// batches were sent. What changes is the parallelism underneath: each
-// connection has its own server-side read loop, ingest lane and
-// pipeline window (the effective window is n × the server's per-
-// connection grant), so one producer can keep several engine shards
-// busy at once. Values below 1 mean 1.
-func WithStreamConns(n int) Option {
-	return func(c *Client) { c.streamConns = n }
-}
-
-// Stream is one pipelined verdict stream, opened with
-// Instance.OpenStream — one TCP connection by default, striped over N
-// connections with WithStreamConns. Up to Window batches may be in
-// flight: Send errors with ErrWindowFull when the window is exhausted,
-// so a producer runs the classic pipeline dance — Send until full,
-// then alternate Recv/Send, then drain with CloseSend + Recv-to-EOF.
-// The elements passed to Send must stay unmodified until their Recv:
-// verdict masks are decoded against them.
-//
-// Striping is invisible in the contract: batch k rides connection
-// k mod N under per-connection sequence numbers, and Recv reads
-// connection k mod N when global batch k is the oldest unanswered —
-// each connection delivers its verdicts in its own send order (TCP
-// FIFO through the server's seq-ordered writer), so this single read
-// position restores exact global submit order with no reorder buffer.
+// Stream is one pipelined verdict stream over one connection, opened
+// with Instance.OpenStream. Up to Window batches may be in flight: Send
+// errors with ErrWindowFull when the window is exhausted, so a producer
+// runs the classic pipeline dance — Send until full, then alternate
+// Recv/Send, then drain with CloseSend + Recv-to-EOF. The elements
+// passed to Send must stay unmodified until their Recv: verdict masks
+// are decoded against them.
 //
 // A Stream is not safe for concurrent use. Errors other than
 // ErrWindowFull are terminal for the stream; Close the stream and open
 // a fresh one.
 type Stream struct {
-	in     *Instance
-	conns  []*stream.Conn
-	window int // global: per-connection server grant × len(conns)
+	fc     *stream.Conn
+	window int
 	policy string
 
 	pending  [][]osp.Element // ring of unanswered batches, len = window
 	head     int             // ring index of the oldest unanswered batch
 	count    int             // unanswered batches
-	sendSeq  uint32          // next global batch sequence = batches sent
-	recvSeq  uint32          // next global verdict sequence expected
+	sendSeq  uint32          // next batch sequence = batches sent
+	recvSeq  uint32          // next verdict sequence expected
 	finSent  bool
-	finsRecv int         // server fin confirmations collected after CloseSend
-	connEls  []uint64    // elements sent per connection
 	admitted []osp.SetID // reused callback scratch
 	err      error       // sticky terminal error
 	closed   atomic.Bool
 }
 
-// dialStreamConn dials one stream connection and runs the handshake,
-// returning the framed connection with the server's window grant and
-// resolved policy name.
-func dialStreamConn(ctx context.Context, addr, id string) (*stream.Conn, uint32, string, error) {
+// framePool recycles batch frame buffers across Send calls.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// OpenStream opens a verdict stream for this instance: it dials the
+// stream listener (WithStreamAddr) or upgrades a connection to the base
+// URL's host — over TLS for an https base URL — and runs the Hello/Ack
+// handshake. ctx bounds the dial and the handshake. A server that
+// refuses the upgrade or the instance surfaces as *APIError.
+func (in *Instance) OpenStream(ctx context.Context) (*Stream, error) {
+	nc, err := in.c.dialStream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	stop := bind(ctx, nc)
+	fc, window, policy, err := in.handshake(nc)
+	if !unbind(nc, stop) && err == nil {
+		err = ctx.Err() // canceled as the handshake finished: the deadline is spent
+	}
+	if err != nil {
+		nc.Close()
+		return nil, ctxErr(ctx, err)
+	}
+	return &Stream{
+		fc:      fc,
+		window:  int(window),
+		policy:  policy,
+		pending: make([][]osp.Element, window),
+	}, nil
+}
+
+// dialStream connects to the stream listener when one is configured,
+// else to the base URL's host, with TLS for https.
+func (c *Client) dialStream(ctx context.Context) (net.Conn, error) {
 	var d net.Dialer
+	addr := c.streamAddr
+	if addr == "" && c.https {
+		var cfg *tls.Config // nil: crypto/tls defaults, ServerName from addr
+		if t, ok := c.hc.Transport.(*http.Transport); ok && t.TLSClientConfig != nil {
+			cfg = t.TLSClientConfig.Clone()
+			cfg.NextProtos = nil // the upgrade is HTTP/1.1 only
+		}
+		nc, err := (&tls.Dialer{NetDialer: &d, Config: cfg}).DialContext(ctx, "tcp", c.host)
+		if err != nil {
+			return nil, fmt.Errorf("client: dial stream %s: %w", c.host, err)
+		}
+		return nc, nil
+	}
+	if addr == "" {
+		addr = c.host
+	}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("client: dial stream %s: %w", addr, err)
+		return nil, fmt.Errorf("client: dial stream %s: %w", addr, err)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		nc.SetDeadline(dl) //nolint:errcheck // handshake-scoped, cleared below
+	return nc, nil
+}
+
+// handshake upgrades nc when it reached the main listener, then runs
+// Hello/Ack for this instance, returning the framed connection with
+// the server's window grant and resolved policy name.
+func (in *Instance) handshake(nc net.Conn) (*stream.Conn, uint32, string, error) {
+	if in.c.streamAddr == "" {
+		if err := in.c.upgrade(nc); err != nil {
+			return nil, 0, "", err
+		}
 	}
 	fc := stream.NewConn(nc, 0)
-	if err := fc.WriteFrame(stream.FrameHello, 0, stream.AppendHello(nil, id)); err != nil {
-		nc.Close()
+	if err := fc.WriteFrame(stream.FrameHello, 0, stream.AppendHello(nil, in.id)); err != nil {
 		return nil, 0, "", fmt.Errorf("client: stream hello: %w", err)
 	}
 	if err := fc.Flush(); err != nil {
-		nc.Close()
 		return nil, 0, "", fmt.Errorf("client: stream hello: %w", err)
 	}
 	typ, _, payload, err := fc.ReadFrame()
-	if err != nil {
-		nc.Close()
+	switch {
+	case err != nil:
 		return nil, 0, "", fmt.Errorf("client: stream handshake: %w", err)
-	}
-	if typ == stream.FrameError {
-		msg := string(payload)
-		nc.Close()
-		return nil, 0, "", &APIError{StatusCode: http.StatusBadRequest, Message: msg}
-	}
-	if typ != stream.FrameAck {
-		nc.Close()
+	case typ == stream.FrameError:
+		return nil, 0, "", errorFrame(payload)
+	case typ != stream.FrameAck:
 		return nil, 0, "", fmt.Errorf("client: stream handshake answered with frame %c, want ack", typ)
 	}
 	window, policy, err := stream.ParseAck(payload)
 	if err != nil {
-		nc.Close()
 		return nil, 0, "", fmt.Errorf("client: stream handshake: %w", err)
 	}
-	nc.SetDeadline(time.Time{}) //nolint:errcheck
 	return fc, window, policy, nil
 }
 
-// OpenStream dials the server's stream listener (WithStreamAddr) — one
-// connection, or WithStreamConns of them — and runs the handshake for
-// this instance on each. The returned Stream pins Instance.Codec to
-// "stream" until it is closed.
-func (in *Instance) OpenStream(ctx context.Context) (*Stream, error) {
-	addr := in.c.streamAddr
-	if addr == "" {
-		return nil, errors.New("client: no stream address configured (WithStreamAddr)")
+// upgrade switches nc, a connection to the main HTTP listener, to the
+// stream protocol. Any answer but 101 surfaces as *APIError, so
+// WithRetry treats a refused upgrade like any other HTTP status.
+func (c *Client) upgrade(nc net.Conn) error {
+	req, err := http.NewRequest("GET", c.base+stream.UpgradePath, nil)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
 	}
-	n := in.c.streamConns
-	if n < 1 {
-		n = 1
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", stream.UpgradeToken)
+	if err := req.Write(nc); err != nil {
+		return fmt.Errorf("client: stream upgrade: %w", err)
 	}
-	conns := make([]*stream.Conn, 0, n)
-	window := uint32(0)
-	policy := ""
-	for i := 0; i < n; i++ {
-		fc, w, pol, err := dialStreamConn(ctx, addr, in.id)
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
-		}
-		conns = append(conns, fc)
-		// The grants should agree (one server config); hold every
-		// connection to the smallest so no single pipe is overrun.
-		if window == 0 || w < window {
-			window = w
-		}
-		policy = pol
+	br := bufio.NewReader(nc)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		return fmt.Errorf("client: stream upgrade: %w", err)
 	}
-	in.streams.Add(1)
-	return &Stream{
-		in:      in,
-		conns:   conns,
-		window:  int(window) * n,
-		policy:  policy,
-		pending: make([][]osp.Element, int(window)*n),
-		connEls: make([]uint64, n),
-	}, nil
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return apiError(resp)
+	}
+	if br.Buffered() != 0 {
+		// The server speaks only after Hello; bytes here mean the peer
+		// is not the stream protocol.
+		return errors.New("client: stream upgrade: server sent data before hello")
+	}
+	return nil
+}
+
+// errorFrame turns a server Error frame into the *APIError carrying the
+// status the HTTP API would have answered.
+func errorFrame(payload []byte) error {
+	status, msg := stream.ParseError(payload)
+	return &APIError{StatusCode: status, Message: msg}
+}
+
+// bind ties ctx's deadline and cancellation to c for one call: the
+// deadline becomes the connection's, and cancellation expires it, so a
+// blocked read or write returns. A context that can never be canceled
+// (a nil Done, as context.Background) costs nothing.
+func bind(ctx context.Context, c interface{ SetDeadline(time.Time) error }) (stop func() bool) {
+	if ctx.Done() == nil {
+		return nil
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		c.SetDeadline(dl) //nolint:errcheck // a closed conn fails the call anyway
+	}
+	return context.AfterFunc(ctx, func() {
+		c.SetDeadline(time.Unix(1, 0)) //nolint:errcheck // wake the blocked call
+	})
+}
+
+// unbind undoes bind. False means cancellation already fired: the
+// connection's deadline is expired and the connection is spent.
+func unbind(c interface{ SetDeadline(time.Time) error }, stop func() bool) bool {
+	if stop == nil {
+		return true
+	}
+	if !stop() {
+		return false
+	}
+	c.SetDeadline(time.Time{}) //nolint:errcheck
+	return true
+}
+
+// ctxErr reports a call the bound context cut short as the context's
+// error too, so errors.Is(err, context.DeadlineExceeded) holds for a
+// blackholed stream as it does for an HTTP request.
+func ctxErr(ctx context.Context, err error) error {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	cerr := ctx.Err()
+	if cerr == nil {
+		cerr = context.DeadlineExceeded // the conn deadline fired a hair before ctx's timer
+	}
+	return fmt.Errorf("client: stream: %w: %w", cerr, err)
 }
 
 // Window returns the pipelining window: the maximum number of
-// unanswered batches this stream may have in flight — the server's
-// per-connection grant times the number of striped connections.
+// unanswered batches this stream may have in flight.
 func (s *Stream) Window() int { return s.window }
 
 // Outstanding returns the number of batches sent but not yet answered.
 func (s *Stream) Outstanding() int { return s.count }
-
-// Conns returns the number of TCP connections this stream stripes
-// over (WithStreamConns; 1 by default).
-func (s *Stream) Conns() int { return len(s.conns) }
-
-// ConnElements returns the number of elements sent over each striped
-// connection so far — the per-connection balance a load generator
-// reports to show the stripes actually carried traffic.
-func (s *Stream) ConnElements() []uint64 {
-	return append([]uint64(nil), s.connEls...)
-}
 
 // Policy returns the instance's resolved admission-policy name as
 // announced by the server's stream handshake.
@@ -218,15 +268,9 @@ func (s *Stream) Send(els []osp.Element) error {
 	bufp := framePool.Get().(*[]byte)
 	frame := wire.AppendElements((*bufp)[:0], els)
 	*bufp = frame
-	// Batch k rides connection k mod N with that connection's own
-	// sequence numbering (k div N): each stripe is a self-contained
-	// stream to the server.
-	n := uint32(len(s.conns))
-	ci := int(s.sendSeq % n)
-	fc := s.conns[ci]
-	err := fc.WriteFrame(stream.FrameBatch, s.sendSeq/n, frame)
+	err := s.fc.WriteFrame(stream.FrameBatch, s.sendSeq, frame)
 	if err == nil {
-		err = fc.Flush()
+		err = s.fc.Flush()
 	}
 	framePool.Put(bufp)
 	if err != nil {
@@ -234,7 +278,6 @@ func (s *Stream) Send(els []osp.Element) error {
 		return s.err
 	}
 	s.pending[(s.head+s.count)%s.window] = els
-	s.connEls[ci] += uint64(len(els))
 	s.count++
 	s.sendSeq++
 	return nil
@@ -250,32 +293,7 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 	if s.err != nil {
 		return s.err
 	}
-	n := uint32(len(s.conns))
-	if s.finSent && s.count == 0 {
-		// Every batch is answered: collect each connection's fin
-		// confirmation (the next frame on each stripe), then EOF.
-		for ; s.finsRecv < len(s.conns); s.finsRecv++ {
-			typ, _, payload, err := s.conns[s.finsRecv].ReadFrame()
-			switch {
-			case err != nil:
-				s.err = fmt.Errorf("client: stream recv: %w", err)
-				return s.err
-			case typ == stream.FrameError:
-				s.err = &APIError{StatusCode: http.StatusBadRequest, Message: string(payload)}
-				return s.err
-			case typ != stream.FrameFin:
-				s.err = fmt.Errorf("client: unexpected stream frame %c, want fin", typ)
-				return s.err
-			}
-		}
-		s.err = io.EOF
-		return io.EOF
-	}
-	// Global batch recvSeq rides connection recvSeq mod N, and that
-	// connection's frames arrive in its own send order — so reading
-	// here, and only here, restores global submit order.
-	fc := s.conns[int(s.recvSeq%n)]
-	typ, seq, payload, err := fc.ReadFrame()
+	typ, seq, payload, err := s.fc.ReadFrame()
 	if err != nil {
 		s.err = fmt.Errorf("client: stream recv: %w", err)
 		return s.err
@@ -286,8 +304,8 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 			s.err = fmt.Errorf("client: verdict frame %d with no batch in flight", seq)
 			return s.err
 		}
-		if seq != s.recvSeq/n {
-			s.err = fmt.Errorf("client: verdict frame %d, want %d", seq, s.recvSeq/n)
+		if seq != s.recvSeq {
+			s.err = fmt.Errorf("client: verdict frame %d, want %d", seq, s.recvSeq)
 			return s.err
 		}
 		els := s.pending[s.head]
@@ -308,7 +326,7 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 		s.err = io.EOF
 		return io.EOF
 	case stream.FrameError:
-		s.err = &APIError{StatusCode: http.StatusBadRequest, Message: string(payload)}
+		s.err = errorFrame(payload)
 		return s.err
 	default:
 		s.err = fmt.Errorf("client: unexpected stream frame %c", typ)
@@ -356,167 +374,20 @@ func (s *Stream) CloseSend() error {
 		return nil
 	}
 	s.finSent = true
-	// Each stripe gets its own fin carrying the count of batches that
-	// rode it: connection c saw batches c, c+N, c+2N, … below sendSeq.
-	n := uint32(len(s.conns))
-	for c, fc := range s.conns {
-		sent := (s.sendSeq + n - 1 - uint32(c)) / n
-		if err := fc.WriteFrame(stream.FrameFin, sent, nil); err != nil {
-			s.err = fmt.Errorf("client: stream close-send: %w", err)
-			return s.err
-		}
-		if err := fc.Flush(); err != nil {
-			s.err = fmt.Errorf("client: stream close-send: %w", err)
-			return s.err
-		}
+	err := s.fc.WriteFrame(stream.FrameFin, s.sendSeq, nil)
+	if err == nil {
+		err = s.fc.Flush()
 	}
-	return nil
+	if err != nil {
+		s.err = fmt.Errorf("client: stream close-send: %w", err)
+	}
+	return s.err
 }
 
-// Close releases the connection. Safe to call more than once; the
-// instance's Codec reverts to the client's HTTP codec once no stream
-// is open.
+// Close releases the connection. Safe to call more than once.
 func (s *Stream) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
-		s.in.streams.Add(-1)
-		var first error
-		for _, fc := range s.conns {
-			if err := fc.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+		return s.fc.Close()
 	}
 	return nil
-}
-
-// funcScratch is the pooled working set of the HTTP IngestFunc path.
-type funcScratch struct {
-	frame    []byte
-	resp     []byte
-	admitted []osp.SetID
-}
-
-var funcPool = sync.Pool{New: func() any { return new(funcScratch) }}
-
-// IngestFunc streams one batch like Ingest but delivers verdicts
-// through a callback instead of materializing []Verdict — fn runs once
-// per element, in batch order, with the parent sets the element was
-// admitted to. The admitted slice is reused scratch, valid only during
-// the callback. Over the binary codec the whole round trip reuses
-// pooled buffers.
-//
-// With WithRetry configured, attempts buffer their callbacks and fn
-// fires only after an attempt succeeds — each element exactly once, in
-// batch order, no matter how many retries the batch rode through.
-func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.retry == nil {
-		return in.ingestFuncOnce(ctx, els, fn)
-	}
-	buf := verdictBufPool.Get().(*verdictBuf)
-	defer verdictBufPool.Put(buf)
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		buf.reset()
-		return in.ingestFuncOnce(ctx, els, buf.collect)
-	})
-	if err != nil {
-		return err
-	}
-	buf.flush(fn)
-	return nil
-}
-
-// ingestFuncOnce is one callback-shaped ingest attempt, retry policy
-// excluded.
-func (in *Instance) ingestFuncOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.codec == CodecJSON {
-		return in.ingestFuncJSON(ctx, els, fn)
-	}
-	return in.ingestFuncBinary(ctx, els, fn)
-}
-
-// ingestFuncJSON adapts the JSON arm to the callback shape.
-func (in *Instance) ingestFuncJSON(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	verdicts, err := in.ingestJSON(ctx, els)
-	if err != nil {
-		return err
-	}
-	if len(verdicts) != len(els) {
-		return fmt.Errorf("client: %d verdicts for %d elements", len(verdicts), len(els))
-	}
-	for i, v := range verdicts {
-		fn(i, v.Admitted)
-	}
-	return nil
-}
-
-// ingestFuncBinary is the pooled binary arm: request frame, response
-// frame and the per-element admitted scratch all come from one pooled
-// working set, so nothing is allocated per element.
-func (in *Instance) ingestFuncBinary(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	sc := funcPool.Get().(*funcScratch)
-	defer funcPool.Put(sc)
-	sc.frame = wire.AppendElements(sc.frame[:0], els)
-
-	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+"/v1/instances/"+in.id+"/elements", bytes.NewReader(sc.frame))
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-	resp, err := in.c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: POST elements (binary): %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return apiError(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeVerdicts {
-		return fmt.Errorf("client: binary ingest answered with Content-Type %q, want %q", ct, wire.ContentTypeVerdicts)
-	}
-	sc.resp, err = readInto(resp.Body, sc.resp[:0])
-	if err != nil {
-		return fmt.Errorf("client: read verdicts frame: %w", err)
-	}
-	payload, count, err := wire.DecodeVerdicts(sc.resp)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	if count != len(els) {
-		return fmt.Errorf("client: verdicts frame counts %d elements, batch sent %d", count, len(els))
-	}
-	for i, el := range els {
-		var mask []byte
-		mask, payload, err = wire.MaskAt(payload, len(el.Members))
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		admitted, err := wire.AppendAdmitted(sc.admitted[:0], mask, el.Members)
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		sc.admitted = admitted
-		fn(i, admitted)
-	}
-	if len(payload) != 0 {
-		return fmt.Errorf("client: %d verdict mask bytes left over after the last element", len(payload))
-	}
-	return nil
-}
-
-// readInto reads r to EOF appending onto buf, reusing its storage.
-func readInto(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // startStreamServer runs the full service with BOTH transports live: the
 // HTTP API on an httptest listener and the stream listener on its own
 // loopback port, wired into one client via WithStreamAddr.
-func startStreamServer(t *testing.T, opts ...client.Option) (*client.Client, *osp.Server) {
+func startStreamServer(t *testing.T) (*client.Client, *osp.Server) {
 	t.Helper()
 	srv := osp.NewServer(osp.ServerConfig{})
 	hs := httptest.NewServer(srv)
@@ -29,7 +30,7 @@ func startStreamServer(t *testing.T, opts ...client.Option) (*client.Client, *os
 	t.Cleanup(func() { ln.Close() })
 	go srv.ServeStream(ln)                                   //nolint:errcheck // closed by cleanup or Shutdown
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-	c, err := client.New(hs.URL, append([]client.Option{client.WithStreamAddr(ln.Addr().String())}, opts...)...)
+	c, err := client.New(hs.URL, client.WithStreamAddr(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +50,21 @@ func registerTwin(t *testing.T, c *client.Client, inst *osp.Instance, seed uint6
 }
 
 // TestStreamMatchesHTTPAndOracle is the client-side equivalence anchor:
-// the same workload through the pipelined stream and through HTTP
+// the same workload through the pipelined stream and through JSON
 // Ingest on twin instances (same seed) produces bit-for-bit identical
 // per-element verdicts, and both drain to the serial oracle's result.
 func TestStreamMatchesHTTPAndOracle(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startStreamServer(t)
+	c, srv := startStreamServer(t)
 	const seed = 41
 	inst := uniform(t, 40, 1200, 4, 7)
-	httpH := registerTwin(t, c, inst, seed)
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	cJSON, err := client.New(hs.URL, client.WithCodec(client.CodecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpH := registerTwin(t, cJSON, inst, seed)
 	streamH := registerTwin(t, c, inst, seed)
 
 	st, err := streamH.OpenStream(ctx)
@@ -70,9 +77,6 @@ func TestStreamMatchesHTTPAndOracle(t *testing.T) {
 	}
 	if st.Policy() != osp.DefaultPolicy {
 		t.Fatalf("stream policy = %q, want %q", st.Policy(), osp.DefaultPolicy)
-	}
-	if got := streamH.Codec(); got != "stream" {
-		t.Fatalf("codec with open stream = %q, want stream", got)
 	}
 
 	// The classic pipeline dance: keep up to 4 batches in flight, odd
@@ -117,9 +121,6 @@ func TestStreamMatchesHTTPAndOracle(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if got := streamH.Codec(); got == "stream" {
-		t.Fatalf("codec still %q after Close", got)
 	}
 
 	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
@@ -184,136 +185,35 @@ func TestStreamWindowBackpressure(t *testing.T) {
 	}
 }
 
-// TestStreamMultiConnOrderingMatchesHTTP pins the striping contract:
-// with N connections, batches stripe round-robin but Recv still fires
-// verdict callbacks in exact submit order, bit-for-bit equal to HTTP
-// Ingest on a twin instance, and the batch count deliberately not a
-// multiple of N exercises the per-stripe fin accounting. Also checks
-// the stripe balance ConnElements reports.
-func TestStreamMultiConnOrderingMatchesHTTP(t *testing.T) {
-	for _, conns := range []int{2, 4} {
-		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
-			ctx := context.Background()
-			c, _ := startStreamServer(t, client.WithStreamConns(conns))
-			const seed = 97
-			inst := uniform(t, 40, 1100, 4, 7)
-			httpH := registerTwin(t, c, inst, seed)
-			streamH := registerTwin(t, c, inst, seed)
-
-			st, err := streamH.OpenStream(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if st.Conns() != conns {
-				t.Fatalf("Conns() = %d, want %d", st.Conns(), conns)
-			}
-			if st.Window()%conns != 0 || st.Window() < conns {
-				t.Fatalf("window = %d, want a positive multiple of %d", st.Window(), conns)
-			}
-
-			// Odd batch size so 1100 elements yield a batch count that
-			// is not a multiple of 2 or 4 (15 batches of ≤75).
-			const batch = 75
-			var offs []int
-			collect := func() {
-				t.Helper()
-				off := offs[0]
-				offs = offs[1:]
-				els := inst.Elements[off:min(off+batch, len(inst.Elements))]
-				want, err := httpH.Ingest(ctx, els)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Recv(func(i int, admitted []osp.SetID) {
-					if fmt.Sprint(admitted) != fmt.Sprint(want[i].Admitted) {
-						t.Fatalf("element %d: stream admitted %v, http %v", off+i, admitted, want[i].Admitted)
-					}
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sent := 0
-			for off := 0; off < len(inst.Elements); off += batch {
-				if len(offs) == st.Window() {
-					collect()
-				}
-				if err := st.Send(inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
-					t.Fatal(err)
-				}
-				offs = append(offs, off)
-				sent++
-			}
-			if sent%conns == 0 {
-				t.Fatalf("test wants a ragged stripe: %d batches is a multiple of %d conns", sent, conns)
-			}
-			if err := st.CloseSend(); err != nil {
-				t.Fatal(err)
-			}
-			for len(offs) > 0 {
-				collect()
-			}
-			if err := st.Recv(func(int, []osp.SetID) {}); err != io.EOF {
-				t.Fatalf("Recv after fin = %v, want io.EOF", err)
-			}
-
-			per := st.ConnElements()
-			if len(per) != conns {
-				t.Fatalf("ConnElements len = %d, want %d", len(per), conns)
-			}
-			var total uint64
-			for ci, n := range per {
-				if n == 0 {
-					t.Fatalf("conn %d carried no elements: %v", ci, per)
-				}
-				total += n
-			}
-			if total != uint64(len(inst.Elements)) {
-				t.Fatalf("ConnElements sums to %d, want %d", total, len(inst.Elements))
-			}
-
-			serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := streamH.Drain(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Equal(serial) {
-				t.Fatal("multi-conn drained result differs from serial oracle")
-			}
-		})
-	}
-}
-
-// TestStreamOpenErrors covers the handshake failure modes: a client
-// without a stream address, and an instance the server has never heard
-// of (the server's Error frame surfaces as an APIError).
+// TestStreamOpenErrors covers the handshake failure modes: a server
+// without the upgrade answers 404, and an instance the server has never
+// heard of is a 404 Error frame on either entry — all as *APIError.
 func TestStreamOpenErrors(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startServer(t) // no WithStreamAddr
 	inst := uniform(t, 10, 50, 2, 1)
-	h := registerTwin(t, c, inst, 1)
-	if _, err := h.OpenStream(ctx); err == nil {
-		t.Fatal("OpenStream without a stream address succeeded")
+	legacy := startLegacyServer(t) // no GET /v1/stream
+	h := registerTwin(t, legacy, inst, 1)
+	if _, err := h.OpenStream(ctx); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("OpenStream against a server without the upgrade = %v, want 404 APIError", err)
 	}
 
-	c2, _ := startStreamServer(t)
-	h2 := registerTwin(t, c2, inst, 1)
-	if err := h2.Remove(ctx); err != nil {
-		t.Fatal(err)
-	}
-	_, err := h2.OpenStream(ctx)
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("OpenStream on removed instance = %v, want APIError", err)
+	cAddr, _ := startStreamServer(t)
+	cUpgrade, _ := startServer(t)
+	for _, c := range []*client.Client{cAddr, cUpgrade} {
+		h := registerTwin(t, c, inst, 1)
+		if err := h.Remove(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.OpenStream(ctx); !isStatus(err, http.StatusNotFound) {
+			t.Fatalf("OpenStream on removed instance = %v, want 404 APIError", err)
+		}
 	}
 }
 
 // TestIngestFuncMatchesIngest checks the callback ingest arm against
-// the materializing one on twin instances, over both the binary and
-// the pinned-JSON codec.
+// the materializing one on twin instances, over both the binary codec
+// (both ride the verdict stream; Ingest rebuilds []Verdict from it) and
+// the JSON codec.
 func TestIngestFuncMatchesIngest(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

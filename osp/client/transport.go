@@ -8,43 +8,45 @@ import (
 	"repro/osp"
 )
 
-// IngestAuto streams one batch like IngestFunc over the transport the
-// client is configured for: with a stream address (WithStreamAddr) the
-// first call dials it and pins a long-lived verdict stream for this
-// instance; without one, the batch goes over HTTP in the client's codec.
-// A dial or handshake failure is returned, not papered over — WithRetry
-// retries it as a transport error, and the next call dials again. A
-// server that speaks the stream protocol but refuses the instance (an
-// Error frame) surfaces as *APIError.
+// IngestFunc streams one batch like Ingest but delivers verdicts
+// through a callback instead of materializing []Verdict — fn (nil
+// allowed: verdicts are discarded) runs once per element, in batch
+// order, with the parent sets the element was admitted to. The
+// admitted slice is reused scratch, valid only during the callback.
 //
-// fn (nil allowed: verdicts are discarded) runs once per element, in
-// batch order, with the parent sets the element was admitted to; the
-// admitted slice is reused scratch, valid
-// only during the callback. IngestAuto serializes concurrent callers on
-// the instance's transport mutex (the pinned stream is a single
-// in-order connection); after a terminal stream error the connection is
-// closed and the next call re-dials. Call Close when done to release a
-// pinned stream gracefully.
+// Under the default CodecBinary the batch rides the instance's pinned
+// verdict stream: the first call opens it (OpenStream: the stream
+// listener when WithStreamAddr is set, else an upgrade of the base
+// URL's connection) and later calls reuse it, so the whole round trip
+// runs on pooled buffers. Concurrent callers serialize on the instance,
+// since the pinned stream is one in-order connection. ctx's deadline
+// and cancellation bind to the connection for the call; when either
+// fires, or the stream fails, the stream is dropped and the next call
+// dials again. A dial or handshake failure is returned, not papered
+// over; a server that refuses the upgrade or the instance surfaces as
+// *APIError. Call Close when done to release the stream gracefully.
+// Under CodecJSON the batch is one JSON request.
 //
-// With WithRetry configured, a terminal stream error drops the pinned
-// connection and the retry re-dials it — the reconnect path a node
-// failover rides through. Callbacks are buffered per attempt and fire
-// only after an attempt succeeds, so a mid-stream reconnect never
-// delivers a verdict twice and never delivers them out of batch order.
-func (in *Instance) IngestAuto(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
+// With WithRetry configured, attempts buffer their callbacks and fn
+// fires only after an attempt succeeds — each element exactly once, in
+// batch order, no matter how many retries or re-dials the batch rode
+// through.
+func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
 	if fn == nil {
 		fn = func(int, []osp.SetID) {} // verdicts wanted for their side effect only
 	}
-	in.tmu.Lock()
-	defer in.tmu.Unlock()
+	if in.c.codec != CodecJSON {
+		in.tmu.Lock()
+		defer in.tmu.Unlock()
+	}
 	if in.c.retry == nil {
-		return in.ingestAutoOnce(ctx, els, fn)
+		return in.ingestFuncOnce(ctx, els, fn)
 	}
 	buf := verdictBufPool.Get().(*verdictBuf)
 	defer verdictBufPool.Put(buf)
 	err := in.c.withRetry(ctx, func(ctx context.Context) error {
 		buf.reset()
-		return in.ingestAutoOnce(ctx, els, buf.collect)
+		return in.ingestFuncOnce(ctx, els, buf.collect)
 	})
 	if err != nil {
 		return err
@@ -53,12 +55,32 @@ func (in *Instance) IngestAuto(ctx context.Context, els []osp.Element, fn func(i
 	return nil
 }
 
-// ingestAutoOnce is one attempt on the configured transport; the
-// caller holds tmu.
-func (in *Instance) ingestAutoOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.streamAddr == "" {
-		return in.ingestFuncOnce(ctx, els, fn)
+// ingestFuncOnce is one attempt on the codec's arm, retry policy
+// excluded; for the stream the caller holds tmu.
+func (in *Instance) ingestFuncOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
+	if in.c.codec == CodecJSON {
+		return in.ingestFuncJSON(ctx, els, fn)
 	}
+	return in.ingestStreamOnce(ctx, els, fn)
+}
+
+// ingestFuncJSON adapts the JSON arm to the callback shape.
+func (in *Instance) ingestFuncJSON(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
+	verdicts, err := in.ingestJSON(ctx, els)
+	if err != nil {
+		return err
+	}
+	if len(verdicts) != len(els) {
+		return fmt.Errorf("client: %d verdicts for %d elements", len(verdicts), len(els))
+	}
+	for i, v := range verdicts {
+		fn(i, v.Admitted)
+	}
+	return nil
+}
+
+// ingestStreamOnce is one attempt over the pinned stream.
+func (in *Instance) ingestStreamOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
 	if in.pinned == nil {
 		st, err := in.OpenStream(ctx)
 		if err != nil {
@@ -66,40 +88,37 @@ func (in *Instance) ingestAutoOnce(ctx context.Context, els []osp.Element, fn fu
 		}
 		in.pinned = st
 	}
-	if err := in.pinned.Send(els); err != nil {
-		return in.dropPinned(err)
+	st := in.pinned
+	stop := bind(ctx, st.fc)
+	err := st.Send(els)
+	if err == nil {
+		err = st.Recv(fn)
 	}
-	if err := in.pinned.Recv(fn); err != nil {
-		return in.dropPinned(err)
+	if !unbind(st.fc, stop) && err == nil {
+		// Canceled just as the batch landed: the expired deadline
+		// stays on the connection, so retire it; the next call re-dials.
+		in.dropPinned()
+		return nil
+	}
+	if err != nil {
+		in.dropPinned()
+		return ctxErr(ctx, err)
 	}
 	return nil
 }
 
-// dropPinned tears down the pinned stream after a terminal error; the
-// next IngestAuto re-dials.
-func (in *Instance) dropPinned(err error) error {
+// dropPinned closes the pinned stream without a goodbye — after a
+// terminal error, a spent deadline, or at Drain once every batch it
+// carried is answered; the next binary ingest re-dials.
+func (in *Instance) dropPinned() {
 	in.pinned.Close() //nolint:errcheck // the stream is already broken
 	in.pinned = nil
-	return err
 }
 
-// StreamConnElements reports, per striped stream connection, how many
-// elements IngestAuto's pinned stream has sent down it — the
-// observable stripe balance for loadgen reporting. Nil when no stream
-// is pinned (no stream address, or before the first IngestAuto).
-func (in *Instance) StreamConnElements() []uint64 {
-	in.tmu.Lock()
-	defer in.tmu.Unlock()
-	if in.pinned == nil {
-		return nil
-	}
-	return in.pinned.ConnElements()
-}
-
-// Close releases the instance's pinned stream, if IngestAuto opened
-// one, with a clean half-close handshake (every pipelined batch is
-// answered before the server confirms). The instance handle itself
-// stays usable — the next IngestAuto re-dials. Safe to call when no
+// Close releases the instance's pinned stream, if IngestFunc or Ingest
+// opened one, with a clean half-close handshake (every pipelined batch
+// is answered before the server confirms). The instance handle itself
+// stays usable — the next binary ingest re-dials. Safe to call when no
 // stream is pinned.
 func (in *Instance) Close() error {
 	in.tmu.Lock()

@@ -101,8 +101,10 @@ type (
 
 	// Server is the network-facing admission service: an http.Handler
 	// exposing instance registration, batched element ingest with
-	// immediate admit/drop verdicts, drains, and a Prometheus /metrics
-	// endpoint, all backed by a pool of concurrent engines. Create with
+	// immediate admit/drop verdicts (JSON requests, or binary frames
+	// over a verdict stream upgraded from GET /v1/stream), drains, and
+	// a Prometheus /metrics endpoint, all backed by a pool of
+	// concurrent engines. Create with
 	// NewServer, mount on any net/http server, and call Server.Shutdown
 	// for a graceful drain of every live engine. The osp/client package
 	// is the matching Go client; docs/OPERATIONS.md documents the HTTP
@@ -226,8 +228,8 @@ const (
 	EngineDrained = engine.StateDrained
 )
 
-// NewServer builds the networked admission service: HTTP ingest over a
-// concurrent engine pool. The returned Server is an http.Handler; serve
+// NewServer builds the networked admission service: HTTP and stream
+// ingest over a concurrent engine pool. The returned Server is an http.Handler; serve
 // it with net/http and shut it down gracefully with Server.Shutdown,
 // which drains every live engine so in-flight elements are decided, not
 // lost. cmd/ospserve -listen wraps exactly this, and cmd/osploadgen is a
