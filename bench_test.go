@@ -250,9 +250,9 @@ func BenchmarkMultihopSimulate(b *testing.B) {
 // --- admission kernel micro-benchmarks ---
 
 // selectSample generates the decide microbenchmark sample: elements whose
-// loads exceed their capacity so selection always trims, plus the shared
-// priority vector.
-func selectSample(b *testing.B, capacity, maxLoad int) ([]setsystem.Element, []float64) {
+// loads exceed their capacity so selection always trims, plus the randpr
+// policy state and the priority vector it keys, from one seed.
+func selectSample(b *testing.B, capacity, maxLoad int) ([]setsystem.Element, core.PolicyState, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(20))
 	inst, err := workload.Uniform(workload.UniformConfig{
@@ -261,37 +261,47 @@ func selectSample(b *testing.B, capacity, maxLoad int) ([]setsystem.Element, []f
 	if err != nil {
 		b.Fatal(err)
 	}
-	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: 20}, nil)
-	return inst.Elements, prio
+	info := core.InfoOf(inst)
+	st, err := core.RandPrPolicy{}.Setup(info, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst.Elements, st, core.HashPriorities(info, hashpr.Mixer{Seed: 20}, nil)
 }
 
-// benchSelect times one selection implementation over the whole sample per
-// iteration, reporting ns/element.
-func benchSelect(b *testing.B, capacity, maxLoad int,
-	sel func([]setsystem.SetID, int, []float64, []setsystem.SetID) []setsystem.SetID) {
+// benchSelect times one selection path over the whole sample per
+// iteration, reporting ns/element: the policy state's Decide (the
+// kernel), or with sortPath the sort-based reference on the same
+// priorities.
+func benchSelect(b *testing.B, capacity, maxLoad int, sortPath bool) {
 	b.Helper()
-	elems, prio := selectSample(b, capacity, maxLoad)
+	elems, st, prio := selectSample(b, capacity, maxLoad)
+	decide := st.Decide
+	if sortPath {
+		decide = func(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID {
+			return core.SelectTopPrioritySort(members, capacity, prio, buf)
+		}
+	}
 	buf := make([]setsystem.SetID, 0, maxLoad)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, el := range elems {
-			buf = sel(el.Members, el.Capacity, prio, buf)
+			buf = decide(el.Members, el.Capacity, buf)
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(elems))), "ns/element")
 }
 
-// The capacity<=8 regime (bounded insertion kernel) against the sort path
-// it replaced — the headline 2x+ of the zero-allocation rewrite.
-func BenchmarkSelectKernelCap4(b *testing.B) { benchSelect(b, 4, 16, core.SelectTopPriority) }
-func BenchmarkSelectSortCap4(b *testing.B)   { benchSelect(b, 4, 16, core.SelectTopPrioritySort) }
+// The capacity<=8 regime (insertion window) against the sort path it
+// replaced — the headline 2x+ of the zero-allocation rewrite.
+func BenchmarkSelectKernelCap4(b *testing.B) { benchSelect(b, 4, 16, false) }
+func BenchmarkSelectSortCap4(b *testing.B)   { benchSelect(b, 4, 16, true) }
 
-// The large-capacity regime (quickselect kernel) against the same sort
-// path.
-func BenchmarkSelectKernelCap16(b *testing.B) { benchSelect(b, 16, 48, core.SelectTopPriority) }
-func BenchmarkSelectSortCap16(b *testing.B)   { benchSelect(b, 16, 48, core.SelectTopPrioritySort) }
+// The large-capacity regime (quickselect) against the same sort path.
+func BenchmarkSelectKernelCap16(b *testing.B) { benchSelect(b, 16, 48, false) }
+func BenchmarkSelectSortCap16(b *testing.B)   { benchSelect(b, 16, 48, true) }
 
 // --- streaming engine benchmarks ---
 

@@ -16,18 +16,21 @@
 //	ospperf -out BENCH_6.json     # regenerate the tracked baseline
 //	ospperf -quick -out /dev/null # CI smoke sizes
 //	ospperf -failonalloc          # exit 1 on any allocs/element > 0
-//	ospperf -compare BENCH_5.json BENCH_6.json
+//	ospperf -compare BENCH_7.json NEW.json
 //	                              # per-row ns/element deltas; exit 1 when
-//	                              # any shared row regresses past -regress
+//	                              # any shared row regresses past -regress,
+//	                              # or when the two runs' quick, gomaxprocs,
+//	                              # or a shared row's elements or batch differ
 //
 // The JSON is the regression contract: future PRs rerun ospperf and
 // diff against the committed baseline with -compare (engine rows must
 // stay within noise; the stream service row anchors the wire-path win
 // over JSON; the cluster rows anchor scaling, meaningful only on
 // multi-core runners). CI runs the -quick
-// -failonalloc mode on every push, uploads the artifact, and compares
-// it against the committed baseline — informational on single-vCPU
-// runners, enforced where parallelism is real.
+// -failonalloc mode on every push and uploads the artifact, and
+// compares a GOMAXPROCS=2 quick run against the committed quick
+// baseline BENCH_7.json — informational on single-vCPU runners,
+// enforced where parallelism is real.
 package main
 
 import (
@@ -383,37 +386,39 @@ func printService(w io.Writer, sb ServiceBench) {
 	fmt.Fprintln(w)
 }
 
-// compareRow is one comparable cell of a report: a stable key and the
-// row's ns/element. Keys are chosen so the same measurement matches
-// across schema generations: older reports' stream rows key by codec
-// and transport alone, and the first of them (their single-connection
-// row) is the one compared.
+// compareRow is one comparable cell of a report: a stable key, the
+// row's ns/element and the sizes it was measured at (batch is 0 for rows
+// without one). Keys are chosen so the same measurement matches across
+// schema generations: older reports' stream rows key by codec and
+// transport alone, and the first of them (their single-connection row)
+// is the one compared.
 type compareRow struct {
-	key string
-	ns  float64
+	key             string
+	ns              float64
+	elements, batch int
 }
 
 // reportRows flattens a report into keyed ns/element rows, in display
 // order.
 func reportRows(rep Report) []compareRow {
 	rows := []compareRow{
-		{"decide/kernel", rep.Decide.KernelNsPerElement},
-		{"serial", rep.Serial.NsPerElement},
+		{"decide/kernel", rep.Decide.KernelNsPerElement, rep.Decide.Elements, 0},
+		{"serial", rep.Serial.NsPerElement, rep.Serial.Elements, 0},
 	}
 	for _, sb := range rep.Engine {
-		rows = append(rows, compareRow{fmt.Sprintf("engine/shards=%d", sb.Shards), sb.NsPerElement})
+		rows = append(rows, compareRow{fmt.Sprintf("engine/shards=%d", sb.Shards), sb.NsPerElement, sb.Elements, 0})
 	}
 	if rep.EngineTelemetry.Elements > 0 {
-		rows = append(rows, compareRow{"engine/telemetry", rep.EngineTelemetry.NsPerElement})
+		rows = append(rows, compareRow{"engine/telemetry", rep.EngineTelemetry.NsPerElement, rep.EngineTelemetry.Elements, 0})
 	}
 	for _, pb := range rep.Policies {
-		rows = append(rows, compareRow{fmt.Sprintf("policy/%s/%s", pb.Policy, pb.Workload), pb.NsPerElement})
+		rows = append(rows, compareRow{fmt.Sprintf("policy/%s/%s", pb.Policy, pb.Workload), pb.NsPerElement, pb.Elements, 0})
 	}
 	for _, sb := range rep.Service {
-		rows = append(rows, compareRow{fmt.Sprintf("service/%s/%s", sb.Codec, sb.Transport), sb.NsPerElement})
+		rows = append(rows, compareRow{fmt.Sprintf("service/%s/%s", sb.Codec, sb.Transport), sb.NsPerElement, sb.Elements, sb.Batch})
 	}
 	for _, cb := range rep.Cluster {
-		rows = append(rows, compareRow{fmt.Sprintf("cluster/nodes=%d", cb.Nodes), cb.NsPerElement})
+		rows = append(rows, compareRow{fmt.Sprintf("cluster/nodes=%d", cb.Nodes), cb.NsPerElement, cb.Elements, cb.Batch})
 	}
 	return rows
 }
@@ -434,7 +439,10 @@ func readReport(path string) (Report, error) {
 // two report files, new rows and vanished rows called out, and a
 // nonzero exit when any row shared by both reports slows down by more
 // than threshold (a fraction: 0.25 = 25%). Speedups and new rows never
-// fail — the gate is one-sided, a regression detector, not a diff.
+// fail — the gate is one-sided, a regression detector, not a diff. It
+// compares like with like only: reports whose quick or gomaxprocs
+// differ, or a shared row measured at other elements or batch, fail
+// naming the field instead of printing deltas.
 func compareReports(oldPath, newPath string, threshold float64, w io.Writer) error {
 	if threshold < 0 {
 		return fmt.Errorf("regress threshold must be >= 0, got %v", threshold)
@@ -449,29 +457,47 @@ func compareReports(oldPath, newPath string, threshold float64, w io.Writer) err
 	}
 	fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), regression threshold %.0f%%\n",
 		oldPath, oldRep.Bench, newPath, newRep.Bench, threshold*100)
-	if oldRep.Quick != newRep.Quick || oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
-		fmt.Fprintf(w, "note: configurations differ (quick %v -> %v, GOMAXPROCS %d -> %d); deltas are indicative only\n",
-			oldRep.Quick, newRep.Quick, oldRep.GOMAXPROCS, newRep.GOMAXPROCS)
+	if oldRep.Quick != newRep.Quick {
+		return fmt.Errorf("reports not comparable: quick %v -> %v", oldRep.Quick, newRep.Quick)
+	}
+	if oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
+		return fmt.Errorf("reports not comparable: gomaxprocs %d -> %d", oldRep.GOMAXPROCS, newRep.GOMAXPROCS)
 	}
 
 	oldRows := reportRows(oldRep)
-	oldNs := make(map[string]float64, len(oldRows))
+	oldByKey := make(map[string]compareRow, len(oldRows))
 	for _, r := range oldRows {
 		// First row of a key wins: BENCH_6's striped and copy-decode
 		// stream rows key like its conns=1 row, which comes first.
-		if _, dup := oldNs[r.key]; !dup {
-			oldNs[r.key] = r.ns
+		if _, dup := oldByKey[r.key]; !dup {
+			oldByKey[r.key] = r
 		}
 	}
+	newRows := reportRows(newRep)
+	var mismatches []string
+	for _, r := range newRows {
+		o, ok := oldByKey[r.key]
+		if ok && o.elements != r.elements {
+			mismatches = append(mismatches, fmt.Sprintf("%s: elements %d -> %d", r.key, o.elements, r.elements))
+		}
+		if ok && o.batch != r.batch {
+			mismatches = append(mismatches, fmt.Sprintf("%s: batch %d -> %d", r.key, o.batch, r.batch))
+		}
+	}
+	if len(mismatches) > 0 {
+		return fmt.Errorf("rows not comparable:\n  %s", strings.Join(mismatches, "\n  "))
+	}
+
 	newKeys := make(map[string]bool)
 	var regressions []string
-	for _, r := range reportRows(newRep) {
+	for _, r := range newRows {
 		newKeys[r.key] = true
-		old, ok := oldNs[r.key]
+		o, ok := oldByKey[r.key]
 		if !ok {
 			fmt.Fprintf(w, "%-40s %31s %10.1f ns/el\n", r.key, "(new row)", r.ns)
 			continue
 		}
+		old := o.ns
 		delta := 0.0
 		if old > 0 {
 			delta = (r.ns - old) / old
@@ -508,12 +534,18 @@ func parseShards(s string) ([]int, error) {
 	return out, nil
 }
 
-// benchDecide times the pure selection kernel on the matrix workload the
-// engine rows replay — loads above the capacity-4 link, so selection
-// always trims — and the sort-based reference on the identical sample,
-// so the kernel row is the floor under the engine rows.
+// benchDecide times the selection kernel — the randpr policy state's
+// Decide — on the matrix workload the engine rows replay — loads above
+// the capacity-4 link, so selection always trims — and the sort-based
+// reference on the identical sample and priorities, so the kernel row is
+// the floor under the engine rows.
 func benchDecide(inst *setsystem.Instance, reps int, seed int64) DecideBench {
-	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: uint64(seed)}, nil)
+	info := core.InfoOf(inst)
+	st, err := core.RandPrPolicy{}.Setup(info, uint64(seed))
+	if err != nil {
+		panic(err)
+	}
+	prio := core.HashPriorities(info, hashpr.Mixer{Seed: uint64(seed)}, nil)
 	elems := inst.Elements
 	var totalLoad int
 	for _, el := range elems {
@@ -523,7 +555,7 @@ func benchDecide(inst *setsystem.Instance, reps int, seed int64) DecideBench {
 	buf := make([]setsystem.SetID, 0, 64)
 	kernelNs := timeBest(reps, func() {
 		for _, el := range elems {
-			buf = core.SelectTopPriority(el.Members, el.Capacity, prio, buf)
+			buf = st.Decide(el.Members, el.Capacity, buf)
 		}
 	})
 	sortNs := timeBest(reps, func() {
@@ -534,7 +566,7 @@ func benchDecide(inst *setsystem.Instance, reps int, seed int64) DecideBench {
 
 	allocs := allocsDuring(3, func() {
 		for _, el := range elems {
-			buf = core.SelectTopPriority(el.Members, el.Capacity, prio, buf)
+			buf = st.Decide(el.Members, el.Capacity, buf)
 		}
 	})
 

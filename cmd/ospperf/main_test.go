@@ -192,6 +192,32 @@ func TestCompareMode(t *testing.T) {
 		t.Fatalf("compare with threshold 0.7 failed: %v", err)
 	}
 
+	// Runs at other configurations, or a shared row at other sizes, are
+	// refused naming the field, however close their numbers.
+	quick := newRep
+	quick.Quick = true
+	procs := newRep
+	procs.GOMAXPROCS = 2
+	elems := newRep
+	elems.Serial = SerialBench{Elements: 200, NsPerElement: 100}
+	batch := newRep
+	batch.Service = []ServiceBench{{Codec: "binary", Transport: "stream", Batch: 1024, NsPerElement: 290}}
+	for _, tc := range []struct {
+		name, field string
+		rep         Report
+	}{
+		{"quick", "quick", quick},
+		{"gomaxprocs", "gomaxprocs", procs},
+		{"elements", "serial: elements 100 -> 200", elems},
+		{"batch", "service/binary/stream: batch 0 -> 1024", batch},
+	} {
+		buf.Reset()
+		err := run([]string{"-compare", oldPath, write(tc.name+".json", tc.rep)}, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("compare with a different %s = %v, want failure naming %q", tc.name, err, tc.field)
+		}
+	}
+
 	if err := run([]string{"-compare", oldPath}, &buf); err == nil {
 		t.Error("compare with one path accepted")
 	}

@@ -24,7 +24,7 @@ type RedrawRandPr struct {
 	weights []float64
 	rng     *rand.Rand
 	buf     []setsystem.SetID
-	prio    []float64
+	state   *VectorState
 }
 
 var _ Algorithm = (*RedrawRandPr)(nil)
@@ -39,19 +39,16 @@ func (a *RedrawRandPr) Reset(info Info, rng *rand.Rand) error {
 	}
 	a.weights = info.Weights
 	a.rng = rng
-	if cap(a.prio) < info.NumSets() {
-		a.prio = make([]float64, info.NumSets())
-	}
-	a.prio = a.prio[:info.NumSets()]
+	a.state = a.state.resized(info.NumSets())
 	return nil
 }
 
 // Choose implements Algorithm: fresh R_w priorities for this element only.
 func (a *RedrawRandPr) Choose(ev ElementView) []setsystem.SetID {
 	for _, s := range ev.Members {
-		a.prio[s] = dist.Sample(a.rng, a.weights[s])
+		a.state.put(int(s), dist.Sample(a.rng, a.weights[s]))
 	}
-	return chooseTopPriority(ev, a.prio, false, &a.buf)
+	return a.state.choose(ev, false, &a.buf)
 }
 
 // DetWeightPriority is randPr derandomized the naive way: the priority of
@@ -59,8 +56,8 @@ func (a *RedrawRandPr) Choose(ev ElementView) []setsystem.SetID {
 // weight-sensitive, but deterministic — so Theorem 3's adversary defeats
 // it, and on unweighted instances it degenerates to first-listed.
 type DetWeightPriority struct {
-	weights []float64
-	buf     []setsystem.SetID
+	state *VectorState
+	buf   []setsystem.SetID
 }
 
 var _ Algorithm = (*DetWeightPriority)(nil)
@@ -70,11 +67,11 @@ func (a *DetWeightPriority) Name() string { return "detWeightPriority" }
 
 // Reset implements Algorithm.
 func (a *DetWeightPriority) Reset(info Info, _ *rand.Rand) error {
-	a.weights = info.Weights
+	a.state = NewVectorState(info.Weights)
 	return nil
 }
 
 // Choose implements Algorithm.
 func (a *DetWeightPriority) Choose(ev ElementView) []setsystem.SetID {
-	return chooseTopPriority(ev, a.weights, false, &a.buf)
+	return a.state.choose(ev, false, &a.buf)
 }

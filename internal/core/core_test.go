@@ -364,10 +364,11 @@ func TestResetReusesPriorityBuffer(t *testing.T) {
 	if p0 < 0 || p0 > 1 {
 		t.Errorf("priority out of range: %v", p0)
 	}
+	hi := alg.state.hi
 	if err := alg.Reset(info, rng); err != nil {
 		t.Fatal(err)
 	}
-	if len(alg.priorities) != 3 {
-		t.Errorf("priorities len = %d", len(alg.priorities))
+	if len(alg.state.hi) != 3 || &alg.state.hi[0] != &hi[0] {
+		t.Errorf("priority keys not reused: len %d", len(alg.state.hi))
 	}
 }

@@ -22,25 +22,32 @@ import (
 //     so every replica — shard workers, verdict handlers, remote mirrors,
 //     the serial oracle — agrees on every decision with zero coordination.
 //     Deterministic policies simply ignore the seed.
-//   - Decide is a pure function of (element, frozen state): it may not
-//     consult run history, mutate the state, or retain the member slice.
-//     That is exactly what lets shards decide elements concurrently and
-//     still reproduce a serial run bit for bit at any shard count.
+//   - Admit is a pure function of (element, frozen state): it may not
+//     consult run history, mutate the state, or retain or write the
+//     member slice. That is exactly what lets shards decide elements
+//     concurrently and still reproduce a serial run bit for bit at any
+//     shard count.
 
 // PolicyState is the frozen per-instance decision state a Policy builds at
-// Setup. Both methods must be safe for concurrent use from any number of
+// Setup. Every method must be safe for concurrent use from any number of
 // goroutines: they are called by every engine shard and by HTTP verdict
-// handlers at once.
+// handlers at once. Admit is the decision; Decide and DecideInPlace must
+// return exactly the members it admits.
 type PolicyState interface {
-	// DecideInPlace trims members — the arriving element's parent sets in
-	// ascending SetID order — to the at most capacity admitted parents,
-	// reordering the slice in place and returning the winning prefix in
-	// ascending SetID order. It is the zero-copy hot path for callers that
-	// own the members storage (the engine's flat batch buffers).
+	// Admit decides one element: members are its parent sets in
+	// ascending SetID order, capacity its b(u). It returns the positions
+	// within members of the at most capacity admitted parents, ascending,
+	// in pos's storage, and never writes members. It is the hot path of
+	// the engine's shards, which read frames in place and write verdict
+	// bits by position.
+	Admit(members []setsystem.SetID, capacity int, pos []int32) []int32
+	// DecideInPlace is Admit for callers that own the members storage:
+	// it moves the admitted members to the front of members, in
+	// ascending SetID order, and returns that prefix.
 	DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID
-	// Decide is DecideInPlace for callers that must not have members
-	// reordered (verdict handlers deciding on request buffers). The result
-	// reuses buf's storage when possible.
+	// Decide is Admit returning the admitted members themselves, in
+	// ascending SetID order; members is not written. The result reuses
+	// buf's storage when possible.
 	Decide(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID
 }
 
@@ -58,33 +65,6 @@ type Policy interface {
 // DefaultPolicy is the registry name of the paper's algorithm, used
 // whenever a policy name is left empty.
 const DefaultPolicy = "randpr"
-
-// VectorState is the PolicyState shared by every priority-vector policy:
-// a fixed per-set priority vector decided through the zero-allocation
-// top-k kernel, ties broken by lower SetID. randPr, its weighted variant
-// and the deterministic greedy-remaining policy are all vector policies —
-// they differ only in how Setup fills the vector.
-type VectorState struct {
-	prio []float64
-}
-
-// NewVectorState wraps a priority vector, which must not be mutated
-// afterwards.
-func NewVectorState(prio []float64) *VectorState { return &VectorState{prio: prio} }
-
-// Priorities exposes the read-only vector (verdict replicas and white-box
-// tests).
-func (s *VectorState) Priorities() []float64 { return s.prio }
-
-// DecideInPlace implements PolicyState.
-func (s *VectorState) DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID {
-	return topByPriority(members, capacity, s.prio)
-}
-
-// Decide implements PolicyState.
-func (s *VectorState) Decide(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID {
-	return SelectTopPriority(members, capacity, s.prio, buf)
-}
 
 // RandPrPolicy is the default policy: the paper's distributed randPr.
 // Priorities are derived from a shared hash of each SetID mapped through
@@ -112,7 +92,7 @@ func (p RandPrPolicy) Setup(info Info, seed uint64) (PolicyState, error) {
 	if h == nil {
 		h = hashpr.Mixer{Seed: seed}
 	}
-	return NewVectorState(HashPriorities(info, h, nil)), nil
+	return hashState(info, h, false, nil), nil
 }
 
 // WeightedRandPrPolicy is randPr with its priority scaled by the set's
@@ -134,19 +114,15 @@ func (WeightedRandPrPolicy) Description() string {
 	return "randPr with priorities scaled by set weight (p = w·r): heavy sets win contested elements more often"
 }
 
-// Setup implements Policy. It scales the output of HashPriorities — the
-// single shared priority code path — so the two randPr variants can never
-// drift apart on how priorities are derived.
+// Setup implements Policy. It scales the priorities randPr's Setup
+// derives, through the same hashState, so the two randPr variants can
+// never drift apart on how priorities are derived.
 func (p WeightedRandPrPolicy) Setup(info Info, seed uint64) (PolicyState, error) {
 	h := p.Hasher
 	if h == nil {
 		h = hashpr.Mixer{Seed: seed}
 	}
-	prio := HashPriorities(info, h, nil)
-	for i, w := range info.Weights {
-		prio[i] *= w
-	}
-	return NewVectorState(prio), nil
+	return hashState(info, h, true, nil), nil
 }
 
 // GreedyRemainingPolicy is the deterministic "protect the almost-finished"
@@ -190,11 +166,11 @@ func (GreedyRemainingPolicy) Setup(info Info, _ uint64) (PolicyState, error) {
 	// Rank-encode: the best set gets the highest priority. Ranks are
 	// distinct, so the kernel's SetID tie-break never fires and the
 	// lexicographic order above is reproduced exactly.
-	prio := make([]float64, m)
+	s := new(VectorState).resized(m)
 	for rank, id := range order {
-		prio[id] = float64(m - rank)
+		s.put(id, float64(m-rank))
 	}
-	return NewVectorState(prio), nil
+	return s, nil
 }
 
 // FirstFitPolicy is the admit-all baseline: every element is assigned to
@@ -221,6 +197,14 @@ func (FirstFitPolicy) Setup(Info, uint64) (PolicyState, error) {
 // ascending SetID order, so the prefix already satisfies the ordering
 // contract.
 type firstFitState struct{}
+
+func (firstFitState) Admit(members []setsystem.SetID, capacity int, pos []int32) []int32 {
+	pos = pos[:0]
+	for j := range min(len(members), capacity) {
+		pos = append(pos, int32(j))
+	}
+	return pos
+}
 
 func (firstFitState) DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID {
 	if capacity < 0 {

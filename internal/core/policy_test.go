@@ -112,9 +112,9 @@ func TestSetupDeterminism(t *testing.T) {
 	}
 }
 
-// TestDecideInPlaceAgreesWithDecide pins the two decide entry points
-// against each other — the engine uses the in-place path, verdict
-// handlers the copying one, and they must never disagree.
+// TestDecideInPlaceAgreesWithDecide pins the three decide entry points
+// against each other — the engine admits by position, verdict handlers
+// and the serial oracle decide by copy, and they must never disagree.
 func TestDecideInPlaceAgreesWithDecide(t *testing.T) {
 	info := policyInfo()
 	members := []setsystem.SetID{0, 1, 2, 3, 4}
@@ -130,6 +130,13 @@ func TestDecideInPlaceAgreesWithDecide(t *testing.T) {
 			got := st.DecideInPlace(scratch, cap)
 			if !reflect.DeepEqual(append([]setsystem.SetID(nil), got...), want) {
 				t.Errorf("%s cap=%d: DecideInPlace %v != Decide %v", name, cap, got, want)
+			}
+			var admitted []setsystem.SetID
+			for _, j := range st.Admit(members, cap, nil) {
+				admitted = append(admitted, members[j])
+			}
+			if !reflect.DeepEqual(admitted, want) {
+				t.Errorf("%s cap=%d: Admit gathers %v != Decide %v", name, cap, admitted, want)
 			}
 		}
 	}
@@ -152,6 +159,44 @@ func TestRandPrPolicyMatchesHashRandPr(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Errorf("randpr policy oracle differs from HashRandPr: %v vs %v", got.Benefit, want.Benefit)
+	}
+}
+
+// TestHashPoliciesMatchFloatPriorities pins the keyed Setup of both
+// randPr policies to the float64 priorities they encode: over sets
+// spanning several key chunks, with non-unit weights, every decision
+// equals the sort oracle's on HashPriorities (scaled by weight for
+// randpr-weighted).
+func TestHashPoliciesMatchFloatPriorities(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m := 3*keyChunk + 5
+	info := Info{Weights: make([]float64, m), Sizes: make([]int, m)}
+	for i := range info.Weights {
+		info.Weights[i] = 0.25 + 4*rng.Float64()
+		info.Sizes[i] = 1
+	}
+	const seed = 12
+	prio := HashPriorities(info, hashpr.Mixer{Seed: seed}, nil)
+	weighted := make([]float64, m)
+	for i, w := range info.Weights {
+		weighted[i] = prio[i] * w
+	}
+	for _, tc := range []struct {
+		pol  Policy
+		prio []float64
+	}{{RandPrPolicy{}, prio}, {WeightedRandPrPolicy{}, weighted}} {
+		st, err := tc.pol.Setup(info, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 2000; trial++ {
+			members := randMembers(rng, m, 2+rng.Intn(12))
+			capacity := 1 + rng.Intn(4)
+			want := SelectTopPrioritySort(members, capacity, tc.prio, nil)
+			if got := st.Decide(members, capacity, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: members %v cap %d: decided %v, float priorities choose %v", tc.pol.Name(), members, capacity, got, want)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"slices"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/hashpr"
@@ -24,8 +22,8 @@ type RandPr struct {
 	// ActiveOnly, when set, skips parents that are already incompletable.
 	ActiveOnly bool
 
-	priorities []float64
-	buf        []setsystem.SetID
+	state *VectorState
+	buf   []setsystem.SetID
 }
 
 var _ Algorithm = (*RandPr)(nil)
@@ -43,21 +41,21 @@ func (a *RandPr) Reset(info Info, rng *rand.Rand) error {
 	if rng == nil {
 		return errors.New("core: randPr needs a random source")
 	}
-	a.priorities = resize(a.priorities, info.NumSets())
+	a.state = a.state.resized(info.NumSets())
 	for i, w := range info.Weights {
-		a.priorities[i] = dist.Sample(rng, w)
+		a.state.put(i, dist.Sample(rng, w))
 	}
 	return nil
 }
 
 // Choose implements Algorithm: the b(u) highest-priority parents.
 func (a *RandPr) Choose(ev ElementView) []setsystem.SetID {
-	return chooseTopPriority(ev, a.priorities, a.ActiveOnly, &a.buf)
+	return a.state.choose(ev, a.ActiveOnly, &a.buf)
 }
 
 // Priority returns the priority drawn for set id in the current run,
 // exposed for white-box tests.
-func (a *RandPr) Priority(id setsystem.SetID) float64 { return a.priorities[id] }
+func (a *RandPr) Priority(id setsystem.SetID) float64 { return a.state.priority(int(id)) }
 
 // HashRandPr is the distributed implementation of randPr sketched in
 // Section 3.1: instead of storing per-set random priorities, every server
@@ -71,8 +69,8 @@ type HashRandPr struct {
 	// ActiveOnly mirrors RandPr.ActiveOnly.
 	ActiveOnly bool
 
-	priorities []float64
-	buf        []setsystem.SetID
+	state *VectorState
+	buf   []setsystem.SetID
 }
 
 var _ Algorithm = (*HashRandPr)(nil)
@@ -87,20 +85,22 @@ func (a *HashRandPr) Reset(info Info, _ *rand.Rand) error {
 	if a.Hasher == nil {
 		return errors.New("core: HashRandPr needs a Hasher")
 	}
-	a.priorities = HashPriorities(info, a.Hasher, a.priorities)
+	a.state = hashState(info, a.Hasher, false, a.state)
 	return nil
 }
 
 // HashPriorities returns the hash-derived R_w priority of every set,
-// reusing buf's storage when possible. It is the single priority code path
-// shared by HashRandPr and the sharded streaming engine: any components
-// given the same hasher and info agree on every priority with zero
-// coordination (Section 3.1). The fill is bulk: one devirtualized pass
+// reusing buf's storage when possible. HashRandPr and the sharded
+// streaming engine's randpr policies compute the same floats on their
+// way to order keys (hashState): any components given the same hasher
+// and info agree on every priority with zero coordination (Section 3.1).
+// The whole vector is for replicas that decide with
+// SelectTopPrioritySort. The fill is bulk: one devirtualized pass
 // producing all uniforms (hashpr.FillUniform), then one in-place pass
 // through the R_w inverse transform.
 func HashPriorities(info Info, h hashpr.UniformHasher, buf []float64) []float64 {
 	buf = resize(buf, info.NumSets())
-	hashpr.FillUniform(h, buf)
+	hashpr.FillUniform(h, 0, buf)
 	for i, w := range info.Weights {
 		buf[i] = dist.FromUniform(buf[i], w)
 	}
@@ -109,238 +109,7 @@ func HashPriorities(info Info, h hashpr.UniformHasher, buf []float64) []float64 
 
 // Choose implements Algorithm.
 func (a *HashRandPr) Choose(ev ElementView) []setsystem.SetID {
-	return chooseTopPriority(ev, a.priorities, a.ActiveOnly, &a.buf)
-}
-
-// chooseTopPriority selects the (up to) Capacity members with the highest
-// priorities, breaking the measure-zero ties by lower SetID for replay
-// stability.
-func chooseTopPriority(ev ElementView, prio []float64, activeOnly bool, buf *[]setsystem.SetID) []setsystem.SetID {
-	cands := (*buf)[:0]
-	for _, s := range ev.Members {
-		if activeOnly && !ev.State.Active(s) {
-			continue
-		}
-		cands = append(cands, s)
-	}
-	cands = topByPriority(cands, ev.Capacity, prio)
-	*buf = cands
-	return cands
-}
-
-// SelectTopPriority is the faithful randPr admission rule as a pure
-// function: the (up to) capacity members with the highest priorities,
-// ascending SetID order, ties broken by lower SetID. Because it depends
-// only on the element and the fixed priority vector — never on run state —
-// shards of the streaming engine can decide elements concurrently and
-// still agree element-for-element with a serial HashRandPr run. The result
-// reuses buf's storage when possible.
-func SelectTopPriority(members []setsystem.SetID, capacity int, prio []float64, buf []setsystem.SetID) []setsystem.SetID {
-	cands := append(buf[:0], members...)
-	return topByPriority(cands, capacity, prio)
-}
-
-// SelectTopPriorityInPlace is SelectTopPriority for callers that own the
-// members storage: it reorders members in place and returns its winning
-// prefix (ascending SetID), avoiding the defensive copy. The streaming
-// engine uses it on its flat batch buffers, which are scratch by the time
-// a shard decides them.
-func SelectTopPriorityInPlace(members []setsystem.SetID, capacity int, prio []float64) []setsystem.SetID {
-	return topByPriority(members, capacity, prio)
-}
-
-// insertionCap is the largest capacity handled by the bounded insertion
-// kernel. Real workloads almost always have b(u) within this bound (link
-// rates of a few packets per slot), so the common case never partitions.
-const insertionCap = 8
-
-// topByPriority trims cands in place to the capacity highest-priority
-// entries — ties broken by lower SetID — and restores ascending SetID
-// order. It allocates nothing: small capacities run a bounded insertion
-// top-k over the first capacity slots of cands, large ones an in-place
-// quickselect. Both reproduce sortTopByPriority (the retained reference
-// oracle) bit for bit.
-func topByPriority(cands []setsystem.SetID, capacity int, prio []float64) []setsystem.SetID {
-	if len(cands) <= capacity {
-		return cands
-	}
-	if capacity <= 0 {
-		return cands[:0]
-	}
-	// Small-degree fast paths: the overwhelmingly common capacities in
-	// link-rate workloads are 1 and 2, where maintaining an insertion
-	// window is pure overhead — a single running max (or ordered pair)
-	// scan decides with one comparison per candidate and no shifting.
-	// Both reproduce the oracle exactly: better is a strict total order,
-	// so the max (or top pair) is unique.
-	if capacity == 1 {
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if better(c, best, prio) {
-				best = c
-			}
-		}
-		cands[0] = best
-		return cands[:1]
-	}
-	if capacity == 2 {
-		a, b := cands[0], cands[1] // a better than b, maintained below
-		if better(b, a, prio) {
-			a, b = b, a
-		}
-		for _, c := range cands[2:] {
-			if better(c, b, prio) {
-				if better(c, a, prio) {
-					a, b = c, a
-				} else {
-					b = c
-				}
-			}
-		}
-		if b < a { // contract: ascending SetID order
-			a, b = b, a
-		}
-		cands[0], cands[1] = a, b
-		return cands[:2]
-	}
-	if capacity <= insertionCap {
-		return insertionTopK(cands, capacity, prio)
-	}
-	quickselectTopK(cands, capacity, prio)
-	slices.Sort(cands[:capacity])
-	return cands[:capacity]
-}
-
-// better is the kernel's strict total order: higher priority first, ties
-// by lower SetID. SetIDs within one element are distinct, so exactly one
-// of better(a,b) / better(b,a) holds for a != b.
-func better(a, b setsystem.SetID, prio []float64) bool {
-	pa, pb := prio[a], prio[b]
-	if pa != pb {
-		return pa > pb
-	}
-	return a < b
-}
-
-// insertionTopK keeps the k best candidates in cands[:k], maintained in
-// better-first order while scanning the rest. Because members arrive in
-// ascending SetID order and insertion only displaces strictly worse
-// entries, the final winners are exactly the oracle's; a last insertion
-// sort restores ascending SetID order. O(n·k) with k ≤ insertionCap.
-func insertionTopK(cands []setsystem.SetID, k int, prio []float64) []setsystem.SetID {
-	// Seed the window with the first k candidates, better-first.
-	for i := 1; i < k; i++ {
-		c := cands[i]
-		j := i
-		for j > 0 && better(c, cands[j-1], prio) {
-			cands[j] = cands[j-1]
-			j--
-		}
-		cands[j] = c
-	}
-	// Scan the rest: displace the current worst when beaten.
-	for i := k; i < len(cands); i++ {
-		c := cands[i]
-		if !better(c, cands[k-1], prio) {
-			continue
-		}
-		j := k - 1
-		for j > 0 && better(c, cands[j-1], prio) {
-			cands[j] = cands[j-1]
-			j--
-		}
-		cands[j] = c
-	}
-	// Winners are priority-ordered; the contract wants ascending SetID.
-	slices.Sort(cands[:k])
-	return cands[:k]
-}
-
-// quickselectTopK partitions cands in place so cands[:k] holds the k best
-// under the better order (in arbitrary order). Median-of-three pivots with
-// an insertion-select fallback on small ranges keep it O(n) expected and
-// allocation-free.
-func quickselectTopK(cands []setsystem.SetID, k int, prio []float64) {
-	lo, hi := 0, len(cands) // half-open working range containing index k-1
-	for hi-lo > 12 {
-		// Order three samples so the best of the three sits at lo and
-		// the median at hi-1; the median is the pivot. lo strictly
-		// beating the pivot bounds the partition point away from lo,
-		// guaranteeing progress on every iteration.
-		mid := lo + (hi-lo)/2
-		if better(cands[mid], cands[lo], prio) {
-			cands[mid], cands[lo] = cands[lo], cands[mid]
-		}
-		if better(cands[hi-1], cands[lo], prio) {
-			cands[hi-1], cands[lo] = cands[lo], cands[hi-1]
-		}
-		if better(cands[mid], cands[hi-1], prio) {
-			cands[mid], cands[hi-1] = cands[hi-1], cands[mid]
-		}
-		pivot := cands[hi-1]
-		// Lomuto partition: better-than-pivot entries to the front.
-		p := lo
-		for i := lo; i < hi-1; i++ {
-			if better(cands[i], pivot, prio) {
-				cands[i], cands[p] = cands[p], cands[i]
-				p++
-			}
-		}
-		cands[hi-1], cands[p] = cands[p], cands[hi-1]
-		switch {
-		case p == k-1:
-			return
-		case p > k-1:
-			hi = p
-		default:
-			lo = p + 1
-		}
-	}
-	// Small range: better-first insertion sort settles the boundary.
-	for i := lo + 1; i < hi; i++ {
-		c := cands[i]
-		j := i
-		for j > lo && better(c, cands[j-1], prio) {
-			cands[j] = cands[j-1]
-			j--
-		}
-		cands[j] = c
-	}
-}
-
-// SelectTopPrioritySort is the sort-based reference selection with the
-// SelectTopPriority signature, exposed so benchmarks (bench_test.go,
-// cmd/ospperf) can measure the kernel's speedup against the path it
-// replaced. Production code must use SelectTopPriority.
-func SelectTopPrioritySort(members []setsystem.SetID, capacity int, prio []float64, buf []setsystem.SetID) []setsystem.SetID {
-	cands := append(buf[:0], members...)
-	return sortTopByPriority(cands, capacity, prio)
-}
-
-// sortTopByPriority is the original sort-based selection, retained verbatim
-// as the reference oracle for the kernel's property and fuzz tests. It is
-// not on any hot path.
-func sortTopByPriority(cands []setsystem.SetID, capacity int, prio []float64) []setsystem.SetID {
-	if len(cands) > capacity {
-		sort.Slice(cands, func(i, j int) bool {
-			pi, pj := prio[cands[i]], prio[cands[j]]
-			if pi != pj {
-				return pi > pj
-			}
-			return cands[i] < cands[j]
-		})
-		cands = cands[:capacity]
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	}
-	return cands
-}
-
-// resize returns a slice of length n reusing buf's storage when possible.
-func resize(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
+	return a.state.choose(ev, a.ActiveOnly, &a.buf)
 }
 
 // RandPrExpectedBenefit returns the exact expected benefit of randPr on a

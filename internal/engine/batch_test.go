@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -231,6 +232,45 @@ func TestSubmitBatchSplitsAcrossShards(t *testing.T) {
 	}
 	if snap := e.Metrics().Snapshot(); snap.Batches != 1 || snap.Processed != uint64(len(inst.Elements)) {
 		t.Errorf("snapshot: %d batches, %d processed; want 1 batch, %d processed", snap.Batches, snap.Processed, len(inst.Elements))
+	}
+}
+
+// TestDecideLeavesFrameUnchanged pins the read-only contract of the
+// zero-copy path: a batch of 2·minPart elements with Done, split across
+// two shards and aliasing caller-owned storage as a stream frame does,
+// is decided without one write to its members, offsets or capacities.
+func TestDecideLeavesFrameUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	inst, err := workload.Uniform(workload.UniformConfig{M: 200, N: 2 * minPart, Load: 13, MinLoad: 2, Capacity: 3}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	e, err := New(core.InfoOf(inst), seed, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := new(Batch)
+	fillBatch(b, inst.Elements)
+	b.Aliased = true
+	members, offs, caps := b.Members, b.Offs, b.Caps
+	wantMembers, wantOffs, wantCaps := slices.Clone(members), slices.Clone(offs), slices.Clone(caps)
+	done := make(chan struct{}, 1)
+	b.Done = func(uint32, []byte) { done <- struct{}{} }
+	if err := e.SubmitBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	checkEquivalent(t, got, serial(t, inst, seed), "aliased split batch")
+	if !slices.Equal(members, wantMembers) {
+		t.Error("deciding the batch wrote its members")
+	}
+	if !slices.Equal(offs, wantOffs) || !slices.Equal(caps, wantCaps) {
+		t.Error("deciding the batch wrote its offsets or capacities")
 	}
 }
 

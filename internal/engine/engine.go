@@ -10,9 +10,9 @@
 // and no coordination on the hot path:
 //
 //   - New resolves the configured policy name (core.LookupPolicy) and runs
-//     its Setup once — for the default randPr policy that is
-//     core.HashPriorities, the same code path HashRandPr uses — handing
-//     every shard a read-only view of the resulting state.
+//     its Setup once — for the default randPr policy that keys the
+//     priorities core.HashPriorities computes, as HashRandPr does —
+//     handing every shard a read-only view of the resulting state.
 //   - Submit copies arriving elements into a flat structure-of-arrays
 //     batch — one shared member buffer plus per-element offset/capacity
 //     arrays — and SubmitBatch takes one filled by the caller. One
@@ -24,7 +24,7 @@
 //     Batches are recycled through a free list, so steady-state ingestion
 //     allocates nothing.
 //   - Each shard decides its part's elements with the policy state's
-//     DecideInPlace directly on the batch buffer and accumulates per-set
+//     Admit, reading the batch buffer in place, and accumulates per-set
 //     assignment counts in shard-local arrays; the shard that finishes a
 //     batch's last part recycles it.
 //   - Drain flushes, stops the workers and merges the shard counters into
@@ -165,32 +165,32 @@ type Batch struct {
 	// Seq, Masks and Done form the callback-verdict contract of the
 	// streaming wire path. When Done is non-nil, the engine extends Masks
 	// by the batch's verdict bytes (wire.MaskLen of each element's load,
-	// zeroed) and every deciding shard writes its part's bitmasks into
-	// their positions — computed against each element's pre-decide member
-	// order, so the bytes equal one wire.AppendVerdictMask per element in
-	// batch order. After the batch's last part is decided and counted,
-	// Done(Seq, Masks) runs once, on the goroutine of the shard that
-	// finished it. This is what lets a transport answer verdicts from the
-	// engine's one decide instead of running a second replica decide per
-	// element the way the HTTP handler does. The callback must not block
-	// (shards share connections); hand the masks to a buffered channel.
-	// Ownership of the Masks buffer passes back to the caller at the
-	// callback; the batch itself is recycled before Done runs and must
-	// not be touched.
+	// zeroed) and every deciding shard sets, in its part's byte range,
+	// the bit of each admitted member's position, so the bytes equal one
+	// wire.AppendVerdictMask per element in batch order. After the
+	// batch's last part is decided and counted, Done(Seq, Masks) runs
+	// once, on the goroutine of the shard that finished it. This is what
+	// lets a transport answer verdicts from the engine's one decide
+	// instead of running a second replica decide per element the way the
+	// HTTP handler does. The callback must not block (shards share
+	// connections); hand the masks to a buffered channel. Ownership of
+	// the Masks buffer passes back to the caller at the callback; the
+	// batch itself is recycled before Done runs and must not be touched.
 	Seq   uint32
 	Masks []byte
 	Done  func(seq uint32, masks []byte)
 
 	// Aliased marks a batch whose Members/Caps slices alias transport-
 	// owned memory (a stream connection's read buffer) instead of
-	// engine-owned storage — the zero-copy wire path. The engine treats
-	// such batches as pass-through: Reset detaches the aliased slices
-	// entirely rather than truncating them (a truncated alias would leak
-	// foreign memory into the free list), and the shard returns the
-	// Batch struct to its owner by simply not free-listing it — the
-	// transport slot that created it reuses the struct after its verdict
-	// frame round-trips. Aliased batches must be submitted through
-	// SubmitBatch or a Lane, never built by Submit.
+	// engine-owned storage — the zero-copy wire path. The engine only
+	// reads a batch's elements, and treats aliased batches as
+	// pass-through: Reset detaches the aliased slices entirely rather
+	// than truncating them (a truncated alias would leak foreign memory
+	// into the free list), and the shard returns the Batch struct to its
+	// owner by simply not free-listing it — the transport slot that
+	// created it reuses the struct after its verdict frame round-trips.
+	// Aliased batches must be submitted through SubmitBatch or a Lane,
+	// never built by Submit.
 	Aliased bool
 
 	// base is the global arrival index of the batch's first element —
@@ -316,12 +316,6 @@ type shard struct {
 	in       chan part
 	assigned []int32
 	idx      int // shard index, keys the telemetry ring
-	// scratch preserves a sampled element's member order across
-	// DecideInPlace (which reorders the batch buffer) so the verdict
-	// bitmask can be computed against the wire order. It grows to the
-	// largest sampled membership once and is then reused — no
-	// steady-state allocation.
-	scratch []setsystem.SetID
 }
 
 // New builds an engine over the given up-front information (weights and
@@ -383,9 +377,11 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 }
 
 // run is the shard worker loop: decide every element of every inbound
-// batch part with the policy's pure decide rule and count assignments
-// locally. No locks, no shared writes — only the amortized per-part
-// metrics publication and the batch's countdown. With telemetry attached
+// batch part with the policy's pure Admit and count assignments locally.
+// No locks, no shared writes — only the amortized per-part metrics
+// publication and the batch's countdown. The batch is only read: Admit
+// names the winners by position, which indexes both the counter bump
+// and the element's verdict bit. With telemetry attached
 // the loop additionally observes queue wait and decide time once per
 // part and, for every sampled element (a shard-local countdown), records
 // the decision into the shard's preallocated ring — all of it
@@ -401,6 +397,7 @@ func (e *Engine) run(s *shard) {
 		qwait = e.tel.QueueWait
 		decide = e.tel.Decide
 	}
+	var pos []int32 // Admit's positions; grows to the widest element once
 	for p := range s.in {
 		b := p.b
 		var t0 time.Time
@@ -417,40 +414,35 @@ func (e *Engine) run(s *shard) {
 		// loop reads registers instead of reloading through the batch
 		// pointer every element.
 		batchMembers, offs, caps, masks := b.Members, b.Offs, b.Caps, b.Masks
-		counts, scratch := s.assigned, s.scratch
+		counts := s.assigned
 		at := p.maskOff
 		var assigned, dropped uint64
 		for i := p.lo; i < p.hi; i++ {
 			members := batchMembers[offs[i]:offs[i+1]]
-			// A sampled or mask-carrying element's members are copied to
-			// shard scratch before the decide reorders them, so the verdict
-			// mask can be computed against the canonical wire order.
-			sampled := slog != nil && slog.Sample()
-			if sampled || wantMasks {
-				scratch = append(scratch[:0], members...)
+			pos = decider.Admit(members, int(caps[i]), pos)
+			for _, j := range pos {
+				counts[members[j]]++
 			}
-			// The batch buffer is engine-owned scratch, so the policy may
-			// reorder it in place — no per-element copy on the hot path.
-			choice := decider.DecideInPlace(members, int(caps[i]))
-			for _, id := range choice {
-				counts[id]++
-			}
-			assigned += uint64(len(choice))
-			dropped += uint64(len(members) - len(choice))
+			assigned += uint64(len(pos))
+			dropped += uint64(len(members) - len(pos))
 			if wantMasks {
-				at = wire.PutVerdictMask(masks, at, scratch, choice)
+				// Bit j of the element's verdict bytes, LSB first, is
+				// members[j]'s verdict (wire.MaskBit reads it back).
+				for _, j := range pos {
+					masks[at+int(j>>3)] |= 1 << (j & 7)
+				}
+				at += wire.MaskLen(len(members))
 			}
-			if sampled {
+			if slog != nil && slog.Sample() {
 				slog.Record(obs.Record{
 					Element:      base + uint64(i),
-					Verdict:      verdictMask(scratch, choice),
+					Verdict:      sampledMask(pos),
 					TimeUnixNano: time.Now().UnixNano(),
 					Members:      int32(len(members)),
-					Admitted:     int32(len(choice)),
+					Admitted:     int32(len(pos)),
 				})
 			}
 		}
-		s.scratch = scratch
 		if decide != nil {
 			decide.Observe(time.Since(t0))
 		}
@@ -478,23 +470,15 @@ func (e *Engine) run(s *shard) {
 	}
 }
 
-// verdictMask builds the admit bitmask of a sampled decision: bit i set
-// means members[i] — the element's i-th membership in canonical
-// ascending SetID order — was admitted. Both slices are ascending
-// (members is the pre-decide copy, choice is the winning prefix sorted
-// by the policy contract), so one merge scan suffices. Memberships past
-// bit 63 are truncated; Decision.Members still reports the true width.
-func verdictMask(members, choice []setsystem.SetID) uint64 {
+// sampledMask is the admit bitmask of a sampled decision: bit j set
+// means the element's j-th member was admitted, for Admit's positions
+// pos. Positions past 63 are truncated; Decision.Members still reports
+// the true width.
+func sampledMask(pos []int32) uint64 {
 	var mask uint64
-	limit := len(members)
-	if limit > 64 {
-		limit = 64
-	}
-	j := 0
-	for i := 0; i < limit && j < len(choice); i++ {
-		if members[i] == choice[j] {
-			mask |= 1 << uint(i)
-			j++
+	for _, j := range pos {
+		if j < 64 {
+			mask |= 1 << j
 		}
 	}
 	return mask

@@ -199,7 +199,7 @@ func TestLifecycleStates(t *testing.T) {
 
 // TestPolicyStateSharedWithSerial pins the Policy accessor: deciding an
 // element with the engine's frozen policy state reproduces the serial
-// replica's decision (core.SelectTopPriority over independently derived
+// replica's decision (core.SelectTopPrioritySort over independently derived
 // priorities), which is what the HTTP layer's immediate verdicts depend
 // on.
 func TestPolicyStateSharedWithSerial(t *testing.T) {
@@ -214,7 +214,7 @@ func TestPolicyStateSharedWithSerial(t *testing.T) {
 	}
 	prio := core.HashPriorities(info, hashpr.Mixer{Seed: 7}, nil)
 	members := []setsystem.SetID{0, 1, 2}
-	want := core.SelectTopPriority(members, 2, prio, nil)
+	want := core.SelectTopPrioritySort(members, 2, prio, nil)
 	got := e.Policy().Decide(members, 2, nil)
 	if len(got) != len(want) {
 		t.Fatalf("Decide chose %v, serial replica chose %v", got, want)

@@ -163,31 +163,21 @@ func TestDecisionLogMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestVerdictMask pins the merge-scan mask against hand-built cases,
-// including the >64-member truncation.
+// TestVerdictMask pins a sampled decision's mask against hand-built
+// position lists, including the >64-member truncation.
 func TestVerdictMask(t *testing.T) {
-	ids := func(v ...int) []setsystem.SetID {
-		out := make([]setsystem.SetID, len(v))
-		for i, x := range v {
-			out[i] = setsystem.SetID(x)
-		}
-		return out
+	if got := sampledMask([]int32{0, 2}); got != 0b101 {
+		t.Errorf("mask(0, 2) = %#b, want 101", got)
 	}
-	if got := verdictMask(ids(2, 5, 9), ids(2, 9)); got != 0b101 {
-		t.Errorf("mask(235/29) = %#b, want 101", got)
-	}
-	if got := verdictMask(ids(2, 5, 9), nil); got != 0 {
+	if got := sampledMask(nil); got != 0 {
 		t.Errorf("empty choice: mask = %#b, want 0", got)
 	}
-	if got := verdictMask(ids(2, 5, 9), ids(2, 5, 9)); got != 0b111 {
+	if got := sampledMask([]int32{0, 1, 2}); got != 0b111 {
 		t.Errorf("full choice: mask = %#b, want 111", got)
 	}
-	// 70 members, the last (index 69) admitted: truncated out of the mask.
-	wide := make([]setsystem.SetID, 70)
-	for i := range wide {
-		wide[i] = setsystem.SetID(i)
-	}
-	if got := verdictMask(wide, ids(0, 69)); got != 1 {
+	// Of 70 members, the last (position 69) admitted: truncated out of
+	// the mask.
+	if got := sampledMask([]int32{0, 69}); got != 1 {
 		t.Errorf("truncated mask = %#x, want 1", got)
 	}
 }

@@ -122,24 +122,24 @@ type UniformHasher interface {
 	Uniform(x uint64) float64
 }
 
-// FillUniform sets out[i] = h.Uniform(uint64(i)) for every i — the bulk
-// fill path used when a whole priority vector is derived at once. The
-// concrete-type branches devirtualize the per-index hash call so the
-// known hashers inline into a tight loop instead of paying an interface
-// dispatch per set.
-func FillUniform(h UniformHasher, out []float64) {
+// FillUniform sets out[i] = h.Uniform(first+i) for every i — the bulk
+// fill path used when priorities are derived a run of identifiers at a
+// time. The concrete-type branches devirtualize the per-index hash call
+// so the known hashers inline into a tight loop instead of paying an
+// interface dispatch per set.
+func FillUniform(h UniformHasher, first uint64, out []float64) {
 	switch h := h.(type) {
 	case Mixer:
 		for i := range out {
-			out[i] = h.Uniform(uint64(i))
+			out[i] = h.Uniform(first + uint64(i))
 		}
 	case *PolyFamily:
 		for i := range out {
-			out[i] = h.Uniform(uint64(i))
+			out[i] = h.Uniform(first + uint64(i))
 		}
 	default:
 		for i := range out {
-			out[i] = h.Uniform(uint64(i))
+			out[i] = h.Uniform(first + uint64(i))
 		}
 	}
 }

@@ -193,28 +193,26 @@ func (in *Instance) Drain() (*core.Result, error) {
 func (in *Instance) Verdicts(els []setsystem.Element) []Verdict {
 	dec := in.eng.Policy()
 	verdicts := make([]Verdict, len(els))
-	var buf []setsystem.SetID
+	var pos []int32
 	for i, el := range els {
-		buf = dec.Decide(el.Members, el.Capacity, buf)
-		admitted := append([]setsystem.SetID(nil), buf...)
-		verdicts[i] = Verdict{Admitted: admitted, Dropped: droppedOf(el.Members, admitted)}
+		// One walk over the members splits them by Admit's ascending
+		// positions: admitted to the front of one allocation, dropped
+		// behind them.
+		pos = dec.Admit(el.Members, el.Capacity, pos)
+		split := make([]setsystem.SetID, len(el.Members))
+		a, d := 0, len(pos)
+		for j, s := range el.Members {
+			if a < len(pos) && int(pos[a]) == j {
+				split[a] = s
+				a++
+			} else {
+				split[d] = s
+				d++
+			}
+		}
+		verdicts[i] = Verdict{Admitted: split[:len(pos):len(pos)], Dropped: split[len(pos):]}
 	}
 	return verdicts
-}
-
-// droppedOf returns members \ admitted. Both inputs are in ascending
-// SetID order, so a single merge pass suffices.
-func droppedOf(members, admitted []setsystem.SetID) []setsystem.SetID {
-	dropped := make([]setsystem.SetID, 0, len(members)-len(admitted))
-	j := 0
-	for _, s := range members {
-		if j < len(admitted) && admitted[j] == s {
-			j++
-			continue
-		}
-		dropped = append(dropped, s)
-	}
-	return dropped
 }
 
 // Pool owns every registered instance: registration, lookup, removal, and

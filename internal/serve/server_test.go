@@ -111,7 +111,7 @@ func TestRegisterIngestDrainHappyPath(t *testing.T) {
 		}
 		for i, v := range resp.Verdicts {
 			el := inst.Elements[off+i]
-			want := core.SelectTopPriority(el.Members, el.Capacity, prio, nil)
+			want := core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil)
 			if fmt.Sprint(v.Admitted) != fmt.Sprint(want) {
 				t.Fatalf("element %d verdict = %v, oracle chose %v", off+i, v.Admitted, want)
 			}

@@ -301,7 +301,7 @@ func TestStreamIngestMatchesAllCodecsAndOracle(t *testing.T) {
 		for si, ts := range streams {
 			sAdmitted := ts.recv(els)
 			for i, el := range els {
-				want := fmt.Sprint(core.SelectTopPriority(el.Members, el.Capacity, prio, nil))
+				want := fmt.Sprint(core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil))
 				if got := fmt.Sprint(sAdmitted[i]); got != want {
 					t.Fatalf("element %d: stream %d admitted %v, oracle chose %v", off+i, si, got, want)
 				}
@@ -359,7 +359,7 @@ func TestStreamInterleavedConnections(t *testing.T) {
 				for _, els := range pending {
 					admitted := ts.recv(els)
 					for i, el := range els {
-						want := core.SelectTopPriority(el.Members, el.Capacity, prio, nil)
+						want := core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil)
 						if fmt.Sprint(admitted[i]) != fmt.Sprint(want) {
 							t.Errorf("conn %d: element verdict %v, oracle chose %v", conn, admitted[i], want)
 							return
@@ -528,7 +528,7 @@ func TestStreamShutdownAnswersInFlight(t *testing.T) {
 	checkVerdicts := func(t *testing.T, els []setsystem.Element, admitted [][]setsystem.SetID) {
 		t.Helper()
 		for i, el := range els {
-			want := core.SelectTopPriority(el.Members, el.Capacity, prio, nil)
+			want := core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil)
 			if fmt.Sprint(admitted[i]) != fmt.Sprint(want) {
 				t.Fatalf("verdict during drain = %v, oracle chose %v", admitted[i], want)
 			}
