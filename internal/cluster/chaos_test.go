@@ -104,6 +104,10 @@ func TestChaosKillAutoFailoverZeroOperator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The monitor counts a failover only once ReplaceNode has
+			// returned, which can be after the replayed share rode through
+			// and the drain finished; Stop waits for that goroutine.
+			mon.Stop()
 			if mon.AutoFailovers() != 1 {
 				t.Fatalf("auto failovers = %d, want 1", mon.AutoFailovers())
 			}
@@ -246,6 +250,7 @@ func TestChaosFaultClasses(t *testing.T) {
 			if in.Lost() != 0 {
 				t.Fatalf("Lost() = %d with the journal on, want 0", in.Lost())
 			}
+			mon.Stop() // waits for the failover goroutine to count its replay
 			if mon.AutoFailovers() != 1 {
 				t.Fatalf("auto failovers = %d, want exactly 1", mon.AutoFailovers())
 			}

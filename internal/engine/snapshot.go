@@ -18,7 +18,7 @@ import (
 // across the crash boundary, and the completion sweep is deterministic.
 
 // Checkpoint is an engine's full recoverable run state at a quiesced
-// moment, ready to be framed by wire.AppendSnapshot and later handed to
+// moment, ready to be framed by wire.WriteSnapshot and later handed to
 // NewFromCheckpoint.
 type Checkpoint struct {
 	// Submitted, Processed, Batches, AssignedTotal, Dropped mirror the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -333,10 +334,23 @@ func (p *Pool) Get(id string) (*Instance, bool) {
 // from the pool, freeing its memory. Its decision logger — if telemetry
 // is attached — is flushed and unregistered, so sampled decisions
 // already in the rings still reach the sink.
+//
+// When the instance holds at least as many sets as every surviving
+// instance together, Remove also runs a collection before it returns.
+// An instance's memory is its per-set arrays, and once registration
+// stopped producing tens of megabytes of garbage, the pacer's next
+// cycle could come only after a successor of the same size was built:
+// the server then held both. Collecting here costs a mark of the
+// survivors, which are no larger than what the removed instance cost
+// to build.
 func (p *Pool) Remove(id string) error {
 	p.mu.Lock()
 	in, ok := p.byID[id]
 	delete(p.byID, id)
+	surviving := 0
+	for _, other := range p.byID {
+		surviving += other.NumSets()
+	}
 	p.mu.Unlock()
 	if !ok {
 		return ErrUnknownInstance
@@ -344,6 +358,9 @@ func (p *Pool) Remove(id string) error {
 	_, err := in.Drain()
 	if p.detachTel != nil {
 		p.detachTel(id)
+	}
+	if in.NumSets() >= surviving {
+		runtime.GC()
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -182,5 +183,46 @@ func TestPoolInstancesOrdered(t *testing.T) {
 	}
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveCollectsDominantInstance pins when Remove runs a
+// collection: removing an instance with at least as many sets as all
+// survivors together does; removing a small one beside a larger
+// survivor does not.
+func TestRemoveCollectsDominantInstance(t *testing.T) {
+	p := NewPool(0)
+	unit := func(m int) Spec {
+		info := core.Info{Weights: make([]float64, m), Sizes: make([]int, m)}
+		for i := range info.Sizes {
+			info.Sizes[i] = 1
+		}
+		return Spec{Info: info, Engine: engine.Config{Shards: 1}}
+	}
+	big, err := p.Register(unit(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := p.Register(unit(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := func() uint32 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.NumForcedGC
+	}
+	before := forced()
+	if err := p.Remove(small.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := forced(); got != before {
+		t.Fatalf("removing 10 sets beside 1000 forced %d collections, want 0", got-before)
+	}
+	if err := p.Remove(big.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := forced(); got != before+1 {
+		t.Fatalf("removing the last instance forced %d collections, want 1", got-before)
 	}
 }

@@ -8,9 +8,10 @@
 // Endpoints (full request/response reference in docs/OPERATIONS.md):
 //
 //	POST   /v1/instances                 register a set system, open an engine
-//	                                     (a body of Content-Type application/
-//	                                     x-osp-snapshot restores an instance
-//	                                     from a snapshot frame instead)
+//	                                     (JSON, or a body of Content-Type
+//	                                     application/x-osp-snapshot: a frame
+//	                                     with an empty ID registers, any other
+//	                                     restores the instance it was taken from)
 //	GET    /v1/instances                 list instances with live metrics
 //	GET    /v1/instances/{id}            one instance's status
 //	POST   /v1/instances/{id}/elements   batched JSON element ingest → admit/drop
@@ -18,7 +19,9 @@
 //	POST   /v1/instances/{id}/snapshot   quiesce → snapshot frame of the
 //	                                     instance's recoverable state (persisted
 //	                                     to -snapshot-dir when configured)
-//	POST   /v1/instances/{id}/drain      close the stream → final Result (idempotent)
+//	POST   /v1/instances/{id}/drain      close the stream → final Result (idempotent;
+//	                                     the Final snapshot frame when the request
+//	                                     accepts application/x-osp-snapshot)
 //	DELETE /v1/instances/{id}            drain and remove the instance
 //	GET    /v1/instances/{id}/decisions  tail of the sampled decision log
 //	                                     (404 unless Config.Decisions is set)
@@ -131,7 +134,8 @@ type Config struct {
 // depth sizes the pre-filled batch free list). Vars, not consts, so
 // tests can lower them without allocating gigabytes.
 var (
-	maxSets          = 1 << 24 // sets per instance (m)
+	maxSets          = wire.MaxSets   // sets per instance (m); frames carry the same cap
+	maxLabelLen      = math.MaxUint16 // a frame's string bound
 	maxShards        = 1024
 	maxBatchSize     = 1 << 20
 	maxQueueDepth    = 1 << 16
@@ -266,72 +270,19 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // handleRegister opens a new instance: POST /v1/instances. A body of
-// Content-Type application/x-osp-snapshot is a restore-on-register: the
-// instance is rebuilt from the snapshot frame under its original ID
-// (handleRestore) instead of registered fresh.
+// Content-Type application/x-osp-snapshot is a frame (handleFrame): one
+// with an empty ID registers fresh like this JSON arm, any other is a
+// restore-on-register under the frame's original ID.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if mediaType(r.Header.Get("Content-Type")) == wire.ContentTypeSnapshot {
-		s.handleRestore(w, r)
+		s.handleFrame(w, r)
 		return
 	}
 	var req RegisterRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Weights) == 0 {
-		writeError(w, http.StatusBadRequest, "register: at least one set required")
-		return
-	}
-	if len(req.Weights) != len(req.Sizes) {
-		writeError(w, http.StatusBadRequest, "register: %d weights but %d sizes", len(req.Weights), len(req.Sizes))
-		return
-	}
-	for i, weight := range req.Weights {
-		if weight < 0 || math.IsInf(weight, 1) || math.IsNaN(weight) {
-			writeError(w, http.StatusBadRequest, "register: set %d has invalid weight %v", i, weight)
-			return
-		}
-		if req.Sizes[i] < 1 {
-			writeError(w, http.StatusBadRequest, "register: set %d has size %d, want >= 1", i, req.Sizes[i])
-			return
-		}
-	}
-	// Clamp client-supplied engine sizing: these fields allocate real
-	// resources per unit, individually and in products.
-	switch {
-	case len(req.Weights) > maxSets:
-		writeError(w, http.StatusBadRequest, "register: %d sets exceeds limit %d", len(req.Weights), maxSets)
-		return
-	case req.Shards < 0 || req.Shards > maxShards:
-		writeError(w, http.StatusBadRequest, "register: shards %d out of range [0, %d]", req.Shards, maxShards)
-		return
-	case req.BatchSize < 0 || req.BatchSize > maxBatchSize:
-		writeError(w, http.StatusBadRequest, "register: batch_size %d out of range [0, %d]", req.BatchSize, maxBatchSize)
-		return
-	case req.QueueDepth < 0 || req.QueueDepth > maxQueueDepth:
-		writeError(w, http.StatusBadRequest, "register: queue_depth %d out of range [0, %d]", req.QueueDepth, maxQueueDepth)
-		return
-	}
-	// Resolve the policy name up front so an unknown name 400s with the
-	// registered alternatives before any engine resources are sized.
-	if _, err := core.LookupPolicy(req.Policy); err != nil {
-		writeError(w, http.StatusBadRequest, "register: %v", err)
-		return
-	}
-	resolved := engine.Config{
-		Shards: req.Shards, BatchSize: req.BatchSize, QueueDepth: req.QueueDepth,
-	}.Resolved()
-	switch {
-	case resolved.Shards*len(req.Weights) > maxCounterCells:
-		writeError(w, http.StatusBadRequest,
-			"register: %d shards x %d sets exceeds %d counter cells", resolved.Shards, len(req.Weights), maxCounterCells)
-		return
-	case resolved.Shards*(resolved.QueueDepth+1) > maxInFlightBatch:
-		writeError(w, http.StatusBadRequest,
-			"register: %d shards x %d queue depth exceeds %d in-flight batches", resolved.Shards, resolved.QueueDepth, maxInFlightBatch)
-		return
-	}
-	in, err := s.pool.Register(Spec{
+	spec := Spec{
 		Info: core.Info{Weights: req.Weights, Sizes: req.Sizes},
 		Seed: req.Seed,
 		Engine: engine.Config{
@@ -339,21 +290,78 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			Policy: req.Policy,
 		},
 		Label: req.Label,
-	})
-	switch {
-	case errors.Is(err, ErrPoolClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, ErrPoolFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case err != nil:
+	}
+	if err := checkSpec(spec); err != nil {
 		writeError(w, http.StatusBadRequest, "register: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, RegisterResponse{
-		ID: in.ID(), Shards: in.Shards(), Policy: in.Policy(), State: in.State().String(),
-	})
+	in, err := s.pool.Register(spec)
+	writeRegistered(w, "register", in, err)
+}
+
+// checkSpec applies every registration check — to a JSON registration,
+// a registration frame and a restore alike. A registration is a cheap
+// unauthenticated request, so besides validating the Info it clamps the
+// client-supplied engine sizing: these fields allocate real resources
+// per unit, individually and in products.
+func checkSpec(spec Spec) error {
+	info, cfg := spec.Info, spec.Engine
+	switch m := len(info.Weights); {
+	case m == 0:
+		return errors.New("at least one set required")
+	case m != len(info.Sizes):
+		return fmt.Errorf("%d weights but %d sizes", m, len(info.Sizes))
+	case m > maxSets:
+		return fmt.Errorf("%d sets exceeds limit %d", m, maxSets)
+	}
+	for i, weight := range info.Weights {
+		if weight < 0 || math.IsInf(weight, 1) || math.IsNaN(weight) {
+			return fmt.Errorf("set %d has invalid weight %v", i, weight)
+		}
+		if info.Sizes[i] < 1 {
+			return fmt.Errorf("set %d has size %d, want >= 1", i, info.Sizes[i])
+		}
+	}
+	switch {
+	case len(spec.Label) > maxLabelLen:
+		return fmt.Errorf("label of %d bytes exceeds limit %d", len(spec.Label), maxLabelLen)
+	case cfg.Shards < 0 || cfg.Shards > maxShards:
+		return fmt.Errorf("shards %d out of range [0, %d]", cfg.Shards, maxShards)
+	case cfg.BatchSize < 0 || cfg.BatchSize > maxBatchSize:
+		return fmt.Errorf("batch_size %d out of range [0, %d]", cfg.BatchSize, maxBatchSize)
+	case cfg.QueueDepth < 0 || cfg.QueueDepth > maxQueueDepth:
+		return fmt.Errorf("queue_depth %d out of range [0, %d]", cfg.QueueDepth, maxQueueDepth)
+	}
+	// Resolve the policy name up front so an unknown name 400s with the
+	// registered alternatives before any engine resources are sized.
+	if _, err := core.LookupPolicy(cfg.Policy); err != nil {
+		return err
+	}
+	resolved := cfg.Resolved()
+	switch {
+	case resolved.Shards*len(info.Weights) > maxCounterCells:
+		return fmt.Errorf("%d shards x %d sets exceeds %d counter cells", resolved.Shards, len(info.Weights), maxCounterCells)
+	case resolved.Shards*(resolved.QueueDepth+1) > maxInFlightBatch:
+		return fmt.Errorf("%d shards x %d queue depth exceeds %d in-flight batches", resolved.Shards, resolved.QueueDepth, maxInFlightBatch)
+	}
+	return nil
+}
+
+// writeRegistered answers a registration or restore: 201 with the new
+// instance, or the status its error maps to.
+func writeRegistered(w http.ResponseWriter, op string, in *Instance, err error) {
+	switch {
+	case errors.Is(err, ErrPoolClosed):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, ErrPoolFull):
+		writeError(w, http.StatusTooManyRequests, "%v", err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "%s: %v", op, err)
+	default:
+		writeJSON(w, http.StatusCreated, RegisterResponse{
+			ID: in.ID(), Shards: in.Shards(), Policy: in.Policy(), State: in.State().String(),
+		})
+	}
 }
 
 // mediaType strips parameters and whitespace off a Content-Type value.
@@ -439,7 +447,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDrain closes a stream: POST /v1/instances/{id}/drain.
+// handleDrain closes a stream: POST /v1/instances/{id}/drain. A request
+// that accepts application/x-osp-snapshot gets the instance's Final
+// frame, written from the drained Result's own counts; any other gets
+// the JSON body.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instance(w, r)
 	if !ok {
@@ -451,10 +462,26 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "drain: %v", err)
 		return
 	}
+	if accepts(r, wire.ContentTypeSnapshot) {
+		writeFrame(w, in.finalFrame(res))
+		return
+	}
 	writeJSON(w, http.StatusOK, DrainResponse{
 		Result:  wireResult(res),
 		Metrics: wireSnapshot(in.Snapshot()),
 	})
+}
+
+// accepts reports whether the request's Accept header names mediaType.
+func accepts(r *http.Request, mt string) bool {
+	for _, h := range r.Header.Values("Accept") {
+		for _, v := range strings.Split(h, ",") {
+			if mediaType(v) == mt {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // handleStatus reports one instance: GET /v1/instances/{id}.

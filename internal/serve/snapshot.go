@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,15 +16,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Snapshot/restore at the service layer: Export quiesces one instance
+// Snapshot frames at the service layer: Export quiesces one instance
 // and frames its recoverable state (engine.Checkpoint → wire.Snapshot);
 // Pool.Restore is Register's mirror that rebuilds an instance — same
 // ID, same policy state, counters resumed — from such a frame. The
 // HTTP surface is POST /v1/instances/{id}/snapshot (returns the frame,
 // and persists it when the server runs with a snapshot directory) and
 // POST /v1/instances with Content-Type application/x-osp-snapshot
-// (restore-on-register). ospserve -snapshot-dir wires WriteSnapshots /
-// RestoreDir around shutdown and boot so a restart loses nothing.
+// (register when the frame's ID is empty, restore-on-register
+// otherwise); a drain that accepts the frame type is answered with the
+// Final frame. Every frame is streamed through wire's fixed chunk.
+// ospserve -snapshot-dir wires WriteSnapshots / RestoreDir around
+// shutdown and boot so a restart loses nothing.
 
 // exportQuiesceTimeout bounds how long a snapshot request waits for the
 // engine's in-flight batches to be decided. The backlog is bounded by
@@ -47,6 +48,21 @@ func (in *Instance) Export(ctx context.Context) (*wire.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return in.frame(cp, cp.Final && in.Final()), nil
+}
+
+// finalFrame is the Final frame of a client-drained instance, carrying
+// the drained Result's counts themselves rather than a copy.
+func (in *Instance) finalFrame(res *core.Result) *wire.Snapshot {
+	m := in.Snapshot()
+	return in.frame(&engine.Checkpoint{
+		Submitted: m.Submitted, Processed: m.Processed, Batches: m.Batches,
+		AssignedTotal: m.Assigned, Dropped: m.Dropped, Assigned: res.Assigned,
+	}, true)
+}
+
+// frame is the snapshot frame of the instance at checkpoint cp.
+func (in *Instance) frame(cp *engine.Checkpoint, final bool) *wire.Snapshot {
 	cfg := in.eng.Config()
 	return &wire.Snapshot{
 		ID:     in.id,
@@ -54,13 +70,13 @@ func (in *Instance) Export(ctx context.Context) (*wire.Snapshot, error) {
 		Policy: in.eng.PolicyName(),
 		Seed:   in.seed,
 		Shards: cfg.Shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth,
-		Final:     cp.Final && in.Final(),
+		Final:     final,
 		Submitted: cp.Submitted, Processed: cp.Processed, Batches: cp.Batches,
 		AssignedTotal: cp.AssignedTotal, Dropped: cp.Dropped,
 		Weights:  in.info.Weights,
 		Sizes:    in.info.Sizes,
 		Assigned: cp.Assigned,
-	}, nil
+	}
 }
 
 // Restore rebuilds an instance from a snapshot under its original ID:
@@ -179,8 +195,8 @@ func restoreID(id string) (int, error) {
 
 // handleSnapshot serves POST /v1/instances/{id}/snapshot: quiesce the
 // instance, answer its snapshot frame, and — when the server runs with
-// a snapshot directory — persist the frame atomically so the state
-// survives even a kill -9 from this moment on.
+// a snapshot directory — persist the frame atomically first, so the
+// state survives even a kill -9 from this moment on.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instance(w, r)
 	if !ok {
@@ -193,97 +209,92 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "snapshot: %v", err)
 		return
 	}
-	raw := wire.AppendSnapshot(make([]byte, 0, wire.SnapshotLen(snap)), snap)
 	if s.cfg.SnapshotDir != "" {
-		if err := writeFileAtomic(s.cfg.SnapshotDir, snapshotFileName(in.ID()), raw); err != nil {
+		if err := writeSnapshotFile(s.cfg.SnapshotDir, snap); err != nil {
 			writeError(w, http.StatusInternalServerError, "snapshot: persist: %v", err)
 			return
 		}
 	}
-	w.Header().Set("Content-Type", wire.ContentTypeSnapshot)
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw) //nolint:errcheck // client gone mid-write is not actionable
+	writeFrame(w, snap)
 }
 
-// handleRestore is the restore arm of POST /v1/instances, taken when
-// the request body is a snapshot frame (Content-Type
-// application/x-osp-snapshot). The same admission clamps as a fresh
-// registration apply — a snapshot is still an unauthenticated request.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// writeFrame answers 200 with a snapshot frame, encoded straight into
+// the response.
+func writeFrame(w http.ResponseWriter, snap *wire.Snapshot) {
+	w.Header().Set("Content-Type", wire.ContentTypeSnapshot)
+	w.Header().Set("Content-Length", strconv.Itoa(wire.SnapshotLen(snap)))
+	w.WriteHeader(http.StatusOK)
+	wire.WriteSnapshot(w, snap) //nolint:errcheck // client gone mid-write is not actionable
+}
+
+// handleFrame is the frame arm of POST /v1/instances, taken when the
+// request body is a snapshot frame (Content-Type
+// application/x-osp-snapshot). A frame with an empty ID registers a
+// fresh instance, so its counters must be zero and it cannot be Final;
+// any other frame restores the instance it was taken from. The frame is
+// read through a fixed chunk, never buffered whole, and it passes the
+// same checks as a JSON registration — it is still an unauthenticated
+// request.
+func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
+	snap, err := wire.ReadSnapshot(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "restore: read body: %v", err)
+		writeError(w, http.StatusBadRequest, "snapshot frame: %v", err)
 		return
 	}
-	snap, err := wire.DecodeSnapshot(body)
+	spec, op := specOf(snap), "restore"
+	if snap.ID == "" {
+		op = "register"
+		err = checkFresh(snap)
+	}
+	if err == nil {
+		err = checkSpec(spec)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "restore: %v", err)
+		writeError(w, http.StatusBadRequest, "%s: %v", op, err)
 		return
 	}
-	if msg := vetSnapshot(snap); msg != "" {
-		writeError(w, http.StatusBadRequest, "restore: %s", msg)
-		return
+	var in *Instance
+	if snap.ID == "" {
+		in, err = s.pool.Register(spec)
+	} else {
+		in, err = s.pool.Restore(snap)
 	}
-	in, err := s.pool.Restore(snap)
-	switch {
-	case errors.Is(err, ErrPoolClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, ErrPoolFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "restore: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, RegisterResponse{
-		ID: in.ID(), Shards: in.Shards(), Policy: in.Policy(), State: in.State().String(),
-	})
+	writeRegistered(w, op, in, err)
 }
 
-// vetSnapshot applies the registration-time semantic checks and sizing
-// clamps to a decoded snapshot ("" = acceptable). Structural and
-// restore-invariant checks already happened in wire.DecodeSnapshot.
-func vetSnapshot(snap *wire.Snapshot) string {
-	if len(snap.Weights) == 0 {
-		return "at least one set required"
+// specOf is the registration a snapshot frame carries.
+func specOf(snap *wire.Snapshot) Spec {
+	return Spec{
+		Info: core.Info{Weights: snap.Weights, Sizes: snap.Sizes},
+		Seed: snap.Seed,
+		Engine: engine.Config{
+			Shards: snap.Shards, BatchSize: snap.BatchSize, QueueDepth: snap.QueueDepth,
+			Policy: snap.Policy,
+		},
+		Label: snap.Label,
 	}
-	if len(snap.Weights) > maxSets {
-		return fmt.Sprintf("%d sets exceeds limit %d", len(snap.Weights), maxSets)
+}
+
+// checkFresh holds a registration frame (empty ID) to a fresh
+// instance's state: not Final, every counter zero.
+func checkFresh(snap *wire.Snapshot) error {
+	if snap.Final {
+		return errors.New("a frame without an id registers a fresh instance; it cannot be Final")
 	}
-	for i, weight := range snap.Weights {
-		if weight < 0 || math.IsInf(weight, 1) || math.IsNaN(weight) {
-			return fmt.Sprintf("set %d has invalid weight %v", i, weight)
+	if snap.Submitted|snap.Processed|snap.Batches|snap.AssignedTotal|snap.Dropped != 0 {
+		return errors.New("a frame without an id registers a fresh instance; its stream counters must be zero")
+	}
+	for i, a := range snap.Assigned {
+		if a != 0 {
+			return fmt.Errorf("a frame without an id registers a fresh instance; set %d has assigned count %d", i, a)
 		}
-		if snap.Sizes[i] < 1 {
-			return fmt.Sprintf("set %d has size %d, want >= 1", i, snap.Sizes[i])
-		}
 	}
-	if snap.Shards > maxShards {
-		return fmt.Sprintf("shards %d out of range [0, %d]", snap.Shards, maxShards)
-	}
-	if snap.BatchSize > maxBatchSize {
-		return fmt.Sprintf("batch_size %d out of range [0, %d]", snap.BatchSize, maxBatchSize)
-	}
-	if snap.QueueDepth > maxQueueDepth {
-		return fmt.Sprintf("queue_depth %d out of range [0, %d]", snap.QueueDepth, maxQueueDepth)
-	}
-	resolved := engine.Config{
-		Shards: snap.Shards, BatchSize: snap.BatchSize, QueueDepth: snap.QueueDepth,
-	}.Resolved()
-	if resolved.Shards*len(snap.Weights) > maxCounterCells {
-		return fmt.Sprintf("%d shards x %d sets exceeds %d counter cells", resolved.Shards, len(snap.Weights), maxCounterCells)
-	}
-	if resolved.Shards*(resolved.QueueDepth+1) > maxInFlightBatch {
-		return fmt.Sprintf("%d shards x %d queue depth exceeds %d in-flight batches", resolved.Shards, resolved.QueueDepth, maxInFlightBatch)
-	}
-	return ""
+	return nil
 }
 
 // snapshotFileName maps an instance ID to its file in the snapshot
@@ -310,12 +321,10 @@ func (s *Server) WriteSnapshots(ctx context.Context, dir string) error {
 	var errs []error
 	for _, in := range s.pool.Instances() {
 		snap, err := in.Export(ctx)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("instance %s: %w", in.ID(), err))
-			continue
+		if err == nil {
+			err = writeSnapshotFile(dir, snap)
 		}
-		raw := wire.AppendSnapshot(make([]byte, 0, wire.SnapshotLen(snap)), snap)
-		if err := writeFileAtomic(dir, snapshotFileName(in.ID()), raw); err != nil {
+		if err != nil {
 			errs = append(errs, fmt.Errorf("instance %s: %w", in.ID(), err))
 		}
 	}
@@ -333,21 +342,7 @@ func (s *Server) RestoreDir(dir string) (restored int, err error) {
 	}
 	var errs []error
 	for _, path := range paths {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		snap, err := wire.DecodeSnapshot(raw)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", filepath.Base(path), err))
-			continue
-		}
-		if msg := vetSnapshot(snap); msg != "" {
-			errs = append(errs, fmt.Errorf("%s: %s", filepath.Base(path), msg))
-			continue
-		}
-		if _, err := s.pool.Restore(snap); err != nil {
+		if err := s.restoreFile(path); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", filepath.Base(path), err))
 			continue
 		}
@@ -356,22 +351,43 @@ func (s *Server) RestoreDir(dir string) (restored int, err error) {
 	return restored, errors.Join(errs...)
 }
 
-// writeFileAtomic writes name under dir with crash-safe visibility:
-// the bytes go to a temp file that is fsynced before a rename onto the
-// final name, and the directory is fsynced after, so a crash at any
-// point leaves either the old file or the new one — never a torn
-// mixture, never a name pointing at unflushed data.
-func writeFileAtomic(dir, name string, data []byte) error {
+// restoreFile restores the instance a snapshot file holds, reading the
+// frame from the open file.
+func (s *Server) restoreFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	snap, err := wire.ReadSnapshot(f)
+	if err != nil {
+		return err
+	}
+	if err := checkSpec(specOf(snap)); err != nil {
+		return err
+	}
+	_, err = s.pool.Restore(snap)
+	return err
+}
+
+// writeSnapshotFile writes the instance's frame into dir with crash-safe
+// visibility: the frame is encoded straight into a temp file that is
+// fsynced before a rename onto the final name, and the directory is
+// fsynced after, so a crash at any point leaves either the old file or
+// the new one — never a torn mixture, never a name pointing at
+// unflushed data.
+func writeSnapshotFile(dir string, snap *wire.Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	name := snapshotFileName(snap.ID)
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) //nolint:errcheck // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if err := wire.WriteSnapshot(tmp, snap); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -28,11 +28,21 @@ func takeSnapshot(t *testing.T, s *Server, id string) (*wire.Snapshot, []byte) {
 	if ct := rec.Header().Get("Content-Type"); ct != wire.ContentTypeSnapshot {
 		t.Fatalf("snapshot content type = %q", ct)
 	}
-	snap, err := wire.DecodeSnapshot(rec.Body.Bytes())
+	snap, err := wire.ReadSnapshot(bytes.NewReader(rec.Body.Bytes()))
 	if err != nil {
 		t.Fatalf("snapshot frame: %v", err)
 	}
 	return snap, rec.Body.Bytes()
+}
+
+// encodeFrame is wire.WriteSnapshot into memory.
+func encodeFrame(t *testing.T, snap *wire.Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.WriteSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // restore posts a snapshot frame to /v1/instances.
@@ -163,12 +173,12 @@ func TestRestoreRejections(t *testing.T) {
 		t.Errorf("duplicate restore: status %d body %s", rec.Code, rec.Body.String())
 	}
 	// An ID outside the pool's own form is refused.
-	snap, err := wire.DecodeSnapshot(raw)
+	snap, err := wire.ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap.ID = "../../etc/passwd"
-	bad := wire.AppendSnapshot(nil, snap)
+	bad := encodeFrame(t, snap)
 	if rec := restore(t, New(Config{}), bad); rec.Code != http.StatusBadRequest ||
 		!strings.Contains(rec.Body.String(), "not of the form") {
 		t.Errorf("malformed id restore: status %d body %s", rec.Code, rec.Body.String())

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -92,6 +93,47 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			if !negative {
 				t.Fatalf("AliasBatch accepted a frame DecodeBatch rejected (%v) with no out-of-range value", derr)
+			}
+		}
+	})
+}
+
+// FuzzReadSnapshot drives the snapshot reader with arbitrary bytes. It
+// must never panic; whatever it accepts, WriteSnapshot re-encodes to a
+// frame that reads back equal, and every proper prefix of an accepted
+// frame is rejected. The seed corpus is the codec tests' sample frames.
+func FuzzReadSnapshot(f *testing.F) {
+	s := sampleSnapshot()
+	f.Add(encodeSnapshot(f, s))
+	s.Final, s.Label = true, ""
+	f.Add(encodeSnapshot(f, s))
+	f.Add(encodeSnapshot(f, &Snapshot{}))
+	f.Add(encodeSnapshot(f, &Snapshot{Weights: []float64{1}, Sizes: []int{1}, Assigned: []int32{0}}))
+	good := encodeSnapshot(f, sampleSnapshot())
+	f.Add(good[:len(good)-3])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add([]byte("OSPS"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("rejection is neither ErrFrame nor ErrVersion: %v", err)
+			}
+			return
+		}
+		re := encodeSnapshot(t, s)
+		back, err := ReadSnapshot(bytes.NewReader(re))
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		if !snapshotsEqual(back, s) {
+			t.Fatalf("re-encoded frame reads back different: %+v vs %+v", back, s)
+		}
+		for n := range len(data) {
+			if _, err := ReadSnapshot(bytes.NewReader(data[:n])); err == nil {
+				t.Fatalf("%d-byte prefix of an accepted %d-byte frame accepted", n, len(data))
 			}
 		}
 	})

@@ -2,11 +2,16 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
-// Snapshot frame ("OSPS") — an instance's full recoverable state.
+// Snapshot frame ("OSPS") — an instance's up-front information and its
+// recoverable state. The service sends it in four places: a fresh
+// registration (empty ID, zero counters), a drain reply (the Final
+// frame), a snapshot export, and a restore.
 //
 // Because every admission policy is pure in (Info, seed), a replica can
 // rebuild the policy's frozen decision state from scratch; the only
@@ -23,7 +28,7 @@ import (
 //	0       4     magic "OSPS"
 //	4       1     version (1)
 //	5       1     flags — bit0: Final (drained; restore as terminal)
-//	6       2+len id      — instance identifier
+//	6       2+len id      — instance identifier ("" = register fresh)
 //	...     2+len label   — metrics label ("" allowed)
 //	...     2+len policy  — admission policy name ("" = server default)
 //	...     8     seed
@@ -35,35 +40,53 @@ import (
 //	...     8     batches       quiesces the engine first)
 //	...     8     assigned total
 //	...     8     dropped
-//	...     4     m — number of sets
+//	...     4     m — number of sets, at most MaxSets
 //	...     8m    weights  — float64 bits
 //	...     4m    sizes    — declared set sizes
 //	...     4m    assigned — per-set assigned counts (the run state)
 //
 // A frame's length is fully determined by its header and the three
-// length prefixes; any mismatch is rejected before data is touched.
+// length prefixes, and a frame is the whole of its reader: a short
+// frame and trailing bytes are both malformed.
+//
+// WriteSnapshot and ReadSnapshot stream the three arrays through one
+// fixed chunk (snapChunk bytes), so neither side ever holds an encoded
+// frame whole. The reader trusts the header's m only as far as the
+// bytes that back it: a header claiming MaxSets sets followed by
+// nothing costs one chunk, not 16·MaxSets bytes.
 
 // ContentTypeSnapshot marks an HTTP body as a binary snapshot frame —
-// returned by POST /v1/instances/{id}/snapshot and accepted by
-// /v1/instances to restore.
+// accepted by POST /v1/instances (register or restore), returned by
+// POST /v1/instances/{id}/snapshot, and by .../drain when the request
+// accepts it.
 const ContentTypeSnapshot = "application/x-osp-snapshot"
 
 // SnapshotVersion is the snapshot frame version this package encodes
 // and accepts.
 const SnapshotVersion = 1
 
+// MaxSets caps a snapshot frame's set count m. ReadSnapshot rejects a
+// larger m from the header, before reading any array; the service
+// applies the same cap to JSON registrations.
+const MaxSets = 1 << 24
+
 var magicSnapshot = [4]byte{'O', 'S', 'P', 'S'}
 
 const (
 	snapFlagFinal    = 1 << 0
-	snapFixedLen     = 4 + 1 + 1 + 8 + 4 + 4 + 4 + 5*8 + 4 // everything but strings and arrays
+	snapScalarLen    = 8 + 3*4 + 5*8 + 4 // seed through m
+	snapFixedLen     = 4 + 1 + 1 + snapScalarLen
 	snapMaxStringLen = math.MaxUint16
+	// snapChunk is the buffer both directions move the arrays through; a
+	// string (at most snapMaxStringLen bytes) also fits.
+	snapChunk = 64 << 10
 )
 
 // Snapshot is the decoded form of one instance snapshot frame.
 type Snapshot struct {
 	// ID is the instance identifier the snapshot was taken under; restore
-	// reuses it so clients resume against the same URL.
+	// reuses it so clients resume against the same URL. A registration
+	// frame leaves it empty.
 	ID string
 	// Label tags the instance's metrics series.
 	Label string
@@ -93,145 +116,235 @@ func SnapshotLen(s *Snapshot) int {
 	return snapFixedLen + 2 + len(s.ID) + 2 + len(s.Label) + 2 + len(s.Policy) + 16*len(s.Weights)
 }
 
-// AppendSnapshot appends one encoded snapshot frame and returns the
-// extended slice. Pre-grow dst with SnapshotLen to avoid growth copies.
-// Snapshots with mismatched array lengths or oversized strings are a
-// programming error and panic.
-func AppendSnapshot(dst []byte, s *Snapshot) []byte {
+// WriteSnapshot encodes one snapshot frame to w, moving the arrays
+// through a fixed chunk; it returns the first write error. Snapshots
+// with mismatched array lengths or oversized strings are a programming
+// error and panic.
+func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	m := len(s.Weights)
 	if len(s.Sizes) != m || len(s.Assigned) != m {
 		panic(fmt.Sprintf("wire: snapshot arrays disagree: %d weights, %d sizes, %d assigned", m, len(s.Sizes), len(s.Assigned)))
 	}
-	dst = append(dst, magicSnapshot[:]...)
-	dst = append(dst, SnapshotVersion)
 	var flags byte
 	if s.Final {
 		flags |= snapFlagFinal
 	}
-	dst = append(dst, flags)
-	dst = appendString(dst, s.ID)
-	dst = appendString(dst, s.Label)
-	dst = appendString(dst, s.Policy)
-	dst = binary.LittleEndian.AppendUint64(dst, s.Seed)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Shards))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.BatchSize))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.QueueDepth))
-	dst = binary.LittleEndian.AppendUint64(dst, s.Submitted)
-	dst = binary.LittleEndian.AppendUint64(dst, s.Processed)
-	dst = binary.LittleEndian.AppendUint64(dst, s.Batches)
-	dst = binary.LittleEndian.AppendUint64(dst, s.AssignedTotal)
-	dst = binary.LittleEndian.AppendUint64(dst, s.Dropped)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(m))
-	for _, w := range s.Weights {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+	buf := make([]byte, 0, snapChunk)
+	buf = append(buf, magicSnapshot[:]...)
+	buf = append(buf, SnapshotVersion, flags)
+	sw := snapWriter{w: w, buf: buf}
+	sw.putString(s.ID)
+	sw.putString(s.Label)
+	sw.putString(s.Policy)
+	sw.room(snapScalarLen)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Seed)
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(s.Shards))
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(s.BatchSize))
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(s.QueueDepth))
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Submitted)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Processed)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Batches)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.AssignedTotal)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Dropped)
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(m))
+	for _, x := range s.Weights {
+		sw.room(8)
+		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(x))
 	}
-	for _, sz := range s.Sizes {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(sz))
+	for _, x := range s.Sizes {
+		sw.room(4)
+		sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x))
 	}
-	for _, a := range s.Assigned {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(a))
+	for _, x := range s.Assigned {
+		sw.room(4)
+		sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x))
 	}
-	return dst
+	sw.flush()
+	return sw.err
 }
 
-func appendString(dst []byte, s string) []byte {
+// snapWriter is WriteSnapshot's chunk: values are appended to buf, which
+// goes out whenever the next value would not fit. After a write error
+// the chunk keeps being reused and nothing more is written.
+type snapWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (sw *snapWriter) room(n int) {
+	if len(sw.buf)+n > cap(sw.buf) {
+		sw.flush()
+	}
+}
+
+func (sw *snapWriter) flush() {
+	if sw.err == nil && len(sw.buf) > 0 {
+		_, sw.err = sw.w.Write(sw.buf)
+	}
+	sw.buf = sw.buf[:0]
+}
+
+func (sw *snapWriter) putString(s string) {
 	if len(s) > snapMaxStringLen {
 		panic(fmt.Sprintf("wire: snapshot string %d bytes, max %d", len(s), snapMaxStringLen))
 	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
+	sw.room(2 + len(s))
+	sw.buf = binary.LittleEndian.AppendUint16(sw.buf, uint16(len(s)))
+	sw.buf = append(sw.buf, s...)
 }
 
-// DecodeSnapshot parses one snapshot frame. The frame is validated
-// structurally — magic, version, exact length, counts within range, and
-// the restore invariants (Submitted == Processed, per-set assigned
-// within [0, size]) — so a decoded snapshot is safe to hand to the
-// engine's restore path. Semantic Info validation (positive sizes,
-// finite weights) remains with the registration layer, which applies
-// the same checks to restores as to fresh registrations.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < snapFixedLen {
-		return nil, fmt.Errorf("%w: %d bytes, snapshot fixed part is %d", ErrFrame, len(data), snapFixedLen)
-	}
-	if [4]byte(data[:4]) != magicSnapshot {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFrame, data[:4])
-	}
-	if data[4] != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, this server speaks %d", ErrVersion, data[4], SnapshotVersion)
-	}
-	s := &Snapshot{Final: data[5]&snapFlagFinal != 0}
-	rest := data[6:]
-	var err error
-	if s.ID, rest, err = takeString(rest, "id"); err != nil {
+// ReadSnapshot reads one snapshot frame from r, which it reads to EOF:
+// the frame must be the whole of r. The frame is validated structurally
+// — magic, version, exact length, set count at most MaxSets,
+// non-negative sizing, and the restore invariants (Submitted ==
+// Processed, per-set sizes and assigned counts within range) — so a
+// decoded snapshot is safe to hand to the engine's restore path.
+// Semantic Info validation (positive sizes, finite weights) remains
+// with the registration layer, which applies the same checks to frames
+// as to JSON registrations.
+//
+// Malformed frames, short ones included, fail with ErrFrame or
+// ErrVersion; any other error is r's own (a body-size limit, say).
+//
+// Memory follows the bytes that arrive, not the header's m: the
+// weights grow by doubling as their chunks come in, and the sizes and
+// counts are allocated whole only once all 8m weight bytes are in — so
+// the arrays never take more than twice the array bytes received.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	sr := snapReader{r: r, buf: make([]byte, snapChunk)}
+	b, err := sr.take(6, "header")
+	if err != nil {
 		return nil, err
 	}
-	if s.Label, rest, err = takeString(rest, "label"); err != nil {
+	if [4]byte(b[:4]) != magicSnapshot {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrFrame, b[:4])
+	}
+	if b[4] != SnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, this server speaks %d", ErrVersion, b[4], SnapshotVersion)
+	}
+	s := &Snapshot{Final: b[5]&snapFlagFinal != 0}
+	if s.ID, err = sr.takeString("id"); err != nil {
 		return nil, err
 	}
-	if s.Policy, rest, err = takeString(rest, "policy"); err != nil {
+	if s.Label, err = sr.takeString("label"); err != nil {
 		return nil, err
 	}
-	if len(rest) < 8+3*4+5*8+4 {
-		return nil, fmt.Errorf("%w: snapshot truncated after strings", ErrFrame)
+	if s.Policy, err = sr.takeString("policy"); err != nil {
+		return nil, err
 	}
-	s.Seed = binary.LittleEndian.Uint64(rest)
-	s.Shards = int(int32(binary.LittleEndian.Uint32(rest[8:])))
-	s.BatchSize = int(int32(binary.LittleEndian.Uint32(rest[12:])))
-	s.QueueDepth = int(int32(binary.LittleEndian.Uint32(rest[16:])))
-	s.Submitted = binary.LittleEndian.Uint64(rest[20:])
-	s.Processed = binary.LittleEndian.Uint64(rest[28:])
-	s.Batches = binary.LittleEndian.Uint64(rest[36:])
-	s.AssignedTotal = binary.LittleEndian.Uint64(rest[44:])
-	s.Dropped = binary.LittleEndian.Uint64(rest[52:])
-	m := binary.LittleEndian.Uint32(rest[60:])
-	rest = rest[64:]
-	if uint64(m) > uint64(math.MaxInt32) {
-		return nil, fmt.Errorf("%w: snapshot set count %d overflows", ErrFrame, m)
+	if b, err = sr.take(snapScalarLen, "counters"); err != nil {
+		return nil, err
 	}
-	if uint64(len(rest)) != 16*uint64(m) {
-		return nil, fmt.Errorf("%w: %d array bytes for %d sets, want %d", ErrFrame, len(rest), m, 16*m)
+	s.Seed = binary.LittleEndian.Uint64(b)
+	s.Shards = int(int32(binary.LittleEndian.Uint32(b[8:])))
+	s.BatchSize = int(int32(binary.LittleEndian.Uint32(b[12:])))
+	s.QueueDepth = int(int32(binary.LittleEndian.Uint32(b[16:])))
+	s.Submitted = binary.LittleEndian.Uint64(b[20:])
+	s.Processed = binary.LittleEndian.Uint64(b[28:])
+	s.Batches = binary.LittleEndian.Uint64(b[36:])
+	s.AssignedTotal = binary.LittleEndian.Uint64(b[44:])
+	s.Dropped = binary.LittleEndian.Uint64(b[52:])
+	m64 := binary.LittleEndian.Uint32(b[60:])
+	// MaxSets < MaxInt32, so this also rules out a count that overflows.
+	if m64 > MaxSets {
+		return nil, fmt.Errorf("%w: snapshot set count %d exceeds limit %d", ErrFrame, m64, MaxSets)
 	}
+	m := int(m64)
 	if s.Shards < 0 || s.BatchSize < 0 || s.QueueDepth < 0 {
 		return nil, fmt.Errorf("%w: negative engine sizing", ErrFrame)
 	}
 	if s.Submitted != s.Processed {
 		return nil, fmt.Errorf("%w: snapshot not quiesced: submitted %d, processed %d", ErrFrame, s.Submitted, s.Processed)
 	}
-	s.Weights = make([]float64, m)
+
+	for len(s.Weights) < m {
+		if b, err = sr.chunk(m-len(s.Weights), 8, "weights"); err != nil {
+			return nil, err
+		}
+		if n := len(s.Weights) + len(b)/8; n > cap(s.Weights) {
+			// Double, but never past the weights received or past m.
+			grown := make([]float64, len(s.Weights), min(max(2*cap(s.Weights), n), m))
+			copy(grown, s.Weights)
+			s.Weights = grown
+		}
+		for ; len(b) > 0; b = b[8:] {
+			s.Weights = append(s.Weights, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		}
+	}
+	// All 8m weight bytes are in: 8m bytes of sizes and 4m of counts now
+	// stay within twice what arrived.
 	s.Sizes = make([]int, m)
+	for i := 0; i < m; {
+		if b, err = sr.chunk(m-i, 4, "sizes"); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b, i = b[4:], i+1 {
+			v := binary.LittleEndian.Uint32(b)
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: set %d size %d overflows int32", ErrFrame, i, v)
+			}
+			s.Sizes[i] = int(v)
+		}
+	}
 	s.Assigned = make([]int32, m)
-	for i := uint32(0); i < m; i++ {
-		s.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+	for i := 0; i < m; {
+		if b, err = sr.chunk(m-i, 4, "assigned counts"); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b, i = b[4:], i+1 {
+			v := binary.LittleEndian.Uint32(b)
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: set %d assigned count %d overflows int32", ErrFrame, i, v)
+			}
+			if int(v) > s.Sizes[i] {
+				return nil, fmt.Errorf("%w: set %d assigned %d of %d elements", ErrFrame, i, v, s.Sizes[i])
+			}
+			s.Assigned[i] = int32(v)
+		}
 	}
-	sizesRaw := rest[8*m:]
-	assignedRaw := sizesRaw[4*m:]
-	for i := uint32(0); i < m; i++ {
-		v := binary.LittleEndian.Uint32(sizesRaw[4*i:])
-		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: set %d size %d overflows int32", ErrFrame, i, v)
-		}
-		s.Sizes[i] = int(v)
-	}
-	for i := uint32(0); i < m; i++ {
-		v := binary.LittleEndian.Uint32(assignedRaw[4*i:])
-		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: set %d assigned count %d overflows int32", ErrFrame, i, v)
-		}
-		if int(v) > s.Sizes[i] {
-			return nil, fmt.Errorf("%w: set %d assigned %d of %d elements", ErrFrame, i, v, s.Sizes[i])
-		}
-		s.Assigned[i] = int32(v)
+
+	switch n, err := io.ReadFull(r, sr.buf[:1]); {
+	case n > 0:
+		return nil, fmt.Errorf("%w: trailing bytes after a %d-set snapshot", ErrFrame, m)
+	case err != io.EOF:
+		return nil, err
 	}
 	return s, nil
 }
 
-func takeString(data []byte, field string) (string, []byte, error) {
-	if len(data) < 2 {
-		return "", nil, fmt.Errorf("%w: snapshot truncated in %s length", ErrFrame, field)
+// snapReader is ReadSnapshot's chunk: every field and array run is read
+// into buf, so the frame never sits in memory whole.
+type snapReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// take reads the next n bytes (n <= len(buf)) of field what.
+func (sr *snapReader) take(n int, what string) ([]byte, error) {
+	b := sr.buf[:n]
+	if _, err := io.ReadFull(sr.r, b); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("%w: snapshot truncated in %s", ErrFrame, what)
+		}
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint16(data))
-	if len(data) < 2+n {
-		return "", nil, fmt.Errorf("%w: snapshot truncated in %s (%d of %d bytes)", ErrFrame, field, len(data)-2, n)
+	return b, nil
+}
+
+// chunk reads the next run of an array with left values of width bytes
+// still to come: as many whole values as fit in the buffer.
+func (sr *snapReader) chunk(left, width int, what string) ([]byte, error) {
+	return sr.take(min(left, len(sr.buf)/width)*width, what)
+}
+
+func (sr *snapReader) takeString(field string) (string, error) {
+	b, err := sr.take(2, field+" length")
+	if err != nil {
+		return "", err
 	}
-	return string(data[2 : 2+n]), data[2+n:], nil
+	if b, err = sr.take(int(binary.LittleEndian.Uint16(b)), field); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }

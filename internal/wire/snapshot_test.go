@@ -1,9 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func sampleSnapshot() *Snapshot {
@@ -22,37 +28,55 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
+// encodeSnapshot is WriteSnapshot into memory.
+func encodeSnapshot(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, s); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotsEqual compares every field, weights by their bits.
+func snapshotsEqual(a, b *Snapshot) bool {
+	if a.ID != b.ID || a.Label != b.Label || a.Policy != b.Policy ||
+		a.Seed != b.Seed || a.Shards != b.Shards ||
+		a.BatchSize != b.BatchSize || a.QueueDepth != b.QueueDepth ||
+		a.Final != b.Final ||
+		a.Submitted != b.Submitted || a.Processed != b.Processed ||
+		a.Batches != b.Batches || a.AssignedTotal != b.AssignedTotal ||
+		a.Dropped != b.Dropped ||
+		len(a.Weights) != len(b.Weights) || len(a.Sizes) != len(b.Sizes) || len(a.Assigned) != len(b.Assigned) {
+		return false
+	}
+	for i := range a.Weights {
+		if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) ||
+			a.Sizes[i] != b.Sizes[i] || a.Assigned[i] != b.Assigned[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSnapshotRoundTrip pins encode→decode identity for every field.
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	raw := AppendSnapshot(nil, want)
+	raw := encodeSnapshot(t, want)
 	if len(raw) != SnapshotLen(want) {
 		t.Fatalf("encoded %d bytes, SnapshotLen says %d", len(raw), SnapshotLen(want))
 	}
-	got, err := DecodeSnapshot(raw)
+	got, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if got.ID != want.ID || got.Label != want.Label || got.Policy != want.Policy ||
-		got.Seed != want.Seed || got.Shards != want.Shards ||
-		got.BatchSize != want.BatchSize || got.QueueDepth != want.QueueDepth ||
-		got.Final != want.Final ||
-		got.Submitted != want.Submitted || got.Processed != want.Processed ||
-		got.Batches != want.Batches || got.AssignedTotal != want.AssignedTotal ||
-		got.Dropped != want.Dropped {
-		t.Fatalf("scalar mismatch: got %+v want %+v", got, want)
-	}
-	for i := range want.Weights {
-		if got.Weights[i] != want.Weights[i] || got.Sizes[i] != want.Sizes[i] || got.Assigned[i] != want.Assigned[i] {
-			t.Fatalf("array mismatch at %d: got (%v,%d,%d) want (%v,%d,%d)", i,
-				got.Weights[i], got.Sizes[i], got.Assigned[i],
-				want.Weights[i], want.Sizes[i], want.Assigned[i])
-		}
+	if !snapshotsEqual(got, want) {
+		t.Fatalf("round trip: got %+v want %+v", got, want)
 	}
 
 	want.Final = true
 	want.Label = ""
-	got, err = DecodeSnapshot(AppendSnapshot(nil, want))
+	got, err = ReadSnapshot(bytes.NewReader(encodeSnapshot(t, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +85,46 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotChunked round-trips frames whose arrays span several
+// chunks, through readers that hand out one byte at a time or end with
+// data and EOF together, and writers that see every chunk.
+func TestSnapshotChunked(t *testing.T) {
+	for _, m := range []int{0, 1, snapChunk / 8, snapChunk/8 + 1, 3*snapChunk/4 + 5} {
+		want := &Snapshot{ID: "i-3", Policy: "greedy-remaining", Seed: uint64(m), Shards: 2,
+			Weights: make([]float64, m), Sizes: make([]int, m), Assigned: make([]int32, m)}
+		for i := range want.Weights {
+			want.Weights[i] = float64(i) / 3
+			want.Sizes[i] = i%7 + 1
+			want.Assigned[i] = int32(i % (i%7 + 1))
+		}
+		raw := encodeSnapshot(t, want)
+		if len(raw) != SnapshotLen(want) {
+			t.Fatalf("m=%d: encoded %d bytes, SnapshotLen says %d", m, len(raw), SnapshotLen(want))
+		}
+		for name, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(raw),
+			"one byte": iotest.OneByteReader(bytes.NewReader(raw)),
+			"data+EOF": iotest.DataErrReader(bytes.NewReader(raw)),
+		} {
+			got, err := ReadSnapshot(r)
+			if err != nil {
+				t.Fatalf("m=%d %s: %v", m, name, err)
+			}
+			if !snapshotsEqual(got, want) {
+				t.Fatalf("m=%d %s: round trip differs", m, name)
+			}
+			if cap(got.Weights) != m {
+				t.Fatalf("m=%d %s: weights capacity %d, want exactly m", m, name, cap(got.Weights))
+			}
+		}
+	}
+}
+
 // TestSnapshotRejects sweeps the structural rejections.
 func TestSnapshotRejects(t *testing.T) {
-	good := AppendSnapshot(nil, sampleSnapshot())
+	good := encodeSnapshot(t, sampleSnapshot())
+	// The set count m sits just before the arrays.
+	mAt := len(good) - 16*len(sampleSnapshot().Weights) - 4
 
 	cases := []struct {
 		name    string
@@ -76,10 +137,27 @@ func TestSnapshotRejects(t *testing.T) {
 		{"truncated tail", func(b []byte) []byte { return b[:len(b)-3] }, ErrFrame},
 		{"trailing junk", func(b []byte) []byte { return append(b, 0) }, ErrFrame},
 		{"string past end", func(b []byte) []byte { b[6] = 0xFF; b[7] = 0xFF; return b }, ErrFrame},
+		{"trailing frame", func(b []byte) []byte { return append(b, b...) }, ErrFrame},
+		{"set count past limit", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[mAt:], MaxSets+1)
+			return b
+		}, ErrFrame},
+		{"set count overflows", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[mAt:], math.MaxUint32)
+			return b
+		}, ErrFrame},
+		{"negative shards", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[mAt-52:], math.MaxUint32)
+			return b
+		}, ErrFrame},
+		{"size overflows", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(b)-8*3:], math.MaxUint32)
+			return b
+		}, ErrFrame},
 	}
 	for _, tc := range cases {
 		raw := tc.mutate(append([]byte(nil), good...))
-		if _, err := DecodeSnapshot(raw); !errors.Is(err, tc.wantErr) {
+		if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
 		}
 	}
@@ -87,15 +165,65 @@ func TestSnapshotRejects(t *testing.T) {
 	// Semantic restore guards: quiesce and count-range violations.
 	s := sampleSnapshot()
 	s.Processed = s.Submitted - 1
-	if _, err := DecodeSnapshot(AppendSnapshot(nil, s)); !errors.Is(err, ErrFrame) {
+	if _, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, s))); !errors.Is(err, ErrFrame) {
 		t.Errorf("non-quiesced snapshot accepted: %v", err)
 	}
 	s = sampleSnapshot()
 	s.Assigned[1] = int32(s.Sizes[1]) + 1
-	if _, err := DecodeSnapshot(AppendSnapshot(nil, s)); !errors.Is(err, ErrFrame) {
+	if _, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, s))); !errors.Is(err, ErrFrame) {
 		t.Errorf("assigned > size accepted: %v", err)
 	}
 }
+
+// TestReadSnapshotPassesReaderErrors pins that an error of the reader
+// itself (a body-size limit, a reset connection) comes back as is, not
+// as a malformed frame.
+func TestReadSnapshotPassesReaderErrors(t *testing.T) {
+	boom := errors.New("boom")
+	raw := encodeSnapshot(t, sampleSnapshot())
+	for _, n := range []int{0, 3, len(raw) - 1, len(raw)} {
+		r := io.MultiReader(bytes.NewReader(raw[:n]), iotest.ErrReader(boom))
+		if _, err := ReadSnapshot(r); !errors.Is(err, boom) || errors.Is(err, ErrFrame) {
+			t.Errorf("error after %d bytes: %v, want boom", n, err)
+		}
+	}
+}
+
+// TestReadSnapshotAllocatesWhatArrives pins the allocation bound: a
+// header that claims MaxSets sets costs one chunk when nothing follows,
+// and a trickle of weights costs at most twice the bytes received.
+func TestReadSnapshotAllocatesWhatArrives(t *testing.T) {
+	s := &Snapshot{Weights: make([]float64, 1), Sizes: []int{1}, Assigned: []int32{0}}
+	raw := encodeSnapshot(t, s)
+	header := raw[:len(raw)-16]
+	binary.LittleEndian.PutUint32(header[len(header)-4:], MaxSets)
+	for _, weightBytes := range []int{0, 1 << 20} {
+		frame := append(append([]byte(nil), header...), make([]byte, weightBytes)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(bytes.NewReader(frame))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFrame) {
+			t.Fatalf("%d weight bytes of %d sets: err = %v, want ErrFrame", weightBytes, MaxSets, err)
+		}
+		limit := uint64(2*weightBytes + 2*snapChunk)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%d weight bytes of a %d-set frame allocated %d bytes, want <= %d", weightBytes, MaxSets, got, limit)
+		}
+	}
+}
+
+// TestWriteSnapshotError pins that the first write error is returned.
+func TestWriteSnapshotError(t *testing.T) {
+	boom := errors.New("boom")
+	if err := WriteSnapshot(failWriter{boom}, sampleSnapshot()); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // TestSnapshotStringBound pins the panic on oversized strings — a
 // programming error, not a wire condition.
@@ -107,5 +235,36 @@ func TestSnapshotStringBound(t *testing.T) {
 	}()
 	s := sampleSnapshot()
 	s.Label = strings.Repeat("x", snapMaxStringLen+1)
-	AppendSnapshot(nil, s)
+	WriteSnapshot(io.Discard, s) //nolint:errcheck // panics first
+}
+
+// BenchmarkSnapshotCodec times one frame each way at the bulk
+// benchmark's shape (2^18 unit-weight sets): WriteSnapshot to a
+// discarding writer and ReadSnapshot from memory. -benchmem shows the
+// reader allocating only the decoded arrays and their doubling.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	const m = 1 << 18
+	s := &Snapshot{Weights: make([]float64, m), Sizes: make([]int, m), Assigned: make([]int32, m)}
+	for i := range s.Weights {
+		s.Weights[i], s.Sizes[i] = 1, 12
+	}
+	raw := encodeSnapshot(b, s)
+	b.Run("write", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := WriteSnapshot(io.Discard, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ReadSnapshot(bytes.NewReader(raw)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -12,6 +12,12 @@
 // frame per Verdicts envelope. The JSON ingest endpoint stays for curl
 // and debugging; it refuses a ContentTypeBatch body and names the stream.
 //
+// The control plane has a third frame, the snapshot frame of
+// snapshot.go: an instance's Info, sizing and counts. It registers an
+// instance, answers a drain, and carries snapshot export and restore,
+// and it is streamed through a fixed chunk in both directions
+// (WriteSnapshot, ReadSnapshot).
+//
 // # Batch frame (requests)
 //
 // All integers are little-endian. The layout mirrors the engine's flat

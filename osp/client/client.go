@@ -7,9 +7,10 @@
 // information — per-set weights and declared sizes plus the shared
 // priority seed — then elements stream in batches, each answered with
 // the verdict the engine's coordination-free admission policy reached.
-// Batches ride a binary verdict stream (an HTTP/1.1 Upgrade of the
-// server's own listener, or its raw stream port) by default; CodecJSON
-// sends them as JSON requests, the shapes curl speaks.
+// By default batches ride a binary verdict stream (an HTTP/1.1 Upgrade
+// of the server's own listener, or its raw stream port), and register
+// and drain carry internal/wire snapshot frames; CodecJSON sends all
+// three as JSON requests, the shapes curl speaks.
 // The drained Result is bit-for-bit identical to a serial osp.Run with
 // the matching osp.NewPolicyAlgorithm(policy, seed) over the same
 // elements — osp.NewHashRandPr(seed) for the default randpr policy —
@@ -30,24 +31,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
 
+	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/osp"
 )
 
-// Codec selects the ingest wire representation (see WithCodec).
+// Codec selects the wire representation of ingest, register and drain
+// (see WithCodec).
 type Codec int
 
 const (
 	// CodecBinary — the default — sends binary batch frames over the
-	// instance's verdict stream; a server that refuses the stream
-	// surfaces the resulting *APIError.
+	// instance's verdict stream, and registers and drains with snapshot
+	// frames; a server that refuses the stream surfaces the resulting
+	// *APIError.
 	CodecBinary Codec = iota
-	// CodecJSON sends every batch as a JSON request.
+	// CodecJSON sends every batch, registration and drain as a JSON
+	// request.
 	CodecJSON
 )
 
@@ -81,11 +88,13 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithCodec picks the ingest wire codec. The default, CodecBinary,
-// sends internal/wire's flat batch frames over a verdict stream — the
-// zero-allocation path, measured severalfold faster than JSON end to
-// end; CodecJSON sends one JSON request per batch, the shapes curl
-// speaks.
+// WithCodec picks the wire codec of ingest and of the control plane.
+// The default, CodecBinary, sends internal/wire's flat batch frames over
+// a verdict stream — the zero-allocation path, measured severalfold
+// faster than JSON end to end — and registers and drains with snapshot
+// frames (POST /v1/instances with a frame, Accept: application/
+// x-osp-snapshot on .../drain). CodecJSON sends one JSON request per
+// batch and JSON register and drain bodies, the shapes curl speaks.
 func WithCodec(codec Codec) Option {
 	return func(c *Client) { c.codec = codec }
 }
@@ -337,22 +346,77 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 }
 
 // Register opens a new instance on the server and returns its handle.
+// Under the default CodecBinary the registration travels as a snapshot
+// frame with an empty ID and zero counters, encoded straight into the
+// request body; under CodecJSON it is the JSON body curl speaks.
 func (c *Client) Register(ctx context.Context, spec Spec) (*Instance, error) {
-	req := registerRequest{
-		Weights:    spec.Info.Weights,
-		Sizes:      spec.Info.Sizes,
-		Seed:       spec.Seed,
-		Shards:     spec.Engine.Shards,
-		BatchSize:  spec.Engine.BatchSize,
-		QueueDepth: spec.Engine.QueueDepth,
-		Policy:     spec.Engine.Policy,
-		Label:      spec.Label,
-	}
 	var resp registerResponse
-	if err := c.doJSON(ctx, "POST", "/v1/instances", req, &resp); err != nil {
+	var err error
+	if c.codec == CodecJSON {
+		err = c.doJSON(ctx, "POST", "/v1/instances", registerRequest{
+			Weights:    spec.Info.Weights,
+			Sizes:      spec.Info.Sizes,
+			Seed:       spec.Seed,
+			Shards:     spec.Engine.Shards,
+			BatchSize:  spec.Engine.BatchSize,
+			QueueDepth: spec.Engine.QueueDepth,
+			Policy:     spec.Engine.Policy,
+			Label:      spec.Label,
+		}, &resp)
+	} else {
+		err = c.registerFrame(ctx, spec, &resp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &Instance{c: c, id: resp.ID, shards: resp.Shards, policy: resp.Policy}, nil
+}
+
+// registerFrame posts spec as a registration frame, piping the encoder
+// into the request so the frame is never held whole.
+func (c *Client) registerFrame(ctx context.Context, spec Spec, out *registerResponse) error {
+	m := len(spec.Info.Weights)
+	if len(spec.Info.Sizes) != m {
+		return fmt.Errorf("client: register: %d weights but %d sizes", m, len(spec.Info.Sizes))
+	}
+	if len(spec.Label) > math.MaxUint16 || len(spec.Engine.Policy) > math.MaxUint16 {
+		return fmt.Errorf("client: register: label and policy name are limited to %d bytes", math.MaxUint16)
+	}
+	snap := &wire.Snapshot{
+		Label: spec.Label, Policy: spec.Engine.Policy, Seed: spec.Seed,
+		Shards: spec.Engine.Shards, BatchSize: spec.Engine.BatchSize, QueueDepth: spec.Engine.QueueDepth,
+		Weights: spec.Info.Weights, Sizes: spec.Info.Sizes, Assigned: make([]int32, m),
+	}
+	pr, pw := io.Pipe()
+	encoded := make(chan struct{})
+	go func() {
+		pw.CloseWithError(wire.WriteSnapshot(pw, snap))
+		close(encoded)
+	}()
+	// Closing the read side fails the encoder's pending write, so no
+	// goroutine reads spec after Register returns, whatever the outcome.
+	defer func() {
+		pr.Close()
+		<-encoded
+	}()
+	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/instances", pr)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	req.ContentLength = int64(wire.SnapshotLen(snap))
+	req.Header.Set("Content-Type", wire.ContentTypeSnapshot)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return fmt.Errorf("client: POST /v1/instances: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return apiError(resp)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: decode POST /v1/instances response: %w", err)
+	}
+	return nil
 }
 
 // Instances lists every instance on the server with live metrics.
@@ -512,19 +576,36 @@ func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdic
 // identical to a serial osp.Run with osp.NewHashRandPr under the
 // instance's seed over the same elements. The instance's pinned verdict
 // stream, if any, is released first: every batch it carried has been
-// answered. Idempotent: draining again returns the same Result — which
-// is also what makes it safe to retry under WithRetry.
+// answered. Under the default CodecBinary the server answers with the
+// instance's Final snapshot frame and the Result is rebuilt from its
+// counts by the same function the engine's drain uses; under CodecJSON
+// it is the JSON body. Idempotent: draining again returns the same
+// Result — which is also what makes it safe to retry under WithRetry.
 func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.tmu.Lock()
 	if in.pinned != nil {
 		in.dropPinned()
 	}
 	in.tmu.Unlock()
-	var resp drainResponse
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		return in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/drain", nil, &resp)
+	var res *osp.Result
+	err := in.c.withRetry(ctx, func(ctx context.Context) (err error) {
+		if in.c.codec == CodecJSON {
+			res, err = in.drainJSON(ctx)
+		} else {
+			res, err = in.drainFrame(ctx)
+		}
+		return err
 	})
 	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// drainJSON is the JSON arm of Drain.
+func (in *Instance) drainJSON(ctx context.Context) (*osp.Result, error) {
+	var resp drainResponse
+	if err := in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/drain", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &osp.Result{
@@ -532,6 +613,36 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 		Benefit:   resp.Result.Benefit,
 		Assigned:  resp.Result.Assigned,
 	}, nil
+}
+
+// drainFrame is the binary arm of Drain: it reads the Final frame
+// through wire's fixed chunk and rebuilds the Result from its counts.
+func (in *Instance) drainFrame(ctx context.Context) (*osp.Result, error) {
+	path := "/v1/instances/" + in.id + "/drain"
+	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	req.Header.Set("Accept", wire.ContentTypeSnapshot)
+	resp, err := in.c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return nil, apiError(resp)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeSnapshot {
+		return nil, fmt.Errorf("client: POST %s answered %q, want %s", path, ct, wire.ContentTypeSnapshot)
+	}
+	snap, err := wire.ReadSnapshot(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+	}
+	if !snap.Final {
+		return nil, fmt.Errorf("client: POST %s answered a frame that is not Final", path)
+	}
+	return core.ResultFromCounts(core.Info{Weights: snap.Weights, Sizes: snap.Sizes}, snap.Assigned), nil
 }
 
 // Status fetches the instance's lifecycle state and live metrics.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/osp"
@@ -363,6 +364,86 @@ func TestCodecEquivalence(t *testing.T) {
 		if a != admits[0] {
 			t.Errorf("admitted memberships differ across arms (json, stream-addr, upgrade, upgrade-tls): %v", admits)
 		}
+	}
+}
+
+// TestControlPlaneCodecs pins what each codec sends to register and
+// drain — a snapshot frame and an Accept for the Final frame under the
+// default codec, JSON under CodecJSON — and that an instance
+// registered under either codec drains to the oracle under both.
+func TestControlPlaneCodecs(t *testing.T) {
+	ctx := context.Background()
+	srv := osp.NewServer(osp.ServerConfig{})
+	var mu sync.Mutex
+	var last string // content type of the last register, Accept of the last drain
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		switch {
+		case r.URL.Path == "/v1/instances" && r.Method == "POST":
+			last = r.Header.Get("Content-Type")
+		case strings.HasSuffix(r.URL.Path, "/drain"):
+			last = r.Header.Get("Accept")
+		}
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+	seen := func() string { mu.Lock(); defer mu.Unlock(); return last }
+	cBin, err := client.New(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cJSON, err := client.New(hs.URL, client.WithCodec(client.CodecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	codecs := map[string]*client.Client{"binary": cBin, "json": cJSON}
+	sends := map[string]struct{ register, drain string }{
+		"binary": {"application/x-osp-snapshot", "application/x-osp-snapshot"},
+		"json":   {"application/json", ""},
+	}
+
+	const seed = 23
+	inst := uniform(t, 40, 800, 3, 8)
+	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range []string{"binary", "json"} {
+		for _, drain := range []string{"binary", "json"} {
+			h, err := codecs[reg].Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed, Label: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := seen(); got != sends[reg].register {
+				t.Errorf("%s register sent Content-Type %q, want %q", reg, got, sends[reg].register)
+			}
+			if _, err := h.Ingest(ctx, inst.Elements); err != nil {
+				t.Fatal(err)
+			}
+			dh, err := codecs[drain].Instance(ctx, h.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dh.Drain(ctx)
+			if err != nil {
+				t.Fatalf("%s-registered, %s drain: %v", reg, drain, err)
+			}
+			if got := seen(); got != sends[drain].drain {
+				t.Errorf("%s drain sent Accept %q, want %q", drain, got, sends[drain].drain)
+			}
+			if !res.Equal(serial) {
+				t.Errorf("%s-registered, %s drain differs from the serial oracle", reg, drain)
+			}
+		}
+	}
+
+	// A frame cannot carry arrays of different lengths; the binary
+	// client says so instead of sending one.
+	bad := client.Spec{Info: osp.Info{Weights: []float64{1}, Sizes: []int{1, 2}}}
+	if _, err := cBin.Register(ctx, bad); err == nil || !strings.Contains(err.Error(), "1 weights but 2 sizes") {
+		t.Errorf("mismatched register = %v", err)
 	}
 }
 
