@@ -14,14 +14,15 @@ import (
 // The policy layer generalizes the engine's admission rule. The paper's
 // randPr is one point in a family of priority-based online set-packing
 // strategies; a Policy packages one such strategy so the sharded streaming
-// engine, the HTTP service, and the serial runner can all execute it
-// interchangeably. The contract (DESIGN.md §11) has two halves:
+// engine — and through it the HTTP service — and the serial runner can
+// all execute it interchangeably. The contract (DESIGN.md §11) has two
+// halves:
 //
 //   - Setup is a pure function of (Info, seed): given the same up-front
 //     information and the same 64-bit seed it must build identical state,
-//     so every replica — shard workers, verdict handlers, remote mirrors,
-//     the serial oracle — agrees on every decision with zero coordination.
-//     Deterministic policies simply ignore the seed.
+//     so every replica — shard workers, cluster nodes, a restored
+//     engine, the serial oracle — agrees on every decision with zero
+//     coordination. Deterministic policies simply ignore the seed.
 //   - Admit is a pure function of (element, frozen state): it may not
 //     consult run history, mutate the state, or retain or write the
 //     member slice. That is exactly what lets shards decide elements
@@ -30,9 +31,9 @@ import (
 
 // PolicyState is the frozen per-instance decision state a Policy builds at
 // Setup. Every method must be safe for concurrent use from any number of
-// goroutines: they are called by every engine shard and by HTTP verdict
-// handlers at once. Admit is the decision; Decide and DecideInPlace must
-// return exactly the members it admits.
+// goroutines: every engine shard calls Admit on the one shared state at
+// once. Admit is the decision; Decide and DecideInPlace must return
+// exactly the members it admits.
 type PolicyState interface {
 	// Admit decides one element: members are its parent sets in
 	// ascending SetID order, capacity its b(u). It returns the positions

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -173,6 +174,148 @@ func TestSubmitBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchConcurrentMatchesSerial pins SubmitBatch's
+// concurrency contract: several goroutines submitting at once — each
+// its own stripe of the element stream, sharing the engine's one atomic
+// round-robin cursor — drain to a result bit-for-bit identical to the
+// serial oracle. Decisions depend only on the element and the frozen
+// instance state, and assignment counts are commutative sums, so any
+// interleaving is equivalent. Run under -race this also pins that
+// concurrent submitters share no unsynchronized state.
+func TestSubmitBatchConcurrentMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	inst, err := workload.Uniform(workload.UniformConfig{M: 150, N: 8000, Load: 7, MinLoad: 2, Capacity: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 17
+	want := serial(t, inst, seed)
+
+	// 2·minPart-element batches are split across shards (the stream's
+	// 8000 elements leave a short whole batch at the end); 97 never is.
+	for _, batchN := range []int{97, 2 * minPart} {
+		for _, submitters := range []int{1, 2, 4} {
+			for _, shards := range []int{1, 3} {
+				concurrentSubmitMatchesSerial(t, inst, seed, want, batchN, submitters, shards)
+			}
+		}
+	}
+}
+
+// concurrentSubmitMatchesSerial stripes inst, cut into batchN-element
+// batches, over concurrent SubmitBatch callers of a fresh engine and
+// checks the drain against want.
+func concurrentSubmitMatchesSerial(t *testing.T, inst *setsystem.Instance, seed uint64, want *core.Result, batchN, submitters, shards int) {
+	t.Helper()
+	e, err := New(core.InfoOf(inst), seed, Config{Shards: shards, BatchSize: 64, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks [][]setsystem.Element
+	for off := 0; off < len(inst.Elements); off += batchN {
+		chunks = append(chunks, inst.Elements[off:min(off+batchN, len(inst.Elements))])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := g; k < len(chunks); k += submitters {
+				b := e.BorrowBatch()
+				fillBatch(b, chunks[k])
+				if err := e.SubmitBatch(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	got, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, got, want, "concurrent SubmitBatch")
+	if snap := e.Metrics().Snapshot(); snap.Processed != uint64(len(inst.Elements)) || snap.Batches != uint64(len(chunks)) {
+		t.Errorf("batch=%d submitters=%d shards=%d: processed %d of %d elements in %d of %d batches",
+			batchN, submitters, shards, snap.Processed, len(inst.Elements), snap.Batches, len(chunks))
+	}
+}
+
+// TestAliasedBatchNotRecycled pins the ownership rule zero-copy ingest
+// depends on: a batch marked Aliased passes through the shard, fires its
+// Done callback, and is detached — slices nilled, flag cleared — but the
+// struct never enters the engine's free list, because it and its backing
+// memory belong to the caller: a transport slot that will overwrite it,
+// or a request.
+func TestAliasedBatchNotRecycled(t *testing.T) {
+	info := core.Info{Weights: []float64{1, 1, 1}, Sizes: []int{2, 2, 2}}
+	e, err := New(info, 1, Config{Shards: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Drain()
+
+	done := make(chan []byte, 1)
+	b := &Batch{
+		Members: []setsystem.SetID{0, 1},
+		Offs:    []int32{0, 2},
+		Caps:    []int32{1},
+		Aliased: true,
+		Seq:     5,
+		Masks:   make([]byte, 0, 8),
+		Done:    func(seq uint32, masks []byte) { done <- masks },
+	}
+	if err := e.SubmitBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	masks := <-done
+	if len(masks) != 1 {
+		t.Fatalf("verdict masks: %d bytes for 1 element", len(masks))
+	}
+	// After Done the caller owns the struct again: fully detached.
+	if b.Members != nil || b.Offs != nil || b.Caps != nil {
+		t.Errorf("aliased batch still holds storage after processing: %v/%v/%v", b.Members, b.Offs, b.Caps)
+	}
+	if b.Aliased {
+		t.Error("Aliased flag survived Reset")
+	}
+	// The struct must not have entered the free list: drain the entire
+	// recycled population (maxInFlight is bounded by the config) and
+	// check for pointer identity.
+	for i := 0; i < 16; i++ {
+		if e.BorrowBatch() == b {
+			t.Fatal("aliased batch was free-listed")
+		}
+	}
+}
+
+// TestAliasedReturnBatchDetaches covers the error path: ReturnBatch on
+// an aliased batch detaches without free-listing.
+func TestAliasedReturnBatchDetaches(t *testing.T) {
+	info := core.Info{Weights: []float64{1}, Sizes: []int{1}}
+	e, err := New(info, 1, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Drain()
+	b := &Batch{
+		Members: []setsystem.SetID{0},
+		Offs:    []int32{0, 1},
+		Caps:    []int32{1},
+		Aliased: true,
+	}
+	e.ReturnBatch(b)
+	if b.Members != nil || b.Offs != nil || b.Caps != nil || b.Aliased {
+		t.Errorf("ReturnBatch left aliased batch attached: %+v", b)
+	}
+	for i := 0; i < 16; i++ {
+		if e.BorrowBatch() == b {
+			t.Fatal("aliased batch was free-listed by ReturnBatch")
+		}
+	}
+}
+
 // TestSubmitBatchSplitsAcrossShards pins the dispatcher on one batch of
 // 2·minPart elements with Done masks on a 2-shard engine: both shards
 // decide a part, Done fires once, the masks are byte for byte the frame
@@ -190,9 +333,10 @@ func TestSubmitBatchSplitsAcrossShards(t *testing.T) {
 	}
 	var want []byte
 	want = wire.AppendVerdictsHeader(want, len(inst.Elements))
+	st := setupPolicy(t, "", core.InfoOf(inst), seed)
 	var admitted []setsystem.SetID
 	for _, el := range inst.Elements {
-		admitted = e.Policy().Decide(el.Members, el.Capacity, admitted)
+		admitted = st.Decide(el.Members, el.Capacity, admitted)
 		want = wire.AppendVerdictMask(want, el.Members, admitted)
 	}
 

@@ -15,18 +15,21 @@
 //     handing every shard a read-only view of the resulting state.
 //   - Submit copies arriving elements into a flat structure-of-arrays
 //     batch — one shared member buffer plus per-element offset/capacity
-//     arrays — and SubmitBatch takes one filled by the caller. One
-//     dispatcher hands every batch to the shard workers over bounded
-//     channels: a batch of n elements travels as min(shards, n/minPart)
-//     contiguous parts of about equal member counts, each to the next
-//     shard round-robin, so one large batch keeps every shard busy; a
+//     arrays — and SubmitBatch takes one filled by the caller, from any
+//     number of goroutines at once. One dispatcher hands every batch to
+//     the shard workers over bounded channels: a batch of n elements
+//     travels as min(shards, n/minPart) contiguous parts of about equal
+//     member counts, each to the next shard of one shared atomic
+//     round-robin cursor, so one large batch keeps every shard busy; a
 //     full queue blocks the submitter, giving natural backpressure.
 //     Batches are recycled through a free list, so steady-state ingestion
 //     allocates nothing.
 //   - Each shard decides its part's elements with the policy state's
 //     Admit, reading the batch buffer in place, and accumulates per-set
 //     assignment counts in shard-local arrays; the shard that finishes a
-//     batch's last part recycles it.
+//     batch's last part recycles it and, when the batch carries a Done
+//     callback, answers the verdicts its decide set. That decide is the
+//     only one a served element gets.
 //   - Drain flushes, stops the workers and merges the shard counters into
 //     a Result that is bit-for-bit identical to a serial core.Run with
 //     the policy's oracle (core.PolicyAlgorithm — HashRandPr for the
@@ -57,10 +60,11 @@ import (
 )
 
 // State is an engine's lifecycle position. An engine is born StateIdle,
-// moves to StateStreaming on its first Submit and reaches StateDrained —
-// terminal — when Drain closes the stream. State transitions happen on the
-// submitter goroutine; State may be read concurrently from any goroutine
-// (the service layer polls it for pool listings and metrics labels).
+// moves to StateStreaming on its first submission and reaches
+// StateDrained — terminal — when Drain closes the stream. State
+// transitions happen on submitter goroutines; State may be read
+// concurrently from any goroutine (the service layer polls it for pool
+// listings and metrics labels).
 type State int32
 
 // Engine lifecycle states, in order.
@@ -95,7 +99,8 @@ func (s State) String() string {
 type Config struct {
 	// Shards is the number of worker goroutines; 0 means GOMAXPROCS.
 	Shards int
-	// BatchSize is the number of elements per ingestion batch; 0 means 64.
+	// BatchSize is the number of elements Submit gathers into one batch;
+	// 0 means 64. SubmitBatch takes the caller's batches as they are.
 	BatchSize int
 	// QueueDepth is the number of batch parts each shard buffers before
 	// Submit blocks (backpressure); 0 means 8.
@@ -162,35 +167,33 @@ type Batch struct {
 	Offs    []int32 // len = n+1; Offs[0] == 0
 	Caps    []int32 // len = n
 
-	// Seq, Masks and Done form the callback-verdict contract of the
-	// streaming wire path. When Done is non-nil, the engine extends Masks
+	// Seq, Masks and Done form the callback-verdict contract both served
+	// ingest arms use. When Done is non-nil, the engine extends Masks
 	// by the batch's verdict bytes (wire.MaskLen of each element's load,
 	// zeroed) and every deciding shard sets, in its part's byte range,
 	// the bit of each admitted member's position, so the bytes equal one
 	// wire.AppendVerdictMask per element in batch order. After the
 	// batch's last part is decided and counted, Done(Seq, Masks) runs
 	// once, on the goroutine of the shard that finished it. This is what
-	// lets a transport answer verdicts from the engine's one decide
-	// instead of running a second replica decide per element the way the
-	// HTTP handler does. The callback must not block (shards share
-	// connections); hand the masks to a buffered channel. Ownership of
-	// the Masks buffer passes back to the caller at the callback; the
-	// batch itself is recycled before Done runs and must not be touched.
+	// lets every served arm answer verdicts from the engine's one decide.
+	// The callback must not block (shards serve every submitter); hand
+	// the masks to a buffered channel. Ownership of the Masks buffer
+	// passes back to the caller at the callback; the batch itself is
+	// recycled before Done runs and must not be touched.
 	Seq   uint32
 	Masks []byte
 	Done  func(seq uint32, masks []byte)
 
-	// Aliased marks a batch whose Members/Caps slices alias transport-
-	// owned memory (a stream connection's read buffer) instead of
-	// engine-owned storage — the zero-copy wire path. The engine only
-	// reads a batch's elements, and treats aliased batches as
-	// pass-through: Reset detaches the aliased slices entirely rather
-	// than truncating them (a truncated alias would leak foreign memory
-	// into the free list), and the shard returns the Batch struct to its
-	// owner by simply not free-listing it — the transport slot that
-	// created it reuses the struct after its verdict frame round-trips.
-	// Aliased batches must be submitted through SubmitBatch or a Lane,
-	// never built by Submit.
+	// Aliased marks a caller-owned batch: its struct and its Members,
+	// Offs and Caps storage belong to the submitter — a stream
+	// connection's read buffer (the zero-copy wire path) or a request's
+	// own batch — not to the engine's free list. The engine only reads a
+	// batch's elements, and treats aliased batches as pass-through: Reset
+	// detaches the slices entirely rather than truncating them (a
+	// truncated alias would leak foreign memory into the free list), and
+	// the shard hands the struct back to its owner by simply not
+	// free-listing it. Aliased batches must be submitted through
+	// SubmitBatch, never built by Submit.
 	Aliased bool
 
 	// base is the global arrival index of the batch's first element —
@@ -254,8 +257,7 @@ func (b *Batch) Reset() {
 // Validate checks every batched element against a universe of numSets
 // sets — the flat-layout mirror of setsystem.CheckElement, wrapping the
 // same error values. Batch-ingestion layers call it once after filling a
-// borrowed batch from the wire; SubmitBatch then trusts the contents the
-// way SubmitValidated does.
+// borrowed batch from the wire; SubmitBatch then trusts the contents.
 func (b *Batch) Validate(numSets int) error {
 	n := b.Len()
 	if len(b.Offs) != n+1 || b.Offs[0] != 0 || int(b.Offs[n]) != len(b.Members) {
@@ -288,8 +290,9 @@ func (b *Batch) Validate(numSets int) error {
 
 // Engine streams elements through sharded policy admission. Submit and
 // Drain must be called from a single goroutine (the arrival stream is a
-// sequence, as in the OSP protocol); the shard workers run concurrently
-// underneath.
+// sequence, as in the OSP protocol); SubmitBatch may be called from
+// several goroutines at once, fenced against Drain by the caller. The
+// shard workers run concurrently underneath.
 type Engine struct {
 	cfg     Config
 	info    core.Info
@@ -299,10 +302,10 @@ type Engine struct {
 	shards  []*shard
 	wg      sync.WaitGroup
 	batch   *Batch
-	next    int         // round-robin shard cursor
-	free    chan *Batch // recycled batches; pre-filled so steady state never allocates
+	next    atomic.Uint64 // round-robin shard cursor, shared by every submitter
+	free    chan *Batch   // recycled batches; pre-filled so steady state never allocates
 	metrics Metrics
-	state   atomic.Int32 // State; written by the submitter, read by anyone
+	state   atomic.Int32 // State; written by submitters, read by anyone
 	result  *core.Result
 	// base is the per-set assigned counts a restored engine starts from
 	// (NewFromCheckpoint); nil for fresh engines. Drain merges it exactly
@@ -531,26 +534,29 @@ func (e *Engine) ReturnBatch(b *Batch) {
 	}
 }
 
-// SubmitBatch hands a borrowed, filled batch to the shards, skipping the
-// per-element copy Submit does: the wire bytes were decoded straight into
-// this batch's buffers and ownership now passes to the engine. The caller
-// must have validated the contents with Batch.Validate (SubmitBatch
-// trusts them the way SubmitValidated does) and must not touch the batch
-// afterwards, whatever the outcome — on error the batch is returned to
-// the free list internally. Like Submit, it blocks when a target shard's
-// queue is full (backpressure), and it must be called from the same
-// single submitter goroutine.
+// SubmitBatch hands a filled batch to the shards, skipping the
+// per-element copy Submit does: the batch is either borrowed
+// (BorrowBatch) with the wire bytes decoded straight into its buffers,
+// or caller-owned and marked Aliased. Ownership of a borrowed batch
+// passes to the engine. The caller must have validated the contents
+// (Batch.Validate or setsystem.CheckElement per element; SubmitBatch
+// trusts them) and must not touch the batch afterwards, whatever the
+// outcome — on error it is returned or detached internally, and Done
+// never fires. Like Submit, it blocks when a target shard's queue is
+// full (backpressure).
 //
-// Batch sizing is the caller's: a wire batch is not re-split to
+// SubmitBatch is safe for concurrent callers: they share one atomic
+// round-robin cursor, and everything else a submission touches is a
+// channel send or an atomic. It must not run concurrently with Drain or
+// Checkpoint, which the caller fences (internal/serve holds an
+// RWMutex's read side per submit; Drain takes the write side), because
+// Drain closes the shard queues a submission sends into.
+//
+// Batch sizing is the caller's: a batch is not re-split to
 // Config.BatchSize. A batch of at least 2·minPart elements is decided in
 // up to NumShards contiguous parts on consecutive shards at once (see
 // dispatch); a smaller one goes to the next shard round-robin as one part.
-func (e *Engine) SubmitBatch(b *Batch) error { return e.submitBatch(b, &e.next) }
-
-// submitBatch checks b and dispatches it from the round-robin cursor
-// *next — the engine's own for SubmitBatch, a lane's private one for
-// Lane.SubmitBatch.
-func (e *Engine) submitBatch(b *Batch, next *int) error {
+func (e *Engine) SubmitBatch(b *Batch) error {
 	st := State(e.state.Load())
 	if st == StateDrained {
 		e.ReturnBatch(b)
@@ -568,20 +574,20 @@ func (e *Engine) submitBatch(b *Batch, next *int) error {
 	if st == StateIdle {
 		e.state.Store(int32(StateStreaming))
 	}
-	e.dispatch(b, next)
+	e.dispatch(b)
 	return nil
 }
 
 // dispatch is the one path from a submitter to the shards. It publishes
 // the batch's elements as submitted, then cuts the batch into k =
 // min(shards, n/minPart) contiguous parts (at least one) holding about
-// equal member counts, sends part j to shard *next+j and advances the
-// cursor by k. For a batch with Done it first extends Masks by the whole
-// frame's zeroed verdict bytes, so each part writes its own byte range
-// and no shard waits on another. The batch must be non-empty and
-// well-formed; once the last part is sent it belongs to the shards, so
-// nothing here reads it after that send.
-func (e *Engine) dispatch(b *Batch, next *int) {
+// equal member counts, claims k consecutive shards from the cursor with
+// one atomic add and sends part j to the j-th. For a batch with Done it
+// first extends Masks by the whole frame's zeroed verdict bytes, so each
+// part writes its own byte range and no shard waits on another. The
+// batch must be non-empty and well-formed; once the last part is sent
+// it belongs to the shards, so nothing here reads it after that send.
+func (e *Engine) dispatch(b *Batch) {
 	offs := b.Offs
 	n := len(offs) - 1
 	b.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
@@ -605,6 +611,7 @@ func (e *Engine) dispatch(b *Batch, next *int) {
 	}
 	k := max(1, min(len(e.shards), n/minPart))
 	b.pending.Store(int32(k))
+	first := int((e.next.Add(uint64(k)) - uint64(k)) % uint64(len(e.shards)))
 	nmem := int(offs[n])
 	lo := 0
 	for j := 1; j <= k; j++ {
@@ -615,13 +622,12 @@ func (e *Engine) dispatch(b *Batch, next *int) {
 			i, _ := slices.BinarySearch(offs[lo+1:n-(k-j)], int32(j*nmem/k))
 			hi = lo + 1 + i
 		}
-		e.shards[(*next+j-1)%len(e.shards)].in <- part{b: b, lo: lo, hi: hi, maskOff: maskOff}
+		e.shards[(first+j-1)%len(e.shards)].in <- part{b: b, lo: lo, hi: hi, maskOff: maskOff}
 		if wantMasks && j < k {
 			maskOff += maskBytes(offs, lo, hi)
 		}
 		lo = hi
 	}
-	*next = (*next + k) % len(e.shards)
 }
 
 // maskBytes returns the verdict-frame bytes of elements [lo, hi).
@@ -632,41 +638,6 @@ func maskBytes(offs []int32, lo, hi int) int {
 	}
 	return total
 }
-
-// Lane is an independent batch submitter: where SubmitBatch shares the
-// engine's single round-robin cursor (and therefore its single-submitter
-// contract), each Lane carries a private cursor seeded at a different
-// shard, so N concurrent transport connections can submit shard-affine
-// in parallel — no shared cursor, no lock, and no two lanes hammering
-// the same shard channel in lockstep. Everything else a submission
-// touches is already concurrency-safe (channel sends, atomic metrics
-// and state).
-//
-// Lanes may run concurrently with each other and with the mutex-held
-// Submit/SubmitBatch paths, but never with Drain: the caller must fence
-// lane submissions against drain (internal/serve does it with an
-// RWMutex — lanes share the read side, Drain takes the write side),
-// because Drain closes the shard channels a lane submits into.
-type Lane struct {
-	e    *Engine
-	next int
-}
-
-// Lane returns a submitter whose round-robin starts at shard
-// i mod NumShards — give each transport connection its own index so
-// concurrent connections fan out across different shards from the
-// first batch.
-func (e *Engine) Lane(i int) *Lane {
-	if i < 0 {
-		i = -i
-	}
-	return &Lane{e: e, next: i % len(e.shards)}
-}
-
-// SubmitBatch is Engine.SubmitBatch on this lane's private cursor. The
-// batch's shape must already be valid (Batch.Validate); ownership
-// passes to the engine whatever the outcome.
-func (l *Lane) SubmitBatch(b *Batch) error { return l.e.submitBatch(b, &l.next) }
 
 // Submit offers one arriving element to the stream. It validates the
 // element, bulk-copies it into the current flat batch and, when the batch
@@ -682,28 +653,6 @@ func (e *Engine) Submit(el setsystem.Element) error {
 	if err := setsystem.CheckElement(el, e.info.NumSets()); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	e.ingest(el, st)
-	return nil
-}
-
-// SubmitValidated is Submit for callers that have already validated the
-// element with setsystem.CheckElement against this engine's universe —
-// batch-ingestion layers that validate a whole batch up front for
-// atomicity and must not pay the per-member scan twice. Submitting an
-// element that would fail CheckElement is undefined behavior (out-of-
-// range members corrupt shard counters or panic).
-func (e *Engine) SubmitValidated(el setsystem.Element) error {
-	st := State(e.state.Load())
-	if st == StateDrained {
-		return ErrDrained
-	}
-	e.ingest(el, st)
-	return nil
-}
-
-// ingest appends one validated element to the current batch, advancing
-// the lifecycle out of idle and flushing full batches.
-func (e *Engine) ingest(el setsystem.Element, st State) {
 	if st == StateIdle {
 		e.state.Store(int32(StateStreaming))
 	}
@@ -711,16 +660,16 @@ func (e *Engine) ingest(el setsystem.Element, st State) {
 	if e.batch.Len() >= e.cfg.BatchSize {
 		e.flush()
 	}
+	return nil
 }
 
-// flush dispatches the current batch from the engine's round-robin
-// cursor, publishing its element count to the submitted counter — one
-// atomic update per batch, not per element.
+// flush dispatches the current batch, publishing its element count to
+// the submitted counter — one atomic update per batch, not per element.
 func (e *Engine) flush() {
 	if e.batch.Len() == 0 {
 		return
 	}
-	e.dispatch(e.batch, &e.next)
+	e.dispatch(e.batch)
 	e.batch = e.getBatch()
 }
 
@@ -760,14 +709,6 @@ func (e *Engine) Drain() (*core.Result, error) {
 // State returns the engine's lifecycle position. Safe to call from any
 // goroutine at any time.
 func (e *Engine) State() State { return State(e.state.Load()) }
-
-// Policy returns the engine's frozen policy state. It is read-only after
-// New and safe for concurrent use. Replicas (HTTP handlers answering
-// immediate admit/drop verdicts, remote mirrors running the same policy
-// and seed) can decide any element with its Decide method and agree
-// element-for-element with the engine's shards, with zero coordination
-// (Section 3.1, generalized by the policy contract).
-func (e *Engine) Policy() core.PolicyState { return e.decider }
 
 // PolicyName returns the resolved registry name of the engine's policy
 // ("randpr" for the default), echoed in API responses and metrics.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashpr"
 	"repro/internal/setsystem"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -20,6 +23,21 @@ func serial(t *testing.T, inst *setsystem.Instance, seed uint64) *core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// setupPolicy builds the frozen state the engine's shards decide with:
+// the named policy's Setup under (info, seed).
+func setupPolicy(t *testing.T, name string, info core.Info, seed uint64) core.PolicyState {
+	t.Helper()
+	pol, err := core.LookupPolicy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := pol.Setup(info, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // checkEquivalent asserts the engine result matches the serial reference
@@ -197,11 +215,11 @@ func TestLifecycleStates(t *testing.T) {
 	}
 }
 
-// TestPolicyStateSharedWithSerial pins the Policy accessor: deciding an
-// element with the engine's frozen policy state reproduces the serial
-// replica's decision (core.SelectTopPrioritySort over independently derived
-// priorities), which is what the HTTP layer's immediate verdicts depend
-// on.
+// TestPolicyStateSharedWithSerial pins what every served verdict rests
+// on: the engine's shard decide, read back through a batch's Done
+// masks, reproduces the serial replica's decision
+// (core.SelectTopPrioritySort over independently derived priorities),
+// and so does the policy state Setup builds under the same seed.
 func TestPolicyStateSharedWithSerial(t *testing.T) {
 	info := core.Info{Weights: []float64{1, 2, 3}, Sizes: []int{1, 1, 1}}
 	e, err := New(info, 7, Config{Shards: 1})
@@ -215,48 +233,20 @@ func TestPolicyStateSharedWithSerial(t *testing.T) {
 	prio := core.HashPriorities(info, hashpr.Mixer{Seed: 7}, nil)
 	members := []setsystem.SetID{0, 1, 2}
 	want := core.SelectTopPrioritySort(members, 2, prio, nil)
-	got := e.Policy().Decide(members, 2, nil)
-	if len(got) != len(want) {
-		t.Fatalf("Decide chose %v, serial replica chose %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Decide chose %v, serial replica chose %v", got, want)
-			break
-		}
-	}
-}
 
-// TestSubmitValidatedMatchesSubmit pins the pre-validated fast path: a
-// stream fed through SubmitValidated produces the same result as Submit,
-// honors the lifecycle, and still refuses a drained stream.
-func TestSubmitValidatedMatchesSubmit(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 30, N: 1500, Load: 4, Capacity: 2}, rng)
-	if err != nil {
+	done := make(chan []byte, 1)
+	b := e.BorrowBatch()
+	fillBatch(b, []setsystem.Element{{Members: members, Capacity: 2}})
+	b.Done = func(_ uint32, masks []byte) { done <- masks }
+	if err := e.SubmitBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	want := serial(t, inst, 13)
-
-	e, err := New(core.InfoOf(inst), 13, Config{Shards: 3, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
+	wantMask := wire.AppendVerdictMask(nil, members, want)
+	if got := <-done; !bytes.Equal(got, wantMask) {
+		t.Errorf("shard verdict mask %08b, serial replica chose %v (mask %08b)", got, want, wantMask)
 	}
-	for _, el := range inst.Elements {
-		if err := e.SubmitValidated(el); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.State(); got != StateStreaming {
-		t.Errorf("state mid-stream = %v, want streaming", got)
-	}
-	got, err := e.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalent(t, got, want, "SubmitValidated")
-	if err := e.SubmitValidated(inst.Elements[0]); err != ErrDrained {
-		t.Errorf("SubmitValidated after Drain = %v, want ErrDrained", err)
+	if got := setupPolicy(t, "", info, 7).Decide(members, 2, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Setup state decided %v, serial replica chose %v", got, want)
 	}
 }
 

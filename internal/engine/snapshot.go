@@ -40,12 +40,12 @@ type Checkpoint struct {
 // checkpoint is a read, not a drain.
 //
 // Like Submit and Drain, Checkpoint must be called from the (fenced)
-// submitter side: no Submit/SubmitBatch/Lane submission may run
-// concurrently, or the quiesce point is meaningless. Reading the
-// shard-local counts without locks is safe because each shard publishes
-// its batch's counts to the processed counter with an atomic add AFTER
-// writing them — the processed.Load that observes the final batch
-// orders those writes before the reads here.
+// submitter side: no Submit or SubmitBatch may run concurrently, or the
+// quiesce point is meaningless. Reading the shard-local counts without
+// locks is safe because each shard publishes its batch's counts to the
+// processed counter with an atomic add AFTER writing them — the
+// processed.Load that observes the final batch orders those writes
+// before the reads here.
 func (e *Engine) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 	if State(e.state.Load()) == StateDrained {
 		// A drained engine's state is its final result — already merged,

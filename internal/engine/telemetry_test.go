@@ -126,6 +126,7 @@ func TestDecisionLogMatchesOracle(t *testing.T) {
 			len(decs), len(inst.Elements), flushed, dropped)
 	}
 	seen := make(map[uint64]bool, len(decs))
+	st := setupPolicy(t, "", core.InfoOf(inst), 42)
 	var buf []setsystem.SetID
 	for _, d := range decs {
 		if seen[d.Element] {
@@ -136,7 +137,7 @@ func TestDecisionLogMatchesOracle(t *testing.T) {
 			t.Fatalf("element index %d out of range", d.Element)
 		}
 		el := inst.Elements[d.Element]
-		buf = e.Policy().Decide(el.Members, el.Capacity, buf)
+		buf = st.Decide(el.Members, el.Capacity, buf)
 		if int(d.Members) != len(el.Members) {
 			t.Fatalf("element %d: recorded %d members, has %d", d.Element, d.Members, len(el.Members))
 		}

@@ -30,7 +30,10 @@ type RegisterRequest struct {
 	Seed uint64 `json:"seed"`
 	// Shards, BatchSize and QueueDepth size the instance's engine; zero
 	// values take the engine defaults (GOMAXPROCS shards, 64-element
-	// batches, 8 queued batches per shard).
+	// batches, 8 queued batches per shard). BatchSize sizes only
+	// Engine.Submit's batches: a served instance stores it and writes
+	// it into its snapshot frames, but every request or stream frame
+	// reaches the shards as one batch of its own.
 	Shards     int `json:"shards,omitempty"`
 	BatchSize  int `json:"batch_size,omitempty"`
 	QueueDepth int `json:"queue_depth,omitempty"`
@@ -65,9 +68,10 @@ type WireElement struct {
 	Capacity int               `json:"capacity"`
 }
 
-// element converts to the engine's element type. The slice is shared, not
-// copied — the engine bulk-copies members at Submit, so the request body's
-// backing storage is never retained.
+// element converts to the engine's element type for validation. The
+// slice is shared, not copied; the handler copies an element's members
+// into the request's batch only once the element passes, and a batch
+// with a failing element is dropped unsubmitted.
 func (e WireElement) element() setsystem.Element {
 	return setsystem.Element{Members: e.Members, Capacity: e.Capacity}
 }

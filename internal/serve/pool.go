@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/setsystem"
 )
 
 // Errors reported by the pool.
@@ -37,19 +36,16 @@ type Spec struct {
 	Label  string
 }
 
-// Instance is one registered set system and its live engine. The engine's
-// Submit/Drain contract is single-goroutine; Instance serializes
-// concurrent HTTP handlers onto that contract with a mutex, while verdict
-// computation — a pure function of the element and the fixed priority
-// vector — stays outside the lock.
+// Instance is one registered set system and its live engine. Every
+// served batch — a JSON request's or a stream frame's — reaches the
+// engine through IngestBatch, and the engine's shards answer its
+// verdicts from their one decide.
 type Instance struct {
 	id    string
 	label string
 	seed  uint64
 	info  core.Info
-
-	mu  sync.Mutex // serializes Submit/Drain on the engine
-	eng *engine.Engine
+	eng   *engine.Engine
 
 	// final marks a drain requested by a client (POST .../drain, DELETE)
 	// as opposed to the indiscriminate engine drain a graceful shutdown
@@ -59,11 +55,10 @@ type Instance struct {
 	// streaming, ready for the rest of the stream).
 	final atomic.Bool
 
-	// rw fences lane submissions against Drain: every IngestLane submit
-	// holds the read side, Drain takes the write side (after mu), so
-	// concurrent stream connections ingest in parallel — no shared lock
-	// on the hot path — yet can never race the engine's channel close.
-	// Lock order is mu before rw; lanes never touch mu.
+	// rw fences submitters against Drain and Export: every IngestBatch
+	// holds the read side, Drain and Export take the write side, so
+	// concurrent requests and stream connections submit in parallel yet
+	// can never race the engine's channel close or its quiesce point.
 	rw sync.RWMutex
 }
 
@@ -106,60 +101,16 @@ func (in *Instance) Status() InstanceStatus {
 	}
 }
 
-// Validate checks a batch without ingesting anything, returning the index
-// and cause of the first invalid element. Ingest batches are atomic:
-// handlers validate the whole batch up front so a malformed element
-// rejects the batch before any sibling is submitted.
-func (in *Instance) Validate(els []setsystem.Element) error {
-	m := in.info.NumSets()
-	for i, el := range els {
-		if err := setsystem.CheckElement(el, m); err != nil {
-			return fmt.Errorf("element %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Ingest submits a batch the caller has already passed through Validate
-// to the engine in order, blocking on engine backpressure when shard
-// queues are full. The engine's SubmitValidated path skips the second
-// per-member validation scan. It returns engine.ErrDrained if the
-// stream was already closed.
-func (in *Instance) Ingest(els []setsystem.Element) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, el := range els {
-		if err := in.eng.SubmitValidated(el); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IngestLane is a per-connection batch submitter: each stream
-// connection gets its own lane (engine.Lane semantics — a private
-// shard round-robin cursor), so N connections ingesting into one
-// instance contend on nothing but the shard queues themselves. The
-// instance's RWMutex read side fences every submit against Drain.
-type IngestLane struct {
-	in   *Instance
-	lane *engine.Lane
-}
-
-// IngestLane returns a lane whose shard round-robin starts at i mod
-// NumShards — hand each connection a distinct index so concurrent
-// connections spread across shards from their first batch.
-func (in *Instance) IngestLane(i int) *IngestLane {
-	return &IngestLane{in: in, lane: in.eng.Lane(i)}
-}
-
-// IngestBatch submits one borrowed (or aliased), filled and validated
-// engine batch on this lane. Ownership of the batch passes to the
-// engine whatever the outcome.
-func (l *IngestLane) IngestBatch(b *engine.Batch) error {
-	l.in.rw.RLock()
-	defer l.in.rw.RUnlock()
-	return l.lane.SubmitBatch(b)
+// IngestBatch submits one validated batch — borrowed from the engine or
+// caller-owned and Aliased — to the engine, blocking on backpressure
+// when shard queues are full. Any number of callers may submit at once;
+// the read side of rw fences each against Drain. Ownership of the batch
+// passes to the engine whatever the outcome; it returns
+// engine.ErrDrained once the stream is closed.
+func (in *Instance) IngestBatch(b *engine.Batch) error {
+	in.rw.RLock()
+	defer in.rw.RUnlock()
+	return in.eng.SubmitBatch(b)
 }
 
 // MarkFinal records that the instance's stream was closed by a client
@@ -172,48 +123,14 @@ func (in *Instance) Final() bool { return in.final.Load() }
 
 // Drain closes the instance's stream and returns the final result,
 // bit-for-bit identical to a serial HashRandPr run under the same seed.
-// Idempotent. It excludes the mutex-serialized HTTP paths via mu and
-// every stream lane via the write side of rw: a lane submit in flight
+// Idempotent. It takes the write side of rw: a submit in flight
 // completes (shard workers keep consuming until the engine closes
-// their queues), then the drain proceeds.
+// their queues), then the drain proceeds, and the shards answer every
+// submitted batch's Done before it returns.
 func (in *Instance) Drain() (*core.Result, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.rw.Lock()
 	defer in.rw.Unlock()
 	return in.eng.Drain()
-}
-
-// Verdicts computes the immediate admit/drop verdict for every element of
-// a batch: the engine's shards will reach — or have reached — exactly the
-// same decisions, because every policy's decide rule depends only on the
-// element and the frozen per-instance policy state (Section 3.1,
-// generalized by the policy contract). The computation is pure and runs
-// outside the instance lock, so concurrent verdict requests never contend
-// with ingestion.
-func (in *Instance) Verdicts(els []setsystem.Element) []Verdict {
-	dec := in.eng.Policy()
-	verdicts := make([]Verdict, len(els))
-	var pos []int32
-	for i, el := range els {
-		// One walk over the members splits them by Admit's ascending
-		// positions: admitted to the front of one allocation, dropped
-		// behind them.
-		pos = dec.Admit(el.Members, el.Capacity, pos)
-		split := make([]setsystem.SetID, len(el.Members))
-		a, d := 0, len(pos)
-		for j, s := range el.Members {
-			if a < len(pos) && int(pos[a]) == j {
-				split[a] = s
-				a++
-			} else {
-				split[d] = s
-				d++
-			}
-		}
-		verdicts[i] = Verdict{Admitted: split[:len(pos):len(pos)], Dropped: split[len(pos):]}
-	}
-	return verdicts
 }
 
 // Pool owns every registered instance: registration, lookup, removal, and

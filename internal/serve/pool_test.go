@@ -31,10 +31,11 @@ func poolSpec(t *testing.T, seed uint64) Spec {
 }
 
 // TestPoolGracefulShutdownUnderLoad is the engine-pool teardown test:
-// several instances are mid-stream — submitters actively pushing against
-// bounded queues — when Shutdown fires. Every engine must reach drained,
-// in-flight batches must be decided (processed == submitted, nothing
-// lost), and late submitters must be turned away cleanly.
+// several instances are mid-stream — submitters actively pushing batches
+// through Instance.IngestBatch against bounded queues — when Shutdown
+// fires. Every engine must reach drained, in-flight batches must be
+// decided (processed == submitted, nothing lost), and late submitters
+// must be turned away cleanly.
 func TestPoolGracefulShutdownUnderLoad(t *testing.T) {
 	p := NewPool(0)
 	const instances = 4
@@ -65,14 +66,23 @@ func TestPoolGracefulShutdownUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(st stream) {
 			defer wg.Done()
-			// Loop the workload until shutdown cuts us off.
-			for i := 0; ; i = (i + 1) % len(inst.Elements) {
+			// Loop the workload in 16-element batches until shutdown cuts
+			// us off.
+			const batch = 16
+			for i := 0; ; i = (i + batch) % len(inst.Elements) {
 				select {
 				case <-st.stop:
 					return
 				default:
 				}
-				err := st.in.Ingest(inst.Elements[i : i+1])
+				b := st.in.eng.BorrowBatch()
+				b.Offs = append(b.Offs, 0)
+				for _, el := range inst.Elements[i:min(i+batch, len(inst.Elements))] {
+					b.Members = append(b.Members, el.Members...)
+					b.Offs = append(b.Offs, int32(len(b.Members)))
+					b.Caps = append(b.Caps, int32(el.Capacity))
+				}
+				err := st.in.IngestBatch(b)
 				if errors.Is(err, engine.ErrDrained) {
 					return // shutdown won the race — the expected exit
 				}

@@ -36,17 +36,13 @@
 //
 // Binary ingest is the stream protocol, reached either through that
 // upgrade on the main listener or on a separate raw-TCP listener
-// (ServeStream); its verdicts are built by the engine shard during its
-// one decide. The JSON arm is the curl/debug path: its verdicts are
-// computed synchronously in the handler from the engine's shared
-// priority vector — the same pure decision rule the shards apply — while
-// the engine itself ingests the batch asynchronously behind bounded
-// queues. The two never disagree: the faithful randPr decision depends
-// only on the element and the fixed hash-derived priorities (Section
-// 3.1), never on run state, so handler and shard are just two replicas of
-// the same coordination-free rule. Backpressure therefore reaches the
-// client naturally — when shard queues are full, the ingest handler
-// blocks before answering.
+// (ServeStream). The JSON arm is the curl/debug path. Both arms hand
+// the engine whole batches through Instance.IngestBatch with a Done
+// callback, and both answer from the verdict bits the engine's shards
+// set during their one decide: no element is decided twice, and an
+// answer is sent only once the engine has decided its batch.
+// Backpressure therefore reaches the client naturally — when shard
+// queues are full, the ingest handler blocks before answering.
 package serve
 
 import (
@@ -55,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -94,11 +91,12 @@ type Config struct {
 	// goroutine stacks and heap contents to anyone who can reach the
 	// port.
 	EnablePprof bool
-	// StreamWindow is the pipelining window of the raw-TCP stream
-	// transport (ServeStream): how many unanswered batch frames one
-	// connection may have in flight. Each slot costs one pooled verdict
-	// buffer per connection. 0 means 32; values above stream.MaxWindow
-	// (1024) are clamped.
+	// StreamWindow is the pipelining window of the stream transport,
+	// on both entries (the GET /v1/stream upgrade and the raw-TCP
+	// ServeStream): how many unanswered batch frames one connection may
+	// have in flight. Each slot costs one pooled verdict buffer per
+	// connection. 0 means 32; values above stream.MaxWindow (1024) are
+	// clamped.
 	StreamWindow int
 	// StreamTimings records per-batch decode latency into the
 	// osp_stream_decode histogram. Off by default: the two time.Now
@@ -383,12 +381,14 @@ func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bo
 	return in, true
 }
 
-// handleIngest streams one JSON batch: POST /v1/instances/{id}/elements.
-// Batches are atomic: every element is validated before any is submitted,
-// so a malformed batch changes nothing. On success the response carries
-// the immediate admit/drop verdict of every element. A binary batch
-// frame (Content-Type application/x-osp-batch) is refused with 415:
-// binary ingest is the stream protocol, GET /v1/stream.
+// handleIngest ingests one JSON batch: POST /v1/instances/{id}/elements.
+// Batches are atomic: every element is validated before the batch is
+// submitted, so a malformed batch changes nothing. The batch reaches the
+// engine through Instance.IngestBatch, as a stream frame does, and the
+// response is built from the verdict bits the shards set in their one
+// decide, once they have decided the whole batch. A binary batch frame
+// (Content-Type application/x-osp-batch) is refused with 415: binary
+// ingest is the stream protocol, GET /v1/stream.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instance(w, r)
 	if !ok {
@@ -409,24 +409,43 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Elements) == 0 {
+	els := req.Elements
+	if len(els) == 0 {
 		writeError(w, http.StatusBadRequest, "ingest: empty batch")
 		return
 	}
-	if len(req.Elements) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "ingest: batch of %d exceeds limit %d", len(req.Elements), s.cfg.MaxBatch)
+	if len(els) > s.cfg.MaxBatch {
+		writeError(w, http.StatusBadRequest, "ingest: batch of %d exceeds limit %d", len(els), s.cfg.MaxBatch)
 		return
 	}
-	els := make([]setsystem.Element, len(req.Elements))
-	for i, we := range req.Elements {
-		els[i] = we.element()
+	// The request owns its batch (Aliased), so the engine detaches it
+	// after the decide rather than keeping up to MaxBatch elements of
+	// buffers on its free list for the instance's life.
+	b := &engine.Batch{
+		Offs:    make([]int32, 1, len(els)+1),
+		Caps:    make([]int32, 0, len(els)),
+		Aliased: true,
 	}
-	if err := in.Validate(els); err != nil {
-		writeError(w, http.StatusBadRequest, "ingest: %v", err)
-		return
+	for i, we := range els {
+		// Check each element before copying it: the copy narrows its
+		// capacity to int32, so only a checked capacity survives it.
+		if err := setsystem.CheckElement(we.element(), in.NumSets()); err != nil {
+			writeError(w, http.StatusBadRequest, "ingest: element %d: %v", i, err)
+			return
+		}
+		b.Members = append(b.Members, we.Members...)
+		b.Offs = append(b.Offs, int32(len(b.Members)))
+		b.Caps = append(b.Caps, int32(we.Capacity))
 	}
+	total := len(b.Members)
 	s.obs.ingestDecode.Observe(time.Since(decodeStart))
-	if err := in.Ingest(els); err != nil {
+	// Done runs on a shard goroutine and must not block: the channel
+	// has room for the batch's one answer. No lock is held while
+	// waiting; a Drain meanwhile waits for the shards, which answer
+	// first.
+	done := make(chan []byte, 1)
+	b.Done = func(_ uint32, masks []byte) { done <- masks }
+	if err := in.IngestBatch(b); err != nil {
 		if errors.Is(err, engine.ErrDrained) {
 			// Distinguish a client-drained instance (terminal, 409) from
 			// a drain forced by graceful shutdown racing this request
@@ -442,9 +461,41 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, IngestResponse{
-		Verdicts: in.Verdicts(els),
+		Verdicts: verdictsOf(els, <-done, total),
 		Ingested: len(els),
 	})
+}
+
+// verdictsOf splits every element's members by the verdict bits the
+// shards set — masks holds each element's wire.MaskLen bytes back to
+// back — into admitted and dropped, both in member order, over one
+// array of the batch's total members.
+func verdictsOf(els []WireElement, masks []byte, total int) []Verdict {
+	split := make([]setsystem.SetID, total)
+	verdicts := make([]Verdict, len(els))
+	for i, we := range els {
+		k := len(we.Members)
+		mask := masks[:wire.MaskLen(k)]
+		masks = masks[len(mask):]
+		admitted := 0
+		for _, c := range mask {
+			admitted += bits.OnesCount8(c)
+		}
+		row := split[:k:k]
+		split = split[k:]
+		a, d := 0, admitted
+		for j, set := range we.Members {
+			if wire.MaskBit(mask, j) {
+				row[a] = set
+				a++
+			} else {
+				row[d] = set
+				d++
+			}
+		}
+		verdicts[i] = Verdict{Admitted: row[:admitted:admitted], Dropped: row[admitted:]}
+	}
+	return verdicts
 }
 
 // handleDrain closes a stream: POST /v1/instances/{id}/drain. A request

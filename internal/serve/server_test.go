@@ -174,6 +174,9 @@ func TestIngestMalformedBatches(t *testing.T) {
 		{"no members", `{"elements": [{"members": [], "capacity": 1}]}`},
 		{"zero capacity", `{"elements": [{"members": [0], "capacity": 0}]}`},
 		{"capacity over int32", `{"elements": [{"members": [0], "capacity": 4294967296}]}`},
+		// 2^32+1 narrows to an int32 capacity of 1: only a check made
+		// before the copy rejects it.
+		{"capacity narrowing to 1", `{"elements": [{"members": [0], "capacity": 4294967297}]}`},
 		{"out of range", `{"elements": [{"members": [7], "capacity": 1}]}`},
 		{"unsorted members", `{"elements": [{"members": [1,0], "capacity": 1}]}`},
 		{"bad sibling poisons batch", `{"elements": [{"members": [0], "capacity": 1}, {"members": [9], "capacity": 1}]}`},
@@ -190,13 +193,50 @@ func TestIngestMalformedBatches(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body %q not the uniform shape", tc.name, rec.Body.String())
 		}
+		if tc.name == "capacity narrowing to 1" && !strings.Contains(er.Error, "capacity 4294967297") {
+			t.Errorf("%s: error %q does not name capacity 4294967297", tc.name, er.Error)
+		}
 	}
 
 	// Atomicity: despite the poisoned batches above, no element was
-	// ingested.
+	// ingested — one valid element afterwards is the only one submitted.
+	// Every accepted batch is submitted whole before the answer, so a
+	// leaked element would show here.
+	if rec := do(t, s, "POST", path, IngestRequest{Elements: wireElems(inst.Elements[1:2])}, nil); rec.Code != http.StatusOK {
+		t.Fatalf("valid ingest: status %d: %s", rec.Code, rec.Body.String())
+	}
 	in, _ := s.Pool().Get(id)
-	if got := in.Snapshot().Submitted; got != 0 {
-		t.Errorf("rejected batches leaked %d elements into the engine", got)
+	if got := in.Snapshot().Submitted; got != 1 {
+		t.Errorf("submitted %d elements after one valid element, want 1: rejected batches leaked", got)
+	}
+}
+
+// TestIngestAnswersAfterDecide pins that a JSON answer reports what the
+// engine did: once a 3-element ingest returns 200, and before any
+// drain, the instance's status shows all three submitted and decided
+// in one batch.
+func TestIngestAnswersAfterDecide(t *testing.T) {
+	var b setsystem.Builder
+	a := b.AddSet(1)
+	c := b.AddSet(2)
+	b.AddElement(a, c)
+	b.AddElement(a)
+	b.AddElement(c)
+	inst := b.MustBuild()
+
+	s := New(Config{})
+	defer s.Shutdown(t.Context())
+	id := register(t, s, inst, 7)
+	var resp IngestResponse
+	if rec := do(t, s, "POST", "/v1/instances/"+id+"/elements",
+		IngestRequest{Elements: wireElems(inst.Elements)}, &resp); rec.Code != http.StatusOK || resp.Ingested != 3 {
+		t.Fatalf("ingest: status %d, ingested %d: %s", rec.Code, resp.Ingested, rec.Body.String())
+	}
+	var st InstanceStatus
+	do(t, s, "GET", "/v1/instances/"+id, nil, &st)
+	if m := st.Metrics; m.Submitted != 3 || m.Processed != 3 || m.Batches != 1 {
+		t.Errorf("status after the answer: submitted %d, processed %d, batches %d; want 3, 3, 1",
+			m.Submitted, m.Processed, m.Batches)
 	}
 }
 

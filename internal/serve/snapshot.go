@@ -36,12 +36,10 @@ import (
 const exportQuiesceTimeout = 30 * time.Second
 
 // Export quiesces the instance and returns its snapshot frame contents.
-// The instance keeps serving afterwards — exporting is a read. Lane
-// submitters are fenced out for the duration (rw write side), so the
-// checkpoint's quiesce point covers the stream transport too.
+// The instance keeps serving afterwards — exporting is a read. Every
+// submitter is fenced out for the duration (rw write side), so the
+// checkpoint's quiesce point covers both ingest arms.
 func (in *Instance) Export(ctx context.Context) (*wire.Snapshot, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.rw.Lock()
 	defer in.rw.Unlock()
 	cp, err := in.eng.Checkpoint(ctx)

@@ -27,16 +27,15 @@ import (
 // (ServeStream); from the Hello on, both are the same connection
 // handler. It amortizes what an HTTP request pays per batch —
 // connection bookkeeping, header parse, scratch checkout, one blocking
-// round trip per batch — over a whole element stream, and it decides
-// each element once: stream verdicts are built by the engine shard
-// during its decide (engine.Batch.Done), not by a second handler-side
-// replica decide as on the JSON arm. Steady state allocates nothing
-// per element, and the default decode is zero-copy: a batch frame's
-// payload is read off the socket straight into an aligned per-slot
-// buffer and the engine's caps/members views alias those bytes in
-// place (wire.AliasBatch) — no per-element copy between wire and
-// shard. Frames that cannot be aliased (a big-endian host) fall back
-// to the copying decoder, pinned byte-for-byte equivalent.
+// round trip per batch — over a whole element stream. Its verdicts are
+// built by the engine shard during its one decide (engine.Batch.Done),
+// as the JSON arm's are. Steady state allocates nothing per element,
+// and the default decode is zero-copy: a batch frame's payload is read
+// off the socket straight into an aligned per-slot buffer and the
+// engine's caps/members views alias those bytes in place
+// (wire.AliasBatch) — no per-element copy between wire and shard.
+// Frames that cannot be aliased (a big-endian host) fall back to the
+// copying decoder, pinned byte-for-byte equivalent.
 //
 // Per-connection machinery, after the Hello/Ack handshake:
 //
@@ -64,9 +63,11 @@ import (
 //	           dead-peer terminal) carries seq = first-unanswered, so
 //	           it is held until every verdict below it is written.
 //
-// Each connection submits through its own Instance.IngestLane — a
-// private shard round-robin — so concurrent connections feeding one
-// instance contend on nothing but the shard queues themselves.
+// Each connection submits through Instance.IngestBatch, the path the
+// JSON arm uses too: concurrent connections and requests feeding one
+// instance share the engine's atomic round-robin cursor and the read
+// side of the instance's RWMutex, and contend on nothing else but the
+// shard queues themselves.
 //
 // Errors are connection-terminal here, unlike the lenient HTTP arm: a
 // malformed or out-of-sequence frame ends the stream with an Error
@@ -91,12 +92,9 @@ type streamState struct {
 	wg        sync.WaitGroup // one per live connection handler
 }
 
-// streamConn is one accepted stream connection. idx is its global
-// accept ordinal, used to seed the connection's ingest lane so
-// simultaneous connections start their shard round-robins apart.
+// streamConn is one accepted stream connection.
 type streamConn struct {
 	fc       *stream.Conn
-	idx      int
 	draining atomic.Bool
 }
 
@@ -263,11 +261,11 @@ func (s *Server) handleStreamConn(nc net.Conn) {
 	st := &s.stream
 	defer st.wg.Done()
 	defer nc.Close()
-	ordinal := s.obs.stream.connsTotal.Add(1)
+	s.obs.stream.connsTotal.Add(1)
 	s.obs.stream.connsActive.Add(1)
 	defer s.obs.stream.connsActive.Add(-1)
 
-	sc := &streamConn{fc: stream.NewConn(nc, int(s.cfg.MaxBodyBytes)), idx: int(ordinal)}
+	sc := &streamConn{fc: stream.NewConn(nc, int(s.cfg.MaxBodyBytes))}
 	st.mu.Lock()
 	if st.conns == nil {
 		st.conns = make(map[*streamConn]struct{})
@@ -352,15 +350,14 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 // streamReadLoop reads batch frames, lands each payload in its window
 // slot at an aliasable alignment, hands the engine caps/members views
 // over those bytes (zero-copy; the copying decoder when aliasing is
-// impossible) and submits on the connection's private lane with
-// the verdict callback set; the engine shard completes the verdict
+// impossible) and submits through Instance.IngestBatch with the
+// verdict callback set; the engine shard completes the verdict
 // frame during its decide. The loop ends by handing the writer exactly
 // one terminal frame whose seq equals the number of batches submitted
 // — the writer's signal that every verdict below it must go out first.
 func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFrame, slots []ingestSlot, freeTok chan struct{}, writerDone chan struct{}) {
 	fc := sc.fc
 	eng := in.eng
-	lane := in.IngestLane(sc.idx)
 	numSets := in.info.NumSets()
 	copyDecode := s.copyDecode
 	timings := s.cfg.StreamTimings
@@ -466,7 +463,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 					return
 				}
 			}
-			// Atomicity, as both HTTP arms: the whole batch is validated
+			// Atomicity, as on the JSON arm: the whole batch is validated
 			// against the instance's universe before any element is
 			// submitted. For aliased batches this is also where values
 			// past MaxInt32 — negative through the int32 view — are
@@ -482,7 +479,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 			b.Seq = seq
 			b.Masks = wire.AppendVerdictsHeader(slot.masks[:0], b.Len())
 			b.Done = done
-			if err := lane.IngestBatch(b); err != nil {
+			if err := in.IngestBatch(b); err != nil {
 				// The engine detached the batch (Reset dropped the
 				// callback), so no verdict for this seq is coming: next
 				// still counts only submitted batches.

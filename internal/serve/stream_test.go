@@ -331,11 +331,11 @@ func TestStreamIngestMatchesAllCodecsAndOracle(t *testing.T) {
 	}
 }
 
-// TestStreamInterleavedConnections runs two pipelined streams into ONE
-// instance concurrently: per-element verdicts stay oracle-exact on
-// both (decisions are pure in the element and the frozen state, so
-// interleaving cannot change them) and the drained result still equals
-// the serial oracle's.
+// TestStreamInterleavedConnections runs two pipelined streams and a
+// JSON poster into ONE instance concurrently: per-element verdicts stay
+// oracle-exact on all three (decisions are pure in the element and the
+// frozen state, so interleaving cannot change them) and the drained
+// result still equals the serial oracle's.
 func TestStreamInterleavedConnections(t *testing.T) {
 	const seed = 23
 	inst := uniformInst(t, 50, 2000, 5, 8)
@@ -345,15 +345,36 @@ func TestStreamInterleavedConnections(t *testing.T) {
 	id := register(t, s, inst, seed)
 	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: seed}, nil)
 
-	const batch = 125
+	const batch, arms = 125, 3
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// The JSON arm takes every third batch, starting at batch 2.
+		for k := arms - 1; k*batch < len(inst.Elements); k += arms {
+			els := inst.Elements[k*batch : min((k+1)*batch, len(inst.Elements))]
+			var resp IngestResponse
+			if rec := do(t, s, "POST", "/v1/instances/"+id+"/elements",
+				IngestRequest{Elements: wireElems(els)}, &resp); rec.Code != http.StatusOK {
+				t.Errorf("json ingest: status %d: %s", rec.Code, rec.Body.String())
+				return
+			}
+			for i, el := range els {
+				want := core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil)
+				if fmt.Sprint(resp.Verdicts[i].Admitted) != fmt.Sprint(want) {
+					t.Errorf("json: element verdict %v, oracle chose %v", resp.Verdicts[i].Admitted, want)
+					return
+				}
+			}
+		}
+	}()
 	for conn := 0; conn < 2; conn++ {
 		wg.Add(1)
 		go func(conn int) {
 			defer wg.Done()
 			ts := dialStream(t, addr, id)
-			// Connection 0 takes even batches, connection 1 odd ones;
-			// pipeline up to 4 before collecting.
+			// Connection 0 takes batches 0, 3, 6, …, connection 1 batches
+			// 1, 4, 7, …; pipeline up to 4 before collecting.
 			var pending [][]setsystem.Element
 			flush := func() {
 				for _, els := range pending {
@@ -368,7 +389,7 @@ func TestStreamInterleavedConnections(t *testing.T) {
 				}
 				pending = pending[:0]
 			}
-			for k := conn; k*batch < len(inst.Elements); k += 2 {
+			for k := conn; k*batch < len(inst.Elements); k += arms {
 				els := inst.Elements[k*batch : min((k+1)*batch, len(inst.Elements))]
 				ts.send(els)
 				if pending = append(pending, els); len(pending) == 4 {

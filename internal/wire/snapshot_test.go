@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -82,6 +83,74 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !got.Final || got.Label != "" {
 		t.Fatalf("Final/empty-label round trip: %+v", got)
+	}
+}
+
+// goldenSnapshotV1 is one version-1 OSPS frame, byte for byte as the
+// layout in snapshot.go documents it; each line is one field. Files
+// under ospserve -snapshot-dir were written in this layout, so a change
+// to it — even one applied to encoder and decoder alike, which the
+// round-trip tests cannot see — must fail here. The Final variant of
+// the frame differs only in byte 5, the flags byte, which reads 0x01.
+const goldenSnapshotV1 = "" +
+	"4f535053" + // magic "OSPS"
+	"01" + // version 1
+	"00" + // flags: Final unset
+	"0400" + "692d3432" + // id "i-42"
+	"0400" + "65646765" + // label "edge"
+	"0600" + "72616e647072" + // policy "randpr"
+	"efcdab8967452301" + // seed 0x0123456789abcdef
+	"02000000" + // shards 2
+	"40000000" + // batch size 64
+	"08000000" + // queue depth 8
+	"e803000000000000" + // submitted 1000
+	"e803000000000000" + // processed 1000
+	"1000000000000000" + // batches 16
+	"dc05000000000000" + // assigned total 1500
+	"bc02000000000000" + // dropped 700
+	"03000000" + // m 3
+	"000000000000f83f" + "0000000000000240" + "000000000000e03f" + // weights 1.5, 2.25, 0.5
+	"04000000" + "02000000" + "09000000" + // sizes 4, 2, 9
+	"03000000" + "02000000" + "00000000" // assigned 3, 2, 0
+
+// goldenSnapshot is the Snapshot goldenSnapshotV1 encodes.
+func goldenSnapshot() *Snapshot {
+	return &Snapshot{
+		ID: "i-42", Label: "edge", Policy: "randpr",
+		Seed:   0x0123456789abcdef,
+		Shards: 2, BatchSize: 64, QueueDepth: 8,
+		Submitted: 1000, Processed: 1000, Batches: 16,
+		AssignedTotal: 1500, Dropped: 700,
+		Weights:  []float64{1.5, 2.25, 0.5},
+		Sizes:    []int{4, 2, 9},
+		Assigned: []int32{3, 2, 0},
+	}
+}
+
+// TestSnapshotGoldenV1 pins the version-1 frame layout: the checked-in
+// frame, with Final unset and set, decodes to the expected Snapshot,
+// and WriteSnapshot of that Snapshot reproduces the bytes exactly.
+func TestSnapshotGoldenV1(t *testing.T) {
+	for _, final := range []bool{false, true} {
+		raw, err := hex.DecodeString(goldenSnapshotV1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := goldenSnapshot()
+		if final {
+			raw[5] = 0x01
+			want.Final = true
+		}
+		got, err := ReadSnapshot(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("final=%v: ReadSnapshot of the golden frame: %v", final, err)
+		}
+		if !snapshotsEqual(got, want) {
+			t.Errorf("final=%v: golden frame decoded to %+v, want %+v", final, got, want)
+		}
+		if enc := encodeSnapshot(t, want); !bytes.Equal(enc, raw) {
+			t.Errorf("final=%v: WriteSnapshot\n got %x\nwant %x", final, enc, raw)
+		}
 	}
 }
 

@@ -215,3 +215,57 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 		t.Error("drain after mid-stream reconnect differs from oracle — an element was lost or doubled")
 	}
 }
+
+// TestEmptyBatchRefusedUnderBothCodecs pins that an empty batch is a
+// permanent 400 under either codec, refused before it reaches the
+// wire: no retry, no dial, and under the default codec the pinned
+// stream survives for the next batch.
+func TestEmptyBatchRefusedUnderBothCodecs(t *testing.T) {
+	ctx := context.Background()
+	for _, codec := range []client.Codec{client.CodecBinary, client.CodecJSON} {
+		t.Run(codec.String(), func(t *testing.T) {
+			c, p := startProxiedServer(t, client.WithCodec(codec), client.WithRetry(client.RetryPolicy{}))
+			const seed = 5
+			inst := uniform(t, 20, 400, 3, 9)
+			h := registerTwin(t, c, inst, seed)
+			half := len(inst.Elements) / 2
+			if err := h.IngestFunc(ctx, inst.Elements[:half], nil); err != nil {
+				t.Fatalf("first batch: %v", err)
+			}
+			dialed := p.Accepted()
+
+			_, ingestErr := h.Ingest(ctx, []osp.Element{})
+			for name, err := range map[string]error{
+				"IngestFunc": h.IngestFunc(ctx, nil, nil),
+				"Ingest":     ingestErr,
+			} {
+				var apiErr *client.APIError
+				if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+					apiErr.Message != "ingest: empty batch" {
+					t.Fatalf("%s of an empty batch = %v, want *APIError 400 \"ingest: empty batch\"", name, err)
+				}
+			}
+			if n := p.Accepted(); n != dialed {
+				t.Fatalf("empty batches dialed %d connections", n-dialed)
+			}
+
+			if err := h.IngestFunc(ctx, inst.Elements[half:], nil); err != nil {
+				t.Fatalf("batch after the empty ones: %v", err)
+			}
+			if n := p.Accepted(); n != dialed {
+				t.Errorf("batch after the empty ones dialed %d connections, want the pinned one reused", n-dialed)
+			}
+			res, err := h.Drain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Equal(oracle) {
+				t.Error("drain differs from the serial oracle")
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 
 	"repro/osp"
 )
@@ -31,7 +32,14 @@ import (
 // fires only after an attempt succeeds — each element exactly once, in
 // batch order, no matter how many retries or re-dials the batch rode
 // through.
+//
+// An empty batch is refused up front, under either codec, with the 400
+// *APIError the server answers a JSON one: it never reaches the wire,
+// so it cannot cost the pinned stream.
 func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
+	if len(els) == 0 {
+		return &APIError{StatusCode: http.StatusBadRequest, Message: "ingest: empty batch"}
+	}
 	if fn == nil {
 		fn = func(int, []osp.SetID) {} // verdicts wanted for their side effect only
 	}
