@@ -1,5 +1,6 @@
 // Command ospbench regenerates the paper's results: it runs any (or all)
-// of the experiments X1…X11 indexed in DESIGN.md and prints their tables.
+// of the experiments X1…X16 indexed in EXPERIMENTS.md and prints their
+// tables.
 //
 // Usage:
 //

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,5 +52,37 @@ func TestBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-nope"}, &buf); err == nil {
 		t.Error("bad flag should error")
+	}
+}
+
+// TestExperimentsDocCommands runs the arguments of every
+// `$ go run ./cmd/ospbench ...` line in EXPERIMENTS.md through run,
+// adding -quick where a line lacks it, so the documented commands
+// cannot drift from the flags.
+func TestExperimentsDocCommands(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "$ go run ./cmd/ospbench"
+	n := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		cmd, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		n++
+		cmd, _, _ = strings.Cut(cmd, "#")
+		args := strings.Fields(cmd)
+		if !slices.Contains(args, "-quick") {
+			args = append(args, "-quick")
+		}
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Errorf("%s: %v", strings.TrimSpace(line), err)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("EXPERIMENTS.md lists no %q command", prefix)
 	}
 }

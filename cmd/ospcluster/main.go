@@ -3,10 +3,12 @@
 // hashing or fanned out across the fleet by element hash, ingest
 // forwarded over each node's verdict stream (its -stream-nodes port, or
 // an HTTP upgrade of its base URL), and the per-node drains merged and
-// cross-checked bit-for-bit against the serial policy oracle. With -kill it doubles as the failover demo:
-// kill a node mid-stream, replay the registration log onto a fresh
-// replacement, and verify the merged drain is still exact (journal on)
-// or exactly accounted (journal off, Instance.Lost).
+// cross-checked bit-for-bit against the serial policy oracle. With
+// -kill it doubles as the failover demo: kill a node mid-stream,
+// re-register the instance on a fresh replacement from the Spec the
+// coordinator holds, resend the retained shares, and verify the merged
+// drain is still exact (journal on) or exactly accounted (journal off,
+// Instance.Lost).
 //
 // Usage:
 //
@@ -16,7 +18,7 @@
 //	ospcluster -spawn 3 -kill 1 -journal=false  # lossy failover, accounted
 //	ospcluster -spawn 3 -kill 1 -spares 1 -auto-failover  # zero-operator recovery
 //	ospcluster -spawn 2 -fanout=false        # pinned placement by ring
-//	ospcluster -spawn 2 -log reg.jsonl -print-metrics
+//	ospcluster -spawn 2 -print-metrics
 //
 // With -auto-failover the health monitor probes every slot, declares the
 // killed node dead, and replaces it from the -spares pool on its own —
@@ -64,7 +66,6 @@ func run(args []string, w io.Writer) error {
 		policy    = fs.String("policy", "", "admission policy: "+strings.Join(osp.PolicyNames(), ", ")+` ("" = `+osp.DefaultPolicy+")")
 		fanOut    = fs.Bool("fanout", true, "split the element stream across all nodes by element hash (false pins the instance to one ring slot)")
 		journal   = fs.Bool("journal", true, "retain acked shares so node failover is exact")
-		logPath   = fs.String("log", "", "file-backed registration log (JSONL); empty keeps it in memory")
 		kill      = fs.Int("kill", -1, "failover demo: kill the node at this slot mid-stream and replace it (embedded fleet only)")
 		killAt    = fs.Float64("kill-at", 0.5, "failover demo: kill after this fraction of the element stream")
 		spares    = fs.Int("spares", 0, "embedded fleet: spare nodes booted as the automatic-failover replacement pool")
@@ -177,13 +178,7 @@ func run(args []string, w io.Writer) error {
 		spareNodes = append(spareNodes, sp.Config())
 	}
 
-	var lg *cluster.Log
-	if *logPath != "" {
-		if lg, err = cluster.OpenLog(*logPath); err != nil {
-			return err
-		}
-	}
-	co, err := cluster.New(cluster.Config{Nodes: fleet, Journal: *journal, Log: lg})
+	co, err := cluster.New(cluster.Config{Nodes: fleet, Journal: *journal})
 	if err != nil {
 		return err
 	}
@@ -226,8 +221,7 @@ func run(args []string, w io.Writer) error {
 	if !*journal {
 		journalState = "off"
 	}
-	fmt.Fprintf(w, "fleet:    %d nodes%s, journal %s, registration log %d entries\n",
-		len(fleet), embedded, journalState, co.Log().Len())
+	fmt.Fprintf(w, "fleet:    %d nodes%s, journal %s\n", len(fleet), embedded, journalState)
 	fmt.Fprintf(w, "instance: %s on slots %v, policy %s\n", in.ID(), in.Slots(), policyName(*policy))
 	if *kill >= 0 && !slices.Contains(in.Slots(), *kill) {
 		return fmt.Errorf("kill slot %d does not host instance %s (slots %v) — killing it would be inert",

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,28 +110,6 @@ func TestRunAutoFailover(t *testing.T) {
 	}
 	if strings.Contains(out, "failover: slot") {
 		t.Errorf("manual failover path ran with -auto-failover armed:\n%s", out)
-	}
-}
-
-// TestRunFileLog: the registration log lands on disk and survives the
-// run — one JSONL entry for the one registration.
-func TestRunFileLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reg.jsonl")
-	var b strings.Builder
-	err := run([]string{"-spawn", "2", "-log", path,
-		"-m", "20", "-n", "1000", "-load", "3", "-batch", "200"}, &b)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, b.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(strings.TrimSpace(string(data)), "\n") + 1; n != 1 {
-		t.Fatalf("registration log has %d lines, want 1:\n%s", n, data)
-	}
-	if !strings.Contains(string(data), `"id":"c-0"`) {
-		t.Errorf("log entry missing instance id:\n%s", data)
 	}
 }
 

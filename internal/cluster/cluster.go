@@ -36,22 +36,16 @@ type Config struct {
 	Nodes []Node
 	// Journal retains every acknowledged element share per node so
 	// failover is exact: a replacement node receives the dead node's
-	// full element history after the registration replay, and the
+	// full element history after it is re-registered, and the
 	// merged drain is bit-for-bit equal to an uninterrupted run. Off,
 	// failover loses the elements the dead node had acknowledged —
 	// counted per instance (Instance.Lost) and in the cluster metrics —
 	// and resends only the unacknowledged in-flight shares. The cost is
 	// O(elements) coordinator memory per live instance.
 	Journal bool
-	// Log is the registration log; nil means a fresh in-memory log
-	// (NewLog). Pass an OpenLog'd file-backed log for durability.
-	Log *Log
 	// HTTPClient overrides the http.Client used for every node;
 	// nil means one shared plain &http.Client{}.
 	HTTPClient *http.Client
-	// Vnodes is the consistent-hash virtual-node count per slot;
-	// 0 means the default (64).
-	Vnodes int
 	// StreamConns is the number of stream connections per node and
 	// instance. Only 0 or 1 is accepted: one connection reaches every
 	// shard of the node's engine, so New rejects any other value.
@@ -130,14 +124,15 @@ func dialMember(slot int, cfg Node, hc *http.Client, retry *client.RetryPolicy) 
 }
 
 // Coordinator is the cluster's front door: it owns instance placement,
-// forwards ingest to the owning nodes, merges drains, and replays the
-// registration log onto replacement nodes. Safe for concurrent use;
-// concurrent Ingest calls on ONE instance serialize (per-node element
-// order is part of the arrival order the oracle sees).
+// forwards ingest to the owning nodes, merges drains, and replays each
+// instance's Spec onto replacement nodes. The Instances it holds are its
+// only record of the registrations: they live in memory, with the
+// journal and the retained shares, for the life of the process. Safe
+// for concurrent use; concurrent Ingest calls on ONE instance serialize
+// (per-node element order is part of the arrival order the oracle sees).
 type Coordinator struct {
 	journal bool
 	ring    *Ring
-	log     *Log
 	httpc   *http.Client
 	retry   *client.RetryPolicy
 
@@ -166,14 +161,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	lg := cfg.Log
-	if lg == nil {
-		lg = NewLog()
-	}
 	co := &Coordinator{
 		journal: cfg.Journal,
-		ring:    NewRing(len(cfg.Nodes), cfg.Vnodes),
-		log:     lg,
+		ring:    NewRing(len(cfg.Nodes)),
 		httpc:   hc,
 		retry:   cfg.Retry,
 		nodes:   make([]*member, len(cfg.Nodes)),
@@ -200,12 +190,9 @@ func (co *Coordinator) Nodes() []Node {
 	return out
 }
 
-// Log returns the coordinator's registration log.
-func (co *Coordinator) Log() *Log { return co.log }
-
-// Instance is a handle to one cluster-level instance: its hosting
-// slots, per-node client handles, and the retained element shares that
-// make failover exact (journal) or accounted (Lost).
+// Instance is a handle to one cluster-level instance: its Spec, its
+// hosting slots, per-node client handles, and the retained element
+// shares that make failover exact (journal) or accounted (Lost).
 type Instance struct {
 	co     *Coordinator
 	id     string
@@ -225,9 +212,10 @@ type Instance struct {
 
 // Register places a new instance on the fleet: on every node when
 // spec.FanOut, else on the single slot the consistent-hash ring assigns
-// its ID. The registration is appended to the log before any node sees
-// it, so a crash between log append and node registration errs on the
-// side of replayable.
+// its ID. The returned Instance keeps spec, which is all ReplaceNode
+// needs to re-register it on a replacement node. If any node refuses
+// the registration, the nodes that accepted it are told to remove
+// theirs (best effort) and the error is that node's *NodeError.
 func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, error) {
 	if len(spec.Info.Weights) == 0 {
 		return nil, errors.New("cluster: register: at least one set required")
@@ -250,9 +238,6 @@ func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, erro
 	} else {
 		slots = []int{co.ring.Lookup(id)}
 	}
-	if err := co.log.Append(logEntry(id, spec)); err != nil {
-		return nil, err
-	}
 	in := &Instance{
 		co: co, id: id, spec: spec,
 		fanOut:  len(slots) > 1,
@@ -267,6 +252,11 @@ func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, erro
 		m := co.memberAt(slot)
 		h, err := m.c.Register(ctx, clientSpec(spec))
 		if err != nil {
+			// Nothing holds the partial registration, so nothing could
+			// ever drain or remove it: undo it on the nodes that took it.
+			for _, accepted := range in.handles {
+				accepted.Remove(ctx) //nolint:errcheck // best effort; the refusal is the error to report
+			}
 			return nil, &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: err}
 		}
 		in.handles[slot] = h
@@ -275,15 +265,6 @@ func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, erro
 	co.insts[id] = in
 	co.mu.Unlock()
 	return in, nil
-}
-
-func logEntry(id string, spec Spec) LogEntry {
-	return LogEntry{
-		ID: id, Weights: spec.Info.Weights, Sizes: spec.Info.Sizes, Seed: spec.Seed,
-		Shards: spec.Engine.Shards, BatchSize: spec.Engine.BatchSize,
-		QueueDepth: spec.Engine.QueueDepth, Policy: spec.Engine.Policy,
-		FanOut: spec.FanOut, Label: spec.Label,
-	}
 }
 
 func clientSpec(spec Spec) client.Spec {
@@ -506,7 +487,7 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 
 // ReplaceNode brings a replacement node into the dead node's slot and
 // replays it to parity: every instance hosted on the slot is
-// re-registered from the registration log's spec (same Info, same seed
+// re-registered from the Spec its Instance holds (same Info, same seed
 // — the policy contract makes the replica's state identical by
 // construction), then the retained element shares are resent in order:
 // the journaled acked history first when Config.Journal (exact
@@ -594,9 +575,8 @@ func (in *Instance) rehome(ctx context.Context, slot int, m *member) error {
 	return nil
 }
 
-// Close releases every instance's pinned streams and closes the
-// registration log. Instances are not drained — Close is teardown, not
-// completion.
+// Close releases every instance's pinned streams. Instances are not
+// drained — Close is teardown, not completion.
 func (co *Coordinator) Close() error {
 	co.mu.Lock()
 	insts := make([]*Instance, 0, len(co.insts))
@@ -613,9 +593,6 @@ func (co *Coordinator) Close() error {
 			}
 		}
 		in.mu.Unlock()
-	}
-	if err := co.log.Close(); err != nil && first == nil {
-		first = err
 	}
 	return first
 }

@@ -179,12 +179,12 @@ func TestClusterPinnedPlacement(t *testing.T) {
 }
 
 // TestRingDeterminism pins the placement function itself: the ring is a
-// pure function of (slots, vnodes), so two coordinators — or a restarted
+// pure function of the slot count, so two coordinators — or a restarted
 // one — agree on every placement; and slot identity is positional, so a
 // replacement inherits its predecessor's keys exactly.
 func TestRingDeterminism(t *testing.T) {
-	a := cluster.NewRing(5, 0)
-	b := cluster.NewRing(5, 0)
+	a := cluster.NewRing(5)
+	b := cluster.NewRing(5)
 	used := map[int]int{}
 	for k := 0; k < 200; k++ {
 		key := fmt.Sprintf("c-%d", k)
@@ -248,7 +248,6 @@ func TestClusterMetrics(t *testing.T) {
 	for _, want := range []string{
 		"osp_cluster_nodes 2",
 		"osp_cluster_instances 1",
-		"osp_cluster_registrations_total 1",
 		`osp_cluster_node_info{slot="0"`,
 		`osp_cluster_node_batches_total{slot="1"`,
 		`osp_cluster_node_elements_total{slot="0"`,

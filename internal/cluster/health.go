@@ -23,12 +23,12 @@ import (
 // successful probe snaps the slot straight back to healthy. When a slot
 // goes dead and AutoFailover is armed, the monitor takes the next spare
 // from the pool and invokes the coordinator's existing ReplaceNode
-// replay against it — registration log first, then the retained element
-// shares — with no operator in the loop. Everything the manual path
-// guarantees carries over: with the journal on the merged drain stays
-// bit-for-bit equal to the serial oracle; without it the dead node's
-// acknowledged elements are counted in Instance.Lost, never silently
-// dropped.
+// replay against it — each hosted instance re-registered from its Spec,
+// then the retained element shares — with no operator in the loop.
+// Everything the manual path guarantees carries over: with the journal
+// on the merged drain stays bit-for-bit equal to the serial oracle;
+// without it the dead node's acknowledged elements are counted in
+// Instance.Lost, never silently dropped.
 
 // NodeState is one slot's health, encoded so the Prometheus gauge reads
 // naturally: 2 healthy, 1 suspect, 0 dead.

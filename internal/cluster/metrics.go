@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -30,15 +29,11 @@ func (co *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP osp_cluster_instances Cluster-level instances registered.\n")
 	fmt.Fprintf(w, "# TYPE osp_cluster_instances gauge\n")
 	fmt.Fprintf(w, "osp_cluster_instances %d\n", instances)
-	fmt.Fprintf(w, "# HELP osp_cluster_registrations_total Registration log entries appended.\n")
-	fmt.Fprintf(w, "# TYPE osp_cluster_registrations_total counter\n")
-	fmt.Fprintf(w, "osp_cluster_registrations_total %d\n", co.log.Len())
 
 	fmt.Fprintf(w, "# HELP osp_cluster_node_info Current occupant of each slot (value is always 1; the labels carry the information).\n")
 	fmt.Fprintf(w, "# TYPE osp_cluster_node_info gauge\n")
 	for _, m := range members {
-		fmt.Fprintf(w, "osp_cluster_node_info{slot=\"%d\",node=%q,stream=%q} 1\n",
-			m.slot, escapeLabel(m.cfg.BaseURL), escapeLabel(m.cfg.StreamAddr))
+		fmt.Fprintf(w, "osp_cluster_node_info{%s,stream=%s} 1\n", nodeLabels(m), obs.QuoteLabel(m.cfg.StreamAddr))
 	}
 	fmt.Fprintf(w, "# HELP osp_cluster_node_batches_total Element shares forwarded to each node.\n")
 	fmt.Fprintf(w, "# TYPE osp_cluster_node_batches_total counter\n")
@@ -92,38 +87,10 @@ func (co *Coordinator) WriteMetrics(w io.Writer) {
 	const name = "osp_cluster_forward_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Per-share forward round-trip latency (coordinator to node and back, verdicts decoded).\n", name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	snap := co.forward.Snapshot()
-	var cum uint64
-	for i := 0; i < obs.HistogramBuckets; i++ {
-		cum += snap.Buckets[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(obs.BucketBound(i)), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, snap.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(snap.SumSecs))
-	fmt.Fprintf(w, "%s_count %d\n", name, snap.Count)
+	obs.WriteHistogram(w, name, "", co.forward.Snapshot())
 }
 
 // nodeLabels renders a member's identifying label pairs.
 func nodeLabels(m *member) string {
-	var b strings.Builder
-	b.WriteString(`slot="`)
-	b.WriteString(strconv.Itoa(m.slot))
-	b.WriteString(`",node="`)
-	b.WriteString(escapeLabel(m.cfg.BaseURL))
-	b.WriteString(`"`)
-	return b.String()
-}
-
-// formatFloat renders a float the shortest way that parses back exactly
-// (shared contract with internal/serve's exposition).
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
+	return "slot=" + obs.QuoteLabel(strconv.Itoa(m.slot)) + ",node=" + obs.QuoteLabel(m.cfg.BaseURL)
 }

@@ -16,9 +16,9 @@
 //     across all of them by element hash, and the merged drain equals
 //     the serial oracle — no placement decision can change a verdict.
 //   - Failover is a replay, not a state transfer. A replacement node
-//     re-registers from the append-only registration log and reaches
-//     the exact policy state of the node it replaces, because that
-//     state IS the registration.
+//     is re-registered from the Spec the coordinator's Instance holds
+//     and reaches the exact policy state of the node it replaces,
+//     because that state IS the registration.
 //   - Merging is addition. Per-node Assigned counters sum exactly like
 //     per-shard counters (integers commute); completion and benefit are
 //     recomputed from the summed counts (DESIGN.md §15).
@@ -59,17 +59,14 @@ type ringPoint struct {
 	slot int
 }
 
-// NewRing builds the ring for the given slot count; vnodes <= 0 takes
-// the default. Deterministic: the same (slots, vnodes) always yields
-// the same ring, on every machine.
-func NewRing(slots, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// NewRing builds the ring for the given slot count, defaultVnodes
+// points per slot. Deterministic: the same slot count always yields the
+// same ring, on every machine.
+func NewRing(slots int) *Ring {
 	m := hashpr.Mixer{Seed: ringSeed}
-	r := &Ring{points: make([]ringPoint, 0, slots*vnodes), slots: slots}
+	r := &Ring{points: make([]ringPoint, 0, slots*defaultVnodes), slots: slots}
 	for s := 0; s < slots; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVnodes; v++ {
 			h := m.Hash(uint64(s)<<20 | uint64(v))
 			r.points = append(r.points, ringPoint{hash: h, slot: s})
 		}

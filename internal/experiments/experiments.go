@@ -1,5 +1,5 @@
 // Package experiments contains one runnable reproduction per theorem and
-// figure of the paper (see DESIGN.md §3 for the index X1…X11). Each
+// figure of the paper (see EXPERIMENTS.md for the index X1…X16). Each
 // experiment builds its workloads, runs the algorithms and the OPT
 // machinery, and renders a table whose rows are the paper-claim versus the
 // measurement. The same runners back `go test -bench`, `cmd/ospbench` and

@@ -208,9 +208,8 @@ type DecisionLog struct {
 
 	flushed atomic.Uint64 // decisions drained from rings (tail + sink)
 
-	drain chan struct{} // poke the drainer outside its period (tests)
-	done  chan struct{}
-	wg    sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	// flushMu serializes flush passes: the rings are single-consumer, so
 	// the periodic drainer, Remove and Close must not drain concurrently.
@@ -228,7 +227,6 @@ func NewDecisionLog(cfg DecisionLogConfig) *DecisionLog {
 	d := &DecisionLog{
 		cfg:     cfg.withDefaults(),
 		loggers: make(map[string]*DecisionLogger),
-		drain:   make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	d.wg.Add(1)
@@ -379,17 +377,7 @@ func (d *DecisionLog) flushLogger(l *DecisionLogger) {
 	}
 }
 
-// Poke asks the drainer for an immediate flush pass without blocking —
-// tests and shutdown paths use it to shorten the flush latency.
-func (d *DecisionLog) Poke() {
-	select {
-	case d.drain <- struct{}{}:
-	default:
-	}
-}
-
-// run is the drainer loop: flush every period (or on a poke) until
-// Close.
+// run is the drainer loop: flush every period until Close.
 func (d *DecisionLog) run() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.cfg.FlushEvery)
@@ -399,8 +387,6 @@ func (d *DecisionLog) run() {
 		case <-d.done:
 			return
 		case <-t.C:
-			d.Flush()
-		case <-d.drain:
 			d.Flush()
 		}
 	}

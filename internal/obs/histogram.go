@@ -1,7 +1,7 @@
 // Package obs is the zero-overhead telemetry layer: sampled decision
 // logging and per-stage latency histograms for the admission engine and
-// the networked service, plus the sink plumbing that ships both off the
-// hot path.
+// the networked service, the sink plumbing that ships both off the hot
+// path, and the Prometheus text rendering every /metrics writer shares.
 //
 // Everything here is built around one constraint carried over from the
 // engine (DESIGN.md §13): steady-state ingestion must stay at zero
@@ -100,16 +100,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Count = h.count.Load()
 	s.SumSecs = float64(h.sumNanos.Load()) * 1e-9
 	return s
-}
-
-// Merge adds o's counts into s — how per-engine histograms are folded
-// into one series at scrape time.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.SumSecs += o.SumSecs
 }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the

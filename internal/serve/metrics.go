@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -66,7 +65,7 @@ func writeMetrics(w io.Writer, s *Server) {
 	if s.cfg.NodeLabel != "" {
 		fmt.Fprintf(w, "# HELP osp_node_info Cluster node identity (value is always 1; the label carries the information).\n")
 		fmt.Fprintf(w, "# TYPE osp_node_info gauge\n")
-		fmt.Fprintf(w, "osp_node_info{node=%q} 1\n", escapeLabel(s.cfg.NodeLabel))
+		fmt.Fprintf(w, "osp_node_info{node=%s} 1\n", obs.QuoteLabel(s.cfg.NodeLabel))
 	}
 	instances := s.pool.Instances()
 
@@ -77,7 +76,7 @@ func writeMetrics(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP osp_instances Registered instances by lifecycle state.\n")
 	fmt.Fprintf(w, "# TYPE osp_instances gauge\n")
 	for _, st := range []engine.State{engine.StateIdle, engine.StateStreaming, engine.StateDrained} {
-		fmt.Fprintf(w, "osp_instances{state=%q} %d\n", st.String(), states[st])
+		fmt.Fprintf(w, "osp_instances{state=%s} %d\n", obs.QuoteLabel(st.String()), states[st])
 	}
 
 	// One snapshot per instance, reused across all series so every series
@@ -91,7 +90,7 @@ func writeMetrics(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP osp_instance_state Lifecycle state of each instance (1 on the current state's series).\n")
 	fmt.Fprintf(w, "# TYPE osp_instance_state gauge\n")
 	for i, in := range instances {
-		fmt.Fprintf(w, "osp_instance_state{%s,state=%q} 1\n", labels[i], in.State().String())
+		fmt.Fprintf(w, "osp_instance_state{%s,state=%s} 1\n", labels[i], obs.QuoteLabel(in.State().String()))
 	}
 
 	// Policy is an info gauge for the same reason state is: a label on the
@@ -99,7 +98,7 @@ func writeMetrics(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP osp_instance_policy Admission policy of each instance (1 on the policy's series).\n")
 	fmt.Fprintf(w, "# TYPE osp_instance_policy gauge\n")
 	for i, in := range instances {
-		fmt.Fprintf(w, "osp_instance_policy{%s,policy=%q} 1\n", labels[i], in.Policy())
+		fmt.Fprintf(w, "osp_instance_policy{%s,policy=%s} 1\n", labels[i], obs.QuoteLabel(in.Policy()))
 	}
 
 	for _, def := range perInstanceMetrics {
@@ -123,11 +122,8 @@ func writeMetrics(w io.Writer, s *Server) {
 	writeRuntimeMetrics(w)
 }
 
-// writeStageHistograms renders the four pipeline-stage latency
-// histograms as one native Prometheus histogram family keyed by the
-// stage label. Buckets are the power-of-two bounds of obs.Histogram
-// rendered cumulatively, with the mandatory +Inf bucket equal to
-// _count.
+// writeStageHistograms renders the pipeline-stage latency histograms as
+// one native Prometheus histogram family keyed by the stage label.
 func writeStageHistograms(w io.Writer, o *serverObs) {
 	const name = "osp_stage_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Latency by pipeline stage: ingest_decode (JSON body to validated elements), stream_decode (batch frame to validated batch on the stream), queue_wait (batch dispatch to shard dequeue, once per batch part), decide (a shard's policy decide of one batch part), request (full HTTP round trip).\n", name)
@@ -143,16 +139,7 @@ func writeStageHistograms(w io.Writer, o *serverObs) {
 		{"request", &o.request},
 	}
 	for _, st := range stages {
-		snap := st.h.Snapshot()
-		var cum uint64
-		for i := 0; i < obs.HistogramBuckets; i++ {
-			cum += snap.Buckets[i]
-			fmt.Fprintf(w, "%s_bucket{stage=%q,le=%q} %d\n",
-				name, st.stage, formatFloat(obs.BucketBound(i)), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{stage=%q,le=\"+Inf\"} %d\n", name, st.stage, snap.Count)
-		fmt.Fprintf(w, "%s_sum{stage=%q} %s\n", name, st.stage, formatFloat(snap.SumSecs))
-		fmt.Fprintf(w, "%s_count{stage=%q} %d\n", name, st.stage, snap.Count)
+		obs.WriteHistogram(w, name, "stage="+obs.QuoteLabel(st.stage), st.h.Snapshot())
 	}
 }
 
@@ -164,8 +151,8 @@ func writeHTTPCounters(w io.Writer, h *httpStats) {
 	fmt.Fprintf(w, "# TYPE osp_http_requests_total counter\n")
 	keys, vals := h.snapshot()
 	for i, k := range keys {
-		fmt.Fprintf(w, "osp_http_requests_total{handler=%q,code=\"%d\"} %d\n",
-			escapeLabel(k.handler), k.code, vals[i])
+		fmt.Fprintf(w, "osp_http_requests_total{handler=%s,code=%s} %d\n",
+			obs.QuoteLabel(k.handler), obs.QuoteLabel(strconv.Itoa(k.code)), vals[i])
 	}
 }
 
@@ -210,8 +197,8 @@ func writeDecisionLogMetrics(w io.Writer, d *obs.DecisionLog) {
 func writeRuntimeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP osp_build_info Build metadata (value is always 1; the labels carry the information).\n")
 	fmt.Fprintf(w, "# TYPE osp_build_info gauge\n")
-	fmt.Fprintf(w, "osp_build_info{go_version=%q,version=%q,revision=%q} 1\n",
-		escapeLabel(buildMeta.goVersion), escapeLabel(buildMeta.version), escapeLabel(buildMeta.revision))
+	fmt.Fprintf(w, "osp_build_info{go_version=%s,version=%s,revision=%s} 1\n",
+		obs.QuoteLabel(buildMeta.goVersion), obs.QuoteLabel(buildMeta.version), obs.QuoteLabel(buildMeta.revision))
 
 	rt := readRuntimeStats()
 	fmt.Fprintf(w, "# HELP osp_go_goroutines Live goroutines.\n")
@@ -225,7 +212,7 @@ func writeRuntimeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "osp_go_heap_objects %d\n", rt.heapObjects)
 	fmt.Fprintf(w, "# HELP osp_go_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")
 	fmt.Fprintf(w, "# TYPE osp_go_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(w, "osp_go_gc_pause_seconds_total %s\n", formatFloat(rt.gcPauseSecs))
+	fmt.Fprintf(w, "osp_go_gc_pause_seconds_total %s\n", obs.FormatFloat(rt.gcPauseSecs))
 	fmt.Fprintf(w, "# HELP osp_go_gc_cycles_total Completed GC cycles.\n")
 	fmt.Fprintf(w, "# TYPE osp_go_gc_cycles_total counter\n")
 	fmt.Fprintf(w, "osp_go_gc_cycles_total %d\n", rt.gcCycles)
@@ -234,35 +221,14 @@ func writeRuntimeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "osp_go_next_gc_bytes %d\n", rt.nextGCBytes)
 }
 
-// formatFloat renders a float the shortest way that parses back exactly
-// — the representation used for histogram bounds and sums, where a
-// lossy rendering would break bucket identity across scrapes.
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
 // instanceLabels renders an instance's identifying label pairs. The
 // lifecycle state is deliberately NOT part of these: putting a mutable
 // state on a counter's labels would split the series every transition.
 // State is exported separately as the osp_instance_state info gauge.
 func instanceLabels(in *Instance) string {
-	var b strings.Builder
-	b.WriteString(`instance="`)
-	b.WriteString(escapeLabel(in.ID()))
-	b.WriteString(`"`)
+	labels := "instance=" + obs.QuoteLabel(in.ID())
 	if l := in.Label(); l != "" {
-		b.WriteString(`,label="`)
-		b.WriteString(escapeLabel(l))
-		b.WriteString(`"`)
+		labels += ",label=" + obs.QuoteLabel(l)
 	}
-	return b.String()
-}
-
-// escapeLabel escapes a label value per the exposition format: backslash,
-// double quote and newline.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
+	return labels
 }

@@ -455,6 +455,18 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsNodeLabelEscapedOnce: a label value is escaped once, per
+// the exposition format — the quote and the backslash each gain one
+// backslash, so a Prometheus parser reads the node name back unchanged.
+func TestMetricsNodeLabelEscapedOnce(t *testing.T) {
+	s := New(Config{NodeLabel: `rack"7\a`})
+	body := do(t, s, "GET", "/metrics", nil, nil).Body.String()
+	want := `osp_node_info{node="rack\"7\\a"} 1`
+	if !strings.Contains("\n"+body, "\n"+want+"\n") {
+		t.Errorf("exposition has no line %s:\n%s", want, body)
+	}
+}
+
 // TestRemoveInstance pins DELETE: drains, frees, 404s afterwards.
 func TestRemoveInstance(t *testing.T) {
 	var b setsystem.Builder
