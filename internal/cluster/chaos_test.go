@@ -397,3 +397,68 @@ func TestChaosHealthMetricsAndEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryWithoutMonitor pins Config.Retry on its own: with no health
+// monitor to fail over, a cut connection to one node is ridden through
+// by the node client's retry alone — every later Ingest returns nil,
+// every element is called back exactly once, and the drain equals the
+// serial oracle.
+func TestRetryWithoutMonitor(t *testing.T) {
+	ctx := context.Background()
+	const seed = 73
+	inst := workload(t, 30, 1200, 4, 59)
+	direct, err := cluster.StartLocalNode(osp.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { direct.Shutdown(context.Background()) }) //nolint:errcheck
+	behind, err := cluster.StartLocalNode(osp.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { behind.Shutdown(context.Background()) }) //nolint:errcheck
+	proxy, err := faultproxy.New(strings.TrimPrefix(behind.Config().BaseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	co, err := cluster.New(cluster.Config{
+		Nodes: []cluster.Node{direct.Config(), {BaseURL: "http://" + proxy.Addr()}},
+		Retry: chaosRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() }) //nolint:errcheck
+	in, err := co.Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: seed, FanOut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 100
+	for off := 0; off < len(inst.Elements); off += batch {
+		if off == len(inst.Elements)/2/batch*batch {
+			proxy.CutConns()
+		}
+		els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+		calls := make([]int, len(els))
+		if err := in.Ingest(ctx, els, func(i int, _ []osp.SetID) { calls[i]++ }); err != nil {
+			t.Fatalf("ingest at %d: %v", off, err)
+		}
+		for i, n := range calls {
+			if n != 1 {
+				t.Fatalf("ingest at %d: element %d called back %d times", off, i, n)
+			}
+		}
+	}
+	res, err := in.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(serial) {
+		t.Fatal("drain after a retried cut differs from the serial oracle")
+	}
+}

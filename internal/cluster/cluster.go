@@ -23,7 +23,7 @@ type Node struct {
 	BaseURL string
 	// StreamAddr is the node's raw-TCP stream listener (ospserve
 	// -stream-listen). The coordinator forwards ingest over a verdict
-	// stream either way (client.Instance.IngestFunc): dialed here when
+	// stream either way (client.IngestShares): dialed here when
 	// set, an HTTP/1.1 Upgrade of BaseURL's listener when empty.
 	StreamAddr string
 }
@@ -145,7 +145,7 @@ type Coordinator struct {
 	failovers atomic.Uint64
 	resent    atomic.Uint64
 	lost      atomic.Uint64
-	forward   obs.Histogram // per-share forward round-trip latency
+	forward   obs.Histogram // per-batch forward latency, all shares sent and answered
 }
 
 // New builds a Coordinator over the given fleet. Nodes are dialed
@@ -208,7 +208,26 @@ type Instance struct {
 	failed  map[int][][]osp.Element // unacked in-flight shares per slot, in order
 	lost    uint64
 	drained *osp.Result
+
+	// Scratch for the batch in flight, reused across batches: a fan-out
+	// instance's part per hosting slot, the batch's shares, and the slot
+	// each share goes to.
+	parts      []part
+	shares     []client.Share
+	shareSlots []int
 }
+
+// part is one hosting slot's slice of a fan-out batch.
+type part struct {
+	slot  int
+	els   []osp.Element
+	idx   []int                             // batch index of each element of els
+	fn    func(i int, admitted []osp.SetID) // the caller's callback for the batch
+	remap func(i int, admitted []osp.SetID) // p.verdict, bound once
+}
+
+// verdict hands one element's verdict to the caller under its batch index.
+func (p *part) verdict(i int, admitted []osp.SetID) { p.fn(p.idx[i], admitted) }
 
 // Register places a new instance on the fleet: on every node when
 // spec.FanOut, else on the single slot the consistent-hash ring assigns
@@ -247,6 +266,14 @@ func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, erro
 		journal: make(map[int][][]osp.Element),
 		acked:   make(map[int]int, len(slots)),
 		failed:  make(map[int][][]osp.Element),
+	}
+	if in.fanOut {
+		in.parts = make([]part, len(slots))
+		for k := range in.parts {
+			p := &in.parts[k]
+			p.slot = slots[k]
+			p.remap = p.verdict
+		}
 	}
 	for _, slot := range slots {
 		m := co.memberAt(slot)
@@ -305,21 +332,16 @@ func (in *Instance) Lost() uint64 {
 	return in.lost
 }
 
-// share is one node's slice of a scattered batch.
-type share struct {
-	slot int
-	els  []osp.Element
-	idx  []int // original batch indices, nil = identity (pinned)
-}
-
 // Ingest forwards one batch of elements in arrival order: pinned
 // instances ship the whole batch to their node, fan-out instances
-// scatter elements to their owning nodes by element hash and the shares
-// fly in parallel. fn — optional, may be nil — receives every
-// element's admitted parent sets with i the element's index in els
-// (callback order follows each node's share; across nodes it is
-// unspecified). The admitted slice is reused scratch, valid only during
-// the callback.
+// scatter elements to their owning nodes by element hash. Every share
+// is sent before any is received, so the nodes decide their shares
+// concurrently, and all of it runs on the calling goroutine
+// (client.IngestShares). fn — optional, may be nil — receives every
+// element's admitted parent sets with i the element's index in els; it
+// runs on the calling goroutine, share by share in ascending slot
+// order. The admitted slice is reused scratch, valid only during the
+// callback.
 //
 // On a node failure the failed share is RETAINED (not lost, not
 // re-scattered — surviving nodes' shares were acknowledged and must not
@@ -366,94 +388,81 @@ func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element, fn func(i
 	if in.drained != nil {
 		return fmt.Errorf("cluster: ingest: instance %s is already drained", in.id)
 	}
+	in.scatter(els, fn)
 
-	var shares []share
-	if !in.fanOut {
-		// Pinned: the node's share aliases the caller's batch; copy the
-		// slice header before retaining it (journal/failed) so later
-		// caller-side reslicing can't corrupt the retained share.
-		shares = []share{{slot: in.slots[0], els: els}}
-	} else {
-		per := make(map[int]*share, len(in.slots))
-		for i, el := range els {
-			slot := in.Owner(el)
-			s := per[slot]
-			if s == nil {
-				s = &share{slot: slot}
-				per[slot] = s
-			}
-			s.els = append(s.els, el)
-			s.idx = append(s.idx, i)
-		}
-		shares = make([]share, 0, len(per))
-		for _, s := range per {
-			shares = append(shares, *s)
-		}
-		sort.Slice(shares, func(a, b int) bool { return shares[a].slot < shares[b].slot })
-	}
-
-	errs := make([]error, len(shares))
-	var cbmu sync.Mutex // serializes fn across node goroutines
-	var wg sync.WaitGroup
-	for k := range shares {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s := shares[k]
-			h := in.handles[s.slot]
-			m := in.co.memberAt(s.slot)
-			cb := func(int, []osp.SetID) {}
-			if fn != nil {
-				cb = func(i int, admitted []osp.SetID) {
-					cbmu.Lock()
-					if s.idx != nil {
-						i = s.idx[i]
-					}
-					fn(i, admitted)
-					cbmu.Unlock()
-				}
-			}
-			start := time.Now()
-			err := h.IngestFunc(ctx, s.els, cb)
-			in.co.forward.Observe(time.Since(start))
-			if err != nil {
-				m.errs.Add(1)
-				errs[k] = &NodeError{Slot: s.slot, Node: m.cfg.BaseURL, Err: err}
-				return
-			}
-			m.batches.Add(1)
-			m.elements.Add(uint64(len(s.els)))
-		}(k)
-	}
-	wg.Wait()
+	start := time.Now()
+	client.IngestShares(ctx, in.shares)
+	in.co.forward.Observe(time.Since(start))
 
 	var firstErr error
-	for k, s := range shares {
-		retained := s.els
-		if s.idx == nil {
-			retained = append([]osp.Element(nil), s.els...)
-		}
-		if errs[k] != nil {
-			in.failed[s.slot] = append(in.failed[s.slot], retained)
+	for k := range in.shares {
+		s := &in.shares[k]
+		slot := in.shareSlots[k]
+		m := in.co.memberAt(slot)
+		if s.Err != nil {
+			m.errs.Add(1)
+			in.failed[slot] = append(in.failed[slot], retain(s.Els))
 			if firstErr == nil {
-				firstErr = errs[k]
+				firstErr = &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: s.Err}
 			}
 			continue
 		}
-		in.acked[s.slot] += len(s.els)
+		m.batches.Add(1)
+		m.elements.Add(uint64(len(s.Els)))
+		in.acked[slot] += len(s.Els)
 		if in.co.journal {
-			in.journal[s.slot] = append(in.journal[s.slot], retained)
+			in.journal[slot] = append(in.journal[slot], retain(s.Els))
 		}
 	}
 	return firstErr
 }
+
+// scatter lays the batch out as in.shares: the whole batch for a pinned
+// instance, else one share per slot that owns at least one element (a
+// node refuses an empty batch), each built in its part's reused scratch.
+func (in *Instance) scatter(els []osp.Element, fn func(i int, admitted []osp.SetID)) {
+	in.shares, in.shareSlots = in.shares[:0], in.shareSlots[:0]
+	if !in.fanOut {
+		in.shares = append(in.shares, client.Share{In: in.handles[in.slots[0]], Els: els, Fn: fn})
+		in.shareSlots = append(in.shareSlots, in.slots[0])
+		return
+	}
+	for k := range in.parts {
+		p := &in.parts[k]
+		p.els, p.idx = p.els[:0], p.idx[:0]
+	}
+	for i, el := range els {
+		p := &in.parts[ownerOf(in.mixer, el, len(in.parts))]
+		p.els = append(p.els, el)
+		p.idx = append(p.idx, i)
+	}
+	for k := range in.parts {
+		p := &in.parts[k]
+		if len(p.els) == 0 {
+			continue
+		}
+		s := client.Share{In: in.handles[p.slot], Els: p.els}
+		if fn != nil {
+			p.fn = fn
+			s.Fn = p.remap
+		}
+		in.shares = append(in.shares, s)
+		in.shareSlots = append(in.shareSlots, p.slot)
+	}
+}
+
+// retain copies a share out of the caller's batch or the part scratch
+// for the journal or the failover replay, which keep it.
+func retain(els []osp.Element) []osp.Element { return append([]osp.Element(nil), els...) }
 
 // Drain closes the instance's stream on every hosting node and merges
 // the per-node results exactly like engine.Drain merges shard counts:
 // Assigned counters sum (integer counts commute), then completion and
 // benefit are recomputed from the summed counts in ascending set order
 // — so the merged Result is bit-for-bit equal to a single-node drain
-// and to the serial oracle over the same elements. Idempotent.
+// and to the serial oracle over the same elements. The hosting nodes
+// drain concurrently; the counts merge in slot order, and when several
+// fail the error names the lowest failing slot. Idempotent.
 func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -461,27 +470,38 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 		return in.drained, nil
 	}
 	m := len(in.spec.Info.Weights)
+	results := make([]*osp.Result, len(in.slots))
+	errs := make([]error, len(in.slots))
+	var wg sync.WaitGroup
+	for k, slot := range in.slots {
+		h := in.handles[slot]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k], errs[k] = h.Drain(ctx)
+		}()
+	}
+	wg.Wait()
 	total := make([]int32, m)
-	for _, slot := range in.slots {
-		res, err := in.handles[slot].Drain(ctx)
+	for k, slot := range in.slots {
+		err := errs[k]
+		if err == nil && len(results[k].Assigned) != m {
+			err = fmt.Errorf("drain returned %d assignment counters, want %d", len(results[k].Assigned), m)
+		}
 		if err != nil {
-			nm := in.co.memberAt(slot)
-			return nil, &NodeError{Slot: slot, Node: nm.cfg.BaseURL, Err: err}
+			return nil, &NodeError{Slot: slot, Node: in.co.memberAt(slot).cfg.BaseURL, Err: err}
 		}
-		if len(res.Assigned) != m {
-			nm := in.co.memberAt(slot)
-			return nil, &NodeError{Slot: slot, Node: nm.cfg.BaseURL,
-				Err: fmt.Errorf("drain returned %d assignment counters, want %d", len(res.Assigned), m)}
-		}
-		for i, c := range res.Assigned {
+		for i, c := range results[k].Assigned {
 			total[i] += c
 		}
 	}
 	res := core.ResultFromCounts(in.spec.Info, total)
 	in.drained = res
-	// The stream is closed: retained shares have served their purpose.
+	// The stream is closed: retained shares and batch scratch have
+	// served their purpose.
 	in.journal = nil
 	in.failed = nil
+	in.parts, in.shares, in.shareSlots = nil, nil, nil
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,6 +225,140 @@ func TestClusterOwnerStable(t *testing.T) {
 	}
 	if len(owners) != 3 {
 		t.Fatalf("%d elements over 3 nodes used only %d: %v", len(inst.Elements), len(owners), owners)
+	}
+}
+
+// TestClusterOwnerBalance pins the fan-out hash's spread: over 10^4
+// elements each of 3 and of 4 slots owns within ±10% of the mean, and a
+// different seed places the elements differently.
+func TestClusterOwnerBalance(t *testing.T) {
+	ctx := context.Background()
+	inst := workload(t, 1000, 10000, 8, 19)
+	for _, nodes := range []int{3, 4} {
+		co, _ := startFleet(t, nodes, cluster.Config{})
+		a, err := co.Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: 5, FanOut: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := co.Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: 6, FanOut: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := make([]int, nodes)
+		moved := 0
+		for _, el := range inst.Elements {
+			owned[a.Owner(el)]++
+			if a.Owner(el) != b.Owner(el) {
+				moved++
+			}
+		}
+		mean := float64(len(inst.Elements)) / float64(nodes)
+		for slot, n := range owned {
+			if d := float64(n)/mean - 1; d < -0.1 || d > 0.1 {
+				t.Errorf("%d slots: slot %d owns %d elements, %.1f%% off the mean %.0f", nodes, slot, n, 100*d, mean)
+			}
+		}
+		if moved < len(inst.Elements)/2 {
+			t.Errorf("%d slots: seeds 5 and 6 place only %d of %d elements differently", nodes, moved, len(inst.Elements))
+		}
+	}
+}
+
+// TestClusterVerdictRemap pins the map from a share's verdicts back to
+// batch indices: fan-out callbacks on 2 and 3 nodes give every element
+// the admitted sets a pinned single-node instance gives it, element by
+// element, including 1-element batches that leave slots without a share.
+func TestClusterVerdictRemap(t *testing.T) {
+	ctx := context.Background()
+	const seed = 29
+	inst := workload(t, 30, 500, 4, 53)
+	verdicts := func(in *cluster.Instance, batch int) [][]osp.SetID {
+		t.Helper()
+		got := make([][]osp.SetID, len(inst.Elements))
+		for off := 0; off < len(inst.Elements); off += batch {
+			els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+			err := in.Ingest(ctx, els, func(i int, adm []osp.SetID) {
+				if got[off+i] != nil {
+					t.Errorf("element %d called back twice", off+i)
+				}
+				got[off+i] = append([]osp.SetID{}, adm...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, adm := range got {
+			if adm == nil {
+				t.Fatalf("element %d never called back", i)
+			}
+		}
+		return got
+	}
+	single, _ := startFleet(t, 1, cluster.Config{})
+	fleets := map[int]*cluster.Coordinator{}
+	for _, nodes := range []int{2, 3} {
+		fleets[nodes], _ = startFleet(t, nodes, cluster.Config{})
+	}
+	for _, batch := range []int{1, 2, 173} {
+		pinned, err := single.Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := verdicts(pinned, batch)
+		for _, nodes := range []int{2, 3} {
+			in, err := fleets[nodes].Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: seed, FanOut: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, adm := range verdicts(in, batch) {
+				if !slices.Equal(adm, want[i]) {
+					t.Fatalf("batch %d, %d nodes: element %d admitted %v, pinned single node %v", batch, nodes, i, adm, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCoordinatorSteadyStateAllocs is the coordinator's alloc gate: once
+// its scratch and the streams are warm, forwarding a 2048-element batch
+// to 2 in-process nodes and back allocates at most a handful of objects
+// per batch, process-wide (the nodes' own allocations included).
+func TestCoordinatorSteadyStateAllocs(t *testing.T) {
+	ctx := context.Background()
+	inst := workload(t, 200, 16384, 8, 21)
+	const batch = 2048
+	co, _ := startFleet(t, 2, cluster.Config{})
+	for _, tc := range []struct {
+		name   string
+		fanOut bool
+		limit  float64
+	}{{"fan-out", true, 16}, {"pinned", false, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := co.Register(ctx, cluster.Spec{Info: osp.InfoOf(inst), Seed: 3, FanOut: tc.fanOut})
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted := 0
+			fn := func(_ int, adm []osp.SetID) { admitted += len(adm) }
+			pos := 0
+			ingest := func() {
+				off := pos % (len(inst.Elements) / batch) * batch
+				pos++
+				if err := in.Ingest(ctx, inst.Elements[off:off+batch], fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two turns of the nodes' 32-slot stream window, so every
+			// slot's decode buffers have reached their batch size.
+			for k := 0; k < 64; k++ {
+				ingest()
+			}
+			allocs := testing.AllocsPerRun(30, ingest)
+			t.Logf("%s: %.1f allocs per %d-element batch", tc.name, allocs, batch)
+			if allocs > tc.limit {
+				t.Errorf("%s: %.1f allocs per batch, want <= %.0f", tc.name, allocs, tc.limit)
+			}
+		})
 	}
 }
 

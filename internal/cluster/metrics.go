@@ -85,7 +85,7 @@ func (co *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "osp_cluster_lost_elements_total %d\n", co.lost.Load())
 
 	const name = "osp_cluster_forward_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Per-share forward round-trip latency (coordinator to node and back, verdicts decoded).\n", name)
+	fmt.Fprintf(w, "# HELP %s Per-batch forward latency: from sending the first node share to the last share's verdicts decoded and called back.\n", name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	obs.WriteHistogram(w, name, "", co.forward.Snapshot())
 }

@@ -26,6 +26,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/hashpr"
@@ -114,19 +115,22 @@ func hashKey(key string) uint64 {
 }
 
 // ownerOf maps one element to the index (0..fan-1) of the node share it
-// belongs to under element fan-out, by chaining the element's parent
-// sets through the instance's seeded mixer — the cluster-level analogue
-// of the engine's element→shard split. Like that split, ANY
-// deterministic assignment is correct (decisions are pure in the
-// element, so no split can change a verdict); hashing the membership
-// keeps co-arriving elements of one set spread across nodes instead of
-// hot-spotting one.
+// belongs to under element fan-out — the cluster-level analogue of the
+// engine's element→shard split. Like that split, ANY deterministic
+// assignment is correct (decisions are pure in the element, so no split
+// can change a verdict); hashing the membership keeps co-arriving
+// elements of one set spread across nodes instead of hot-spotting one.
+// Each member is folded in with one xor and one multiply, the
+// instance's seeded SplitMix64 finalizer avalanches the fold once, and
+// the high word of hash×fan picks the share without a division.
 func ownerOf(m hashpr.Mixer, el osp.Element, fan int) int {
-	h := m.Hash(uint64(len(el.Members)))
+	const prime = 0x9e3779b97f4a7c15 // odd, so each fold step is invertible
+	h := uint64(len(el.Members))
 	for _, s := range el.Members {
-		h = m.Hash(h ^ uint64(s))
+		h = (h ^ uint64(s)) * prime
 	}
-	return int(h % uint64(fan))
+	owner, _ := bits.Mul64(m.Hash(h), uint64(fan))
+	return int(owner)
 }
 
 // validateSlot bounds-checks a slot index against the ring.

@@ -50,8 +50,9 @@ type RetryPolicy struct {
 }
 
 // WithRetry enables the deadline-budgeted retry policy on this client's
-// ingest paths (Ingest and IngestFunc — including re-dialing a broken
-// verdict stream) and on Drain (idempotent server-side). Verdict
+// ingest paths (Ingest, IngestFunc and this client's shares of an
+// IngestShares call — including re-dialing a broken verdict stream) and
+// on Drain (idempotent server-side). Verdict
 // callbacks are buffered per attempt and delivered only after the
 // attempt succeeds, so a batch that rides through a failover fires each
 // element's callback exactly once, in batch order.
@@ -73,35 +74,12 @@ func retryable(err error) bool {
 }
 
 // withRetry runs f under the client's retry policy; without one, f runs
-// exactly once with zero overhead.
+// exactly once.
 func (c *Client) withRetry(ctx context.Context, f func(ctx context.Context) error) error {
-	p := c.retry
-	if p == nil {
-		return f(ctx)
-	}
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Budget)
-		defer cancel()
-	}
-	maxAttempts := p.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 4
-	}
-	backoff := p.BaseBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxBackoff := p.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
-	for attempt := 1; ; attempt++ {
-		actx := ctx
-		var cancel context.CancelFunc
-		if p.PerAttempt > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
-		}
+	r := c.newRetrier(ctx)
+	defer r.close()
+	for {
+		actx, cancel := r.start()
 		err := f(actx)
 		if cancel != nil {
 			cancel()
@@ -109,28 +87,98 @@ func (c *Client) withRetry(ctx context.Context, f func(ctx context.Context) erro
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil {
-			// The budget (or the caller) expired — the attempt's error is
-			// circumstance, the deadline is the cause; joined, errors.Is
-			// finds either.
-			return fmt.Errorf("client: retry budget exhausted after %d attempt(s): %w",
-				attempt, errors.Join(err, ctx.Err()))
-		}
-		if !retryable(err) || attempt >= maxAttempts {
+		if err = r.again(err); err != nil {
 			return err
 		}
-		// Jitter: a uniform draw from [backoff/2, backoff] so a fleet of
-		// retrying clients does not stampede the replacement node in step.
-		wait := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return fmt.Errorf("client: retry budget exhausted after %d attempt(s): %w",
-				attempt, errors.Join(err, ctx.Err()))
-		}
+	}
+}
+
+// retrier steps one call through the client's retry policy: the Budget
+// spans every attempt and backoff, each attempt gets its own PerAttempt
+// timeout, and a failed attempt is followed by a jittered backoff.
+// withRetry drives it in a loop; IngestShares splits each share's first
+// attempt into a send and a receive around the other shares' and runs
+// the rest of the loop after every first attempt is in. Without a
+// policy the call's context passes straight through and the first
+// error is final.
+type retrier struct {
+	p          *RetryPolicy
+	ctx        context.Context // the caller's, bounded by the Budget
+	cancel     context.CancelFunc
+	attempt    int
+	max        int
+	backoff    time.Duration
+	maxBackoff time.Duration
+}
+
+func (c *Client) newRetrier(ctx context.Context) retrier {
+	r := retrier{p: c.retry, ctx: ctx}
+	if r.p == nil {
+		return r
+	}
+	if r.p.Budget > 0 {
+		r.ctx, r.cancel = context.WithTimeout(ctx, r.p.Budget)
+	}
+	r.max = r.p.MaxAttempts
+	if r.max <= 0 {
+		r.max = 4
+	}
+	r.backoff = r.p.BaseBackoff
+	if r.backoff <= 0 {
+		r.backoff = 50 * time.Millisecond
+	}
+	r.maxBackoff = r.p.MaxBackoff
+	if r.maxBackoff <= 0 {
+		r.maxBackoff = 2 * time.Second
+	}
+	return r
+}
+
+// start opens the next attempt: its context and, under PerAttempt, the
+// cancel the caller runs once the attempt is over (nil otherwise).
+func (r *retrier) start() (context.Context, context.CancelFunc) {
+	r.attempt++
+	if r.p == nil || r.p.PerAttempt <= 0 {
+		return r.ctx, nil
+	}
+	return context.WithTimeout(r.ctx, r.p.PerAttempt)
+}
+
+// again decides after a failed attempt. It returns nil once the backoff
+// before the next attempt has passed, or the error the call ends with.
+func (r *retrier) again(err error) error {
+	if r.p == nil {
+		return err
+	}
+	if r.ctx.Err() != nil {
+		// The budget (or the caller) expired — the attempt's error is
+		// circumstance, the deadline is the cause; joined, errors.Is
+		// finds either.
+		return fmt.Errorf("client: retry budget exhausted after %d attempt(s): %w",
+			r.attempt, errors.Join(err, r.ctx.Err()))
+	}
+	if !retryable(err) || r.attempt >= r.max {
+		return err
+	}
+	// Jitter: a uniform draw from [backoff/2, backoff] so a fleet of
+	// retrying clients does not stampede the replacement node in step.
+	wait := r.backoff/2 + time.Duration(rand.Int63n(int64(r.backoff/2)+1))
+	if r.backoff *= 2; r.backoff > r.maxBackoff {
+		r.backoff = r.maxBackoff
+	}
+	select {
+	case <-time.After(wait):
+		return nil
+	case <-r.ctx.Done():
+		return fmt.Errorf("client: retry budget exhausted after %d attempt(s): %w",
+			r.attempt, errors.Join(err, r.ctx.Err()))
+	}
+}
+
+// close releases the Budget's timer.
+func (r *retrier) close() {
+	if r.cancel != nil {
+		r.cancel()
 	}
 }
 

@@ -270,6 +270,70 @@ func TestIngestFuncMatchesIngest(t *testing.T) {
 	}
 }
 
+// TestIngestShares checks the multi-instance ingest on both codecs: two
+// instances each take half of every batch, every element is called back
+// once with the verdict a single instance gives it, share 0's callbacks
+// all run before share 1's, and an empty share or a second share on one
+// instance fails alone.
+func TestIngestShares(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec client.Codec
+	}{{"binary", client.CodecBinary}, {"json", client.CodecJSON}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			c, _ := startServerWith(t, client.WithCodec(tc.codec))
+			const seed = 19
+			inst := uniform(t, 30, 900, 3, 23)
+			ref := registerTwin(t, c, inst, seed)
+			a, b := registerTwin(t, c, inst, seed), registerTwin(t, c, inst, seed)
+
+			const batch = 150
+			for off := 0; off < len(inst.Elements); off += batch {
+				els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+				want, err := ref.Ingest(ctx, els)
+				if err != nil {
+					t.Fatal(err)
+				}
+				half := len(els) / 2
+				next := 0 // index into els of the next expected callback
+				check := func(base int) func(int, []osp.SetID) {
+					return func(i int, admitted []osp.SetID) {
+						if base+i != next {
+							t.Fatalf("callback for element %d, want %d", base+i, next)
+						}
+						next++
+						if fmt.Sprint(admitted) != fmt.Sprint(want[base+i].Admitted) {
+							t.Fatalf("element %d: admitted %v, single instance %v", off+base+i, admitted, want[base+i].Admitted)
+						}
+					}
+				}
+				shares := []client.Share{
+					{In: a, Els: els[:half], Fn: check(0)},
+					{In: b, Els: els[half:], Fn: check(half)},
+					{In: b, Els: els},
+					{In: ref, Els: els[:0]},
+				}
+				client.IngestShares(ctx, shares)
+				for k, s := range shares[:2] {
+					if s.Err != nil {
+						t.Fatalf("share %d: %v", k, s.Err)
+					}
+				}
+				if next != len(els) {
+					t.Fatalf("%d callbacks for %d elements", next, len(els))
+				}
+				if shares[2].Err == nil {
+					t.Fatal("a second share on one instance was accepted")
+				}
+				if !isStatus(shares[3].Err, http.StatusBadRequest) {
+					t.Fatalf("empty share: %v, want a 400", shares[3].Err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStreamPipelined measures the full client+server stream round
 // trip on loopback TCP — the profiling entry point for the transport
 // (`go test -bench StreamPipelined -cpuprofile cpu.out ./osp/client`).

@@ -36,40 +36,164 @@ import (
 // An empty batch is refused up front, under either codec, with the 400
 // *APIError the server answers a JSON one: it never reaches the wire,
 // so it cannot cost the pinned stream.
+//
+// IngestFunc is IngestShares with one share.
 func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if len(els) == 0 {
+	s := [1]Share{{In: in, Els: els, Fn: fn}}
+	IngestShares(ctx, s[:])
+	return s[0].Err
+}
+
+// Share is one instance's batch in an IngestShares call.
+type Share struct {
+	// In is the instance the batch goes to; its client's codec, retry
+	// policy and pinned stream apply, as for In.IngestFunc.
+	In *Instance
+	// Els is the batch, in arrival order.
+	Els []osp.Element
+	// Fn, optional, receives each element's admitted sets, as
+	// IngestFunc's fn does.
+	Fn func(i int, admitted []osp.SetID)
+	// Err is the share's outcome, set by IngestShares: nil once every
+	// element's callback has run, else the error IngestFunc would have
+	// returned for the batch.
+	Err error
+
+	// The share's attempt in flight, between its send and receive.
+	r      retrier
+	actx   context.Context
+	cancel context.CancelFunc // actx's PerAttempt timeout, nil without one
+	stop   func() bool        // bind's, for the receive's unbind
+	err    error              // the attempt's error
+	buf    *verdictBuf        // the attempt's callbacks, under WithRetry
+	held   bool               // In.tmu is locked
+}
+
+// IngestShares ingests every share's batch on its instance, each with
+// the outcome IngestFunc would give it, from the calling goroutine: it
+// sends every share, then receives the shares in order, so the nodes
+// behind the instances decide their batches concurrently while the
+// caller starts no goroutine and takes no lock per element. Callbacks
+// run on the calling goroutine, share by share in order, and each share
+// reports its own error.
+//
+// With WithRetry, a failed share is retried only after every share's
+// first attempt has been received: an attempt's PerAttempt deadline is
+// bound to its connection when the share is sent, so backing off first
+// would let that deadline fail a share its node has already decided,
+// and the retry would ingest it twice.
+//
+// Each stream share holds its instance, as IngestFunc does, from its
+// send until IngestShares returns. Instances are taken in the order the
+// shares list them, so concurrent calls that name the same instances
+// must list them in the same order; an instance may appear in only one
+// share of a call.
+func IngestShares(ctx context.Context, shares []Share) {
+	defer func() {
+		for k := range shares {
+			shares[k].release()
+		}
+	}()
+	for k := range shares {
+		s := &shares[k]
+		if s.Err = s.check(shares[:k]); s.Err != nil {
+			continue
+		}
+		if s.In.c.codec != CodecJSON {
+			s.In.tmu.Lock()
+			s.held = true
+		}
+		s.r = s.In.c.newRetrier(ctx)
+		s.send()
+	}
+	for k := range shares {
+		if s := &shares[k]; s.Err == nil {
+			s.recv()
+		}
+	}
+	for k := range shares {
+		s := &shares[k]
+		if s.Err != nil {
+			continue
+		}
+		for s.err != nil {
+			if s.Err = s.r.again(s.err); s.Err != nil {
+				break
+			}
+			s.send()
+			s.recv()
+		}
+		if s.Err == nil && s.buf != nil {
+			s.buf.flush(s.fn())
+		}
+	}
+}
+
+// check refuses a share before anything is sent: an empty batch with
+// the 400 the server answers a JSON one, and an instance an earlier
+// share already holds.
+func (s *Share) check(earlier []Share) error {
+	if len(s.Els) == 0 {
 		return &APIError{StatusCode: http.StatusBadRequest, Message: "ingest: empty batch"}
 	}
-	if fn == nil {
-		fn = func(int, []osp.SetID) {} // verdicts wanted for their side effect only
+	for k := range earlier {
+		if earlier[k].In == s.In {
+			return fmt.Errorf("client: instance %s has two shares in one IngestShares call", s.In.id)
+		}
 	}
-	if in.c.codec != CodecJSON {
-		in.tmu.Lock()
-		defer in.tmu.Unlock()
-	}
-	if in.c.retry == nil {
-		return in.ingestFuncOnce(ctx, els, fn)
-	}
-	buf := verdictBufPool.Get().(*verdictBuf)
-	defer verdictBufPool.Put(buf)
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		buf.reset()
-		return in.ingestFuncOnce(ctx, els, buf.collect)
-	})
-	if err != nil {
-		return err
-	}
-	buf.flush(fn)
 	return nil
 }
 
-// ingestFuncOnce is one attempt on the codec's arm, retry policy
-// excluded; for the stream the caller holds tmu.
-func (in *Instance) ingestFuncOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.codec == CodecJSON {
-		return in.ingestFuncJSON(ctx, els, fn)
+// send starts the share's next attempt and sends its batch.
+func (s *Share) send() {
+	s.actx, s.cancel = s.r.start()
+	s.stop, s.err = s.In.sendAttempt(s.actx, s.Els)
+}
+
+// recv receives the verdicts of the attempt send started: straight into
+// Fn without a retry policy, into the attempt's buffer with one.
+func (s *Share) recv() {
+	if s.err == nil {
+		fn := s.fn()
+		if s.r.p != nil {
+			if s.buf == nil {
+				s.buf = verdictBufPool.Get().(*verdictBuf)
+			}
+			s.buf.reset()
+			fn = s.buf.collect
+		}
+		s.err = s.In.recvAttempt(s.actx, s.Els, s.stop, fn)
 	}
-	return in.ingestStreamOnce(ctx, els, fn)
+	if s.cancel != nil {
+		s.cancel()
+		s.cancel = nil
+	}
+}
+
+func (s *Share) fn() func(int, []osp.SetID) {
+	if s.Fn == nil {
+		return discard
+	}
+	return s.Fn
+}
+
+// discard is the callback of a share that wants no verdicts.
+func discard(int, []osp.SetID) {}
+
+// release ends the share's part in the call: its attempt timer, retry
+// budget, verdict buffer and instance.
+func (s *Share) release() {
+	if s.cancel != nil {
+		s.cancel()
+	}
+	s.r.close()
+	if s.buf != nil {
+		verdictBufPool.Put(s.buf)
+	}
+	if s.held {
+		s.In.tmu.Unlock()
+	}
+	s.r, s.actx, s.cancel, s.stop, s.buf, s.held = retrier{}, nil, nil, nil, nil, false
 }
 
 // ingestFuncJSON adapts the JSON arm to the callback shape.
@@ -87,22 +211,41 @@ func (in *Instance) ingestFuncJSON(ctx context.Context, els []osp.Element, fn fu
 	return nil
 }
 
-// ingestStreamOnce is one attempt over the pinned stream.
-func (in *Instance) ingestStreamOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
+// sendAttempt is the first half of one attempt. On the stream it opens
+// the pinned stream if none is open, binds ctx to its connection and
+// sends els; the caller holds tmu through recvAttempt. The JSON arm's
+// request is the whole attempt, made in recvAttempt.
+func (in *Instance) sendAttempt(ctx context.Context, els []osp.Element) (stop func() bool, err error) {
+	if in.c.codec == CodecJSON {
+		return nil, nil
+	}
 	if in.pinned == nil {
 		st, err := in.OpenStream(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		in.pinned = st
 	}
-	st := in.pinned
-	stop := bind(ctx, st.fc)
-	err := st.Send(els)
-	if err == nil {
-		err = st.Recv(fn)
+	stop = bind(ctx, in.pinned.fc)
+	if err := in.pinned.Send(els); err != nil {
+		return nil, in.endAttempt(ctx, stop, err)
 	}
-	if !unbind(st.fc, stop) && err == nil {
+	return stop, nil
+}
+
+// recvAttempt is the second half of the attempt sendAttempt began: it
+// delivers the batch's verdicts to fn.
+func (in *Instance) recvAttempt(ctx context.Context, els []osp.Element, stop func() bool, fn func(i int, admitted []osp.SetID)) error {
+	if in.c.codec == CodecJSON {
+		return in.ingestFuncJSON(ctx, els, fn)
+	}
+	return in.endAttempt(ctx, stop, in.pinned.Recv(fn))
+}
+
+// endAttempt unbinds ctx from the pinned stream and retires the stream
+// when the attempt failed or its deadline is spent.
+func (in *Instance) endAttempt(ctx context.Context, stop func() bool, err error) error {
+	if !unbind(in.pinned.fc, stop) && err == nil {
 		// Canceled just as the batch landed: the expired deadline
 		// stays on the connection, so retire it; the next call re-dials.
 		in.dropPinned()
