@@ -188,7 +188,7 @@ func run(args []string, w io.Writer) error {
 		out         = fs.String("out", "-", "output JSON path (- prints the JSON to stdout)")
 		shardsFlag  = fs.String("shards", "1,2,4,8", "comma-separated shard counts for the engine matrix")
 		quick       = fs.Bool("quick", false, "small sizes for a CI smoke pass")
-		reps        = fs.Int("reps", 3, "timed repetitions per cell (best-of)")
+		reps        = fs.Int("reps", 3, "timed repetitions per cell (best-of; cluster rows take at least 5)")
 		seed        = fs.Int64("seed", 1, "workload generation seed")
 		failOnAlloc = fs.Bool("failonalloc", false, "exit nonzero if any steady-state allocs/element > 0 (service rows excluded: they include client-side JSON marshal)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -875,13 +875,19 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 	}, nil
 }
 
+// minClusterReps is the fewest timed passes a cluster row takes the
+// best of, whatever -reps asks: a quick pass lasts ~13 ms and includes
+// a fresh coordinator, registration, dials and drains, so the best of
+// two left the 2-node speedup ratio to a pair of noisy samples a side.
+const minClusterReps = 5
+
 // benchCluster measures one cluster scaling row: N embedded nodes, a
 // coordinator fanning the matrix workload across them by element hash
 // (stream transport per node), merged on drain. Each pass builds a
 // fresh coordinator over the same fleet and registers a fresh fan-out
 // instance; the first pass's merged drain is verified bit-for-bit
 // against the serial oracle before any timing — scale must not change
-// a verdict.
+// a verdict. The row is the best of max(reps, minClusterReps) passes.
 func benchCluster(inst *setsystem.Instance, nodes, batch, reps int, seed int64) (ClusterBench, error) {
 	fleet := make([]cluster.Node, nodes)
 	locals := make([]*cluster.LocalNode, nodes)
@@ -937,7 +943,7 @@ func benchCluster(inst *setsystem.Instance, nodes, batch, reps int, seed int64) 
 	}
 
 	var passErr error
-	ns := timeBest(reps, func() {
+	ns := timeBest(max(reps, minClusterReps), func() {
 		if passErr != nil {
 			return
 		}

@@ -26,7 +26,8 @@
 //     allocates nothing.
 //   - Each shard decides its part's elements with the policy state's
 //     Admit, reading the batch buffer in place, and accumulates per-set
-//     assignment counts in shard-local arrays; the shard that finishes a
+//     assignment counts in a shard-local byte array, carrying every
+//     wrap into one engine-wide array; the shard that finishes a
 //     batch's last part recycles it and, when the batch carries a Done
 //     callback, answers the verdicts its decide set. That decide is the
 //     only one a served element gets.
@@ -307,17 +308,25 @@ type Engine struct {
 	metrics Metrics
 	state   atomic.Int32 // State; written by submitters, read by anyone
 	result  *core.Result
-	// base is the per-set assigned counts a restored engine starts from
-	// (NewFromCheckpoint); nil for fresh engines. Drain merges it exactly
-	// like another shard's counters — integer counts commute, which is
-	// what makes checkpoint/restore bit-for-bit exact.
-	base []int32
+	// carry holds, per set, the assignments the shards' byte counters do
+	// not: 256 for every wrap of any shard's count, plus the counts a
+	// restored engine starts from (NewFromCheckpoint). carryOnce
+	// allocates it at the first wrap or restore, so the counters of an
+	// instance whose sets all take fewer than 256 assignments per shard
+	// cost one byte a set a shard. Shards bump it atomically; it is
+	// read, like the byte counters, only once the shards are quiesced
+	// (counts).
+	carry     []int32
+	carryOnce sync.Once
 }
 
 // shard is one worker: a bounded inbox and shard-local bookkeeping.
 type shard struct {
-	in       chan part
-	assigned []int32
+	in chan part
+	// assigned is the shard's per-set assignment count modulo 256; each
+	// wrap to 0 adds 256 to the engine's carry. One byte a set keeps the
+	// array the decide loop writes a quarter the size of int32 counters.
+	assigned []uint8
 	idx      int // shard index, keys the telemetry ring
 }
 
@@ -369,7 +378,7 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 	for i := range e.shards {
 		s := &shard{
 			in:       make(chan part, cfg.QueueDepth),
-			assigned: make([]int32, info.NumSets()),
+			assigned: make([]uint8, info.NumSets()),
 			idx:      i,
 		}
 		e.shards[i] = s
@@ -424,7 +433,10 @@ func (e *Engine) run(s *shard) {
 			members := batchMembers[offs[i]:offs[i+1]]
 			pos = decider.Admit(members, int(caps[i]), pos)
 			for _, j := range pos {
-				counts[members[j]]++
+				set := members[j]
+				if counts[set]++; counts[set] == 0 {
+					e.wrap(set)
+				}
 			}
 			assigned += uint64(len(pos))
 			dropped += uint64(len(members) - len(pos))
@@ -471,6 +483,29 @@ func (e *Engine) run(s *shard) {
 			done(seq, masks)
 		}
 	}
+}
+
+// wrap moves the 256 assignments of a shard's byte counter that just
+// wrapped to 0 into the carry, allocating the carry on the first wrap.
+func (e *Engine) wrap(set setsystem.SetID) {
+	e.carryOnce.Do(func() { e.carry = make([]int32, e.info.NumSets()) })
+	atomic.AddInt32(&e.carry[set], 256)
+}
+
+// counts merges the per-set assignment counts: the carry plus every
+// shard's byte counters. The shards must be quiesced — stopped (Drain)
+// or caught up with every submitted element (Checkpoint): each shard
+// publishes a part's processed count with an atomic add after writing
+// its counters and carry, which orders those writes before these reads.
+func (e *Engine) counts() []int32 {
+	total := make([]int32, e.info.NumSets())
+	copy(total, e.carry)
+	for _, s := range e.shards {
+		for i, c := range s.assigned {
+			total[i] += int32(c)
+		}
+	}
+	return total
 }
 
 // sampledMask is the admit bitmask of a sampled decision: bit j set
@@ -690,16 +725,7 @@ func (e *Engine) Drain() (*core.Result, error) {
 	}
 	e.wg.Wait()
 
-	total := make([]int32, e.info.NumSets())
-	for i, c := range e.base {
-		total[i] = c
-	}
-	for _, s := range e.shards {
-		for i, c := range s.assigned {
-			total[i] += c
-		}
-	}
-	res := core.ResultFromCounts(e.info, total)
+	res := core.ResultFromCounts(e.info, e.counts())
 	e.result = res
 	e.metrics.finish(res)
 	e.state.Store(int32(StateDrained))

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -35,16 +36,16 @@ type Checkpoint struct {
 
 // Checkpoint quiesces the engine and captures its recoverable state.
 // It flushes the partial ingestion batch, waits (bounded by ctx) until
-// the shards have decided every submitted element, then sums the
-// shard-local counters. The engine keeps streaming afterwards — a
+// the shards have decided every submitted element, then merges the
+// counters as Drain does. The engine keeps streaming afterwards — a
 // checkpoint is a read, not a drain.
 //
 // Like Submit and Drain, Checkpoint must be called from the (fenced)
 // submitter side: no Submit or SubmitBatch may run concurrently, or the
 // quiesce point is meaningless. Reading the shard-local counts without
-// locks is safe because each shard publishes its batch's counts to the
+// locks is safe because each shard publishes its part's counts to the
 // processed counter with an atomic add AFTER writing them — the
-// processed.Load that observes the final batch orders those writes
+// processed.Load that observes the final part orders those writes
 // before the reads here.
 func (e *Engine) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 	if State(e.state.Load()) == StateDrained {
@@ -72,29 +73,22 @@ func (e *Engine) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 		case <-time.After(50 * time.Microsecond):
 		}
 	}
-	cp := &Checkpoint{
+	return &Checkpoint{
 		Submitted:     target,
 		Processed:     target,
 		Batches:       e.metrics.batches.Load(),
 		AssignedTotal: e.metrics.assigned.Load(),
 		Dropped:       e.metrics.dropped.Load(),
-		Assigned:      make([]int32, e.info.NumSets()),
-	}
-	copy(cp.Assigned, e.base)
-	for _, s := range e.shards {
-		for i, c := range s.assigned {
-			cp.Assigned[i] += c
-		}
-	}
-	return cp, nil
+		Assigned:      e.counts(),
+	}, nil
 }
 
 // NewFromCheckpoint builds an engine that resumes from a checkpoint:
 // the policy's frozen decision state is rebuilt from (info, cfg.Policy,
 // seed) — pure, so identical to the crashed engine's — and the
-// checkpointed per-set counts become the baseline Drain merges under
-// the new shards' counts. The stream counters resume from their
-// checkpointed values so rates and totals survive the restart.
+// checkpointed per-set counts become the engine's carry, which Drain
+// merges with the new shards' counts. The stream counters resume from
+// their checkpointed values so rates and totals survive the restart.
 //
 // The restored engine starts in StateStreaming when the checkpoint had
 // submitted elements (the stream is mid-flight by definition), StateIdle
@@ -113,8 +107,7 @@ func NewFromCheckpoint(info core.Info, seed uint64, cfg Config, cp *Checkpoint) 
 	if err != nil {
 		return nil, err
 	}
-	e.base = make([]int32, len(cp.Assigned))
-	copy(e.base, cp.Assigned)
+	e.carryOnce.Do(func() { e.carry = slices.Clone(cp.Assigned) })
 	e.metrics.submitted.Store(cp.Submitted)
 	e.metrics.processed.Store(cp.Processed)
 	e.metrics.batches.Store(cp.Batches)

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/setsystem"
 	"repro/internal/workload"
 )
 
@@ -199,4 +202,88 @@ func TestNewFromCheckpointRejectsMismatch(t *testing.T) {
 	}); err == nil {
 		t.Error("NewFromCheckpoint accepted a non-quiesced checkpoint")
 	}
+}
+
+// TestCountsPastAByteStayExact pins the byte counters' carry. Set 0 is
+// the one member of 3000 unit elements, so it is assigned every one of
+// them and completes only on an exact count, while its shard-local byte
+// counters wrap several times on every shard. Replay on 1 and 3 shards,
+// and a checkpoint taken after wraps, restored and finished, all drain
+// equal to the serial oracle. The carry exists only once a count has
+// wrapped, and wrapping past that allocates nothing.
+func TestCountsPastAByteStayExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(256))
+	var b setsystem.Builder
+	for i := 0; i < 12; i++ {
+		b.AddSet(1 + float64(i%3))
+	}
+	for i := 0; i < 4000; i++ {
+		if i%4 != 3 {
+			b.AddElementCap(1, 0)
+			continue
+		}
+		b.AddElementCap(2, 1, setsystem.SetID(2+rng.Intn(10)), setsystem.SetID(2+rng.Intn(10)))
+	}
+	inst := b.MustBuild()
+	const seed = 9
+	want := serial(t, inst, seed)
+	if want.Assigned[0] != 3000 || !slices.Contains(want.Completed, 0) {
+		t.Fatalf("set 0: %d assignments, completed %v; the instance no longer wraps a byte", want.Assigned[0], want.Completed)
+	}
+	for _, shards := range []int{1, 3} {
+		got, err := Replay(inst, seed, Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEquivalent(t, got, want, fmt.Sprintf("replay on %d shards", shards))
+	}
+
+	cfg := Config{Shards: 2, BatchSize: 32, QueueDepth: 4}
+	e1, err := New(core.InfoOf(inst), seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	submit := func(e *Engine, n int) {
+		for end := min(next+n, len(inst.Elements)); next < end; next++ {
+			if err := e.Submit(inst.Elements[next]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func(e *Engine) *Checkpoint {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		cp, err := e.Checkpoint(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	submit(e1, 256) // 192 assignments to set 0: no count can wrap
+	checkpoint(e1)
+	if e1.carry != nil {
+		t.Fatal("carry allocated before any count wrapped")
+	}
+	submit(e1, 1600-next)
+	if allocs := testing.AllocsPerRun(20, func() { submit(e1, 32) }); allocs != 0 {
+		t.Errorf("ingestion with wrapping counts: %v allocs per 32 elements, want 0", allocs)
+	}
+	cp := checkpoint(e1)
+	if e1.carry == nil {
+		t.Fatalf("no carry after %d assignments to set 0 on 2 shards", cp.Assigned[0])
+	}
+	if _, err := e1.Drain(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	e2, err := NewFromCheckpoint(core.InfoOf(inst), seed, cfg, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit(e2, len(inst.Elements))
+	got, err := e2.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, got, want, "checkpoint after wraps, restored")
 }

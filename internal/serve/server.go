@@ -137,7 +137,7 @@ var (
 	maxShards        = 1024
 	maxBatchSize     = 1 << 20
 	maxQueueDepth    = 1 << 16
-	maxCounterCells  = 1 << 27 // resolved shards × sets (4 B each)
+	maxCounterCells  = 1 << 27 // resolved shards × sets, 1 B each: ≤ 192 MB with the engine's 4m-byte carry
 	maxInFlightBatch = 1 << 20 // resolved shards × (queue depth + 1)
 )
 

@@ -39,20 +39,25 @@ import (
 //
 // Per-connection machinery, after the Hello/Ack handshake:
 //
-//	slots      [window]ingestSlot. Slot k%window owns everything batch
-//	           seq k needs — the aligned payload buffer the engine
+//	slots      [window]ingestSlot. A slot owns everything one batch in
+//	           flight needs — the aligned payload buffer the engine
 //	           aliases, the offsets buffer, the verdict mask buffer,
-//	           and a dedicated aliased engine.Batch struct. The slot
-//	           index is deterministic, so no slot ever serves two
-//	           in-flight batches.
-//	freeTok    chan struct{}, cap = window, pre-filled. Tokens ARE the
-//	           window: the reader takes one per batch (blocking = TCP
-//	           backpressure on the peer), the writer returns it after
-//	           the verdict frame is on the wire. Both sides advance in
-//	           seq order, so holding token k proves seq k−window's
-//	           verdict was written — slot k%window is free, and the
-//	           channel handoff is the happens-before edge that lets
-//	           the reader overwrite memory a shard aliased.
+//	           and a dedicated aliased engine.Batch struct.
+//	freed      chan int, cap = window: slot indices the writer hands
+//	           back once their verdict frame is on the wire. The reader
+//	           keeps the free indices on a stack and lands each batch in
+//	           the most recently freed slot, whose buffers are the
+//	           warmest: a stream with d batches in flight cycles d
+//	           slots, and a lockstep stream only ever fills one. The
+//	           window's indices ARE the window: with none free the
+//	           reader blocks on freed (TCP backpressure on the peer),
+//	           and the channel handoff is the happens-before edge that
+//	           lets the reader overwrite memory a shard aliased.
+//	bySeq      [window]int: the slot batch seq k landed in, at k%window.
+//	           The reader writes it before submitting; the writer reads
+//	           it to store the mask buffer back before freeing the slot.
+//	           Both sides advance in seq order, so the writer has read
+//	           entry k before the reader can take a slot for k+window.
 //	resp       chan respFrame, cap = window+1: at most window verdict
 //	           callbacks (each holds a mask buffer) plus one terminal
 //	           from the reader — so a shard's Done callback NEVER
@@ -92,10 +97,14 @@ type streamState struct {
 	wg        sync.WaitGroup // one per live connection handler
 }
 
-// streamConn is one accepted stream connection.
+// streamConn is one accepted stream connection. slots, bySeq and freed
+// are its ingest window, set up after the handshake.
 type streamConn struct {
 	fc       *stream.Conn
 	draining atomic.Bool
+	slots    []ingestSlot
+	bySeq    []int
+	freed    chan int
 }
 
 // respFrame is one server→client frame routed through the seq-ordered
@@ -108,8 +117,8 @@ type respFrame struct {
 }
 
 // ingestSlot is one window slot of a connection's zero-copy ingest
-// ring: the storage batch seq k (slot k%window) flows through without
-// copying. raw holds the frame payload at an alignment wire.AliasBatch
+// path: the storage one batch in flight flows through without copying.
+// raw holds the frame payload at an alignment wire.AliasBatch
 // can alias (BatchAliasShift picks the landing offset); batch is the
 // slot's dedicated Aliased engine.Batch — the engine detaches it after
 // the decide instead of free-listing it, so the struct and its backing
@@ -327,36 +336,42 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 	}
 
 	resp := make(chan respFrame, window+1)
-	slots := make([]ingestSlot, window)
-	for i := range slots {
-		slots[i].batch = new(engine.Batch)
+	sc.slots = make([]ingestSlot, window)
+	for i := range sc.slots {
+		sc.slots[i].batch = new(engine.Batch)
 	}
-	freeTok := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		freeTok <- struct{}{}
-	}
+	sc.bySeq = make([]int, window)
+	sc.freed = make(chan int, window)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		// A dying writer unblocks a reader parked in ReadFrame; the
 		// reader then sees writerDone and exits instead of terminating.
 		defer fc.SetReadDeadline(time.Unix(1, 0)) //nolint:errcheck
-		s.streamWriteLoop(fc, resp, slots, freeTok)
+		s.streamWriteLoop(sc, resp)
 	}()
-	s.streamReadLoop(sc, in, resp, slots, freeTok, writerDone)
+	s.streamReadLoop(sc, in, resp, writerDone)
 	<-writerDone
 }
 
-// streamReadLoop reads batch frames, lands each payload in its window
-// slot at an aliasable alignment, hands the engine caps/members views
-// over those bytes (zero-copy; the copying decoder when aliasing is
-// impossible) and submits through Instance.IngestBatch with the
-// verdict callback set; the engine shard completes the verdict
-// frame during its decide. The loop ends by handing the writer exactly
-// one terminal frame whose seq equals the number of batches submitted
-// — the writer's signal that every verdict below it must go out first.
-func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFrame, slots []ingestSlot, freeTok chan struct{}, writerDone chan struct{}) {
+// streamReadLoop reads batch frames, lands each payload in the most
+// recently freed window slot at an aliasable alignment, hands the
+// engine caps/members views over those bytes (zero-copy; the copying
+// decoder when aliasing is impossible) and submits through
+// Instance.IngestBatch with the verdict callback set; the engine shard
+// completes the verdict frame during its decide. The loop ends by
+// handing the writer exactly one terminal frame whose seq equals the
+// number of batches submitted — the writer's signal that every verdict
+// below it must go out first.
+func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFrame, writerDone chan struct{}) {
 	fc := sc.fc
+	window := len(sc.slots)
+	// free is the stack of free slot indices, the most recently freed on
+	// top; slot 0 goes first.
+	free := make([]int, window)
+	for i := range free {
+		free[i] = window - 1 - i
+	}
 	eng := in.eng
 	numSets := in.info.NumSets()
 	copyDecode := s.copyDecode
@@ -407,18 +422,25 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				fail(http.StatusBadRequest, "stream: batch seq %d, want %d", seq, next)
 				return
 			}
-			// Taking the token takes the window slot; blocking here (peer
-			// overran the window) is backpressure via TCP.
-			select {
-			case <-freeTok:
-			case <-writerDone:
-				return
+			// Stack every slot the writer freed since the last batch, then
+			// take the top one. With none free the peer overran the window,
+			// and blocking here is backpressure via TCP.
+			for len(free) == 0 || len(sc.freed) > 0 {
+				select {
+				case i := <-sc.freed:
+					free = append(free, i)
+				case <-writerDone:
+					return
+				}
 			}
+			idx := free[len(free)-1]
+			free = free[:len(free)-1]
+			sc.bySeq[int(seq)%window] = idx
 			var decodeStart time.Time
 			if timings {
 				decodeStart = time.Now()
 			}
-			slot := &slots[int(seq)%len(slots)]
+			slot := &sc.slots[idx]
 			// Land the payload so its caps/members sections are 4-aligned:
 			// +3 spare bytes cover any landing shift.
 			if cap(slot.raw) < n+3 {
@@ -524,12 +546,13 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 // streamWriteLoop is the connection's single writer: it restores batch
 // order over shard-completion order with a ring of pending verdict
 // frames, stores each (possibly grown) mask buffer back into its slot
-// and releases the window token once the frame is on the wire, flushes
-// whenever the completion channel goes momentarily quiet, and exits
-// after the terminal frame. Writing strictly in seq order is what
-// makes the token release a proof that the seq's slot is reusable.
-func (s *Server) streamWriteLoop(fc *stream.Conn, resp chan respFrame, slots []ingestSlot, freeTok chan struct{}) {
-	window := len(slots)
+// and frees the slot once the frame is on the wire, flushes whenever
+// the completion channel goes momentarily quiet, and exits after the
+// terminal frame. Writing strictly in seq order is what lets the reader
+// reuse bySeq's entry for a seq once any slot is free.
+func (s *Server) streamWriteLoop(sc *streamConn, resp chan respFrame) {
+	fc := sc.fc
+	window := len(sc.slots)
 	ring := make([]respFrame, window+1)
 	present := make([]bool, window+1)
 	next := uint32(0) // seq of the next verdict frame to write
@@ -575,8 +598,9 @@ func (s *Server) streamWriteLoop(fc *stream.Conn, resp chan respFrame, slots []i
 				return
 			}
 			flushed = false
-			slots[int(g.seq)%window].masks = g.payload
-			freeTok <- struct{}{} // never blocks: at most window tokens exist
+			i := sc.bySeq[int(g.seq)%window]
+			sc.slots[i].masks = g.payload
+			sc.freed <- i // never blocks: at most window indices exist
 			next++
 		}
 	}

@@ -752,8 +752,8 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		frames = append(frames, wire.AppendElements(nil, inst.Elements[off:off+batch]))
 	}
 	for _, telemetry := range []string{"off", "decisions"} {
-		// A small window keeps the warm-up short: the free mask buffers
-		// rotate FIFO, so every one of them must be cycled to high-water.
+		// A lockstep round trip lands every batch in one slot, so the
+		// warm-up below brings that slot's buffers to high-water.
 		cfg := Config{StreamWindow: 4}
 		if telemetry == "decisions" {
 			dlog := obs.NewDecisionLog(obs.DecisionLogConfig{
@@ -799,6 +799,88 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStreamLandsBatchesInFreedSlots pins the slot reuse: the reader
+// lands each batch in the most recently freed window slot, so at the
+// default window of 32 a lockstep stream (send, then receive) gives
+// exactly one slot a payload buffer, and a stream pipelining 4 batches
+// at most 4 slots. Every verdict and the drain equal the oracle.
+func TestStreamLandsBatchesInFreedSlots(t *testing.T) {
+	const seed, batch = 31, 64
+	inst := uniformInst(t, 80, 100*batch, 5, 17)
+	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: seed}, nil)
+	oracle, err := core.Run(inst, &core.HashRandPr{Hasher: hashpr.Mixer{Seed: seed}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches [][]setsystem.Element
+	for off := 0; off < len(inst.Elements); off += batch {
+		batches = append(batches, inst.Elements[off:off+batch])
+	}
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			s := New(Config{})
+			defer s.Shutdown(context.Background()) //nolint:errcheck
+			id := register(t, s, inst, seed)
+			ts := upgradeStream(t, startHTTP(t, s), id)
+			if ts.window != 32 {
+				t.Fatalf("default window %d, want 32", ts.window)
+			}
+			// The Ack came after the handler registered the connection.
+			s.stream.mu.Lock()
+			var sc *streamConn
+			for c := range s.stream.conns {
+				sc = c
+			}
+			s.stream.mu.Unlock()
+
+			check := func(k int) {
+				t.Helper()
+				admitted := ts.recv(batches[k])
+				for i, el := range batches[k] {
+					want := fmt.Sprint(core.SelectTopPrioritySort(el.Members, el.Capacity, prio, nil))
+					if got := fmt.Sprint(admitted[i]); got != want {
+						t.Fatalf("batch %d element %d: admitted %v, oracle chose %v", k, i, got, want)
+					}
+				}
+			}
+			for k := range batches {
+				ts.send(batches[k])
+				if k >= depth-1 {
+					check(k - depth + 1)
+				}
+			}
+			for k := len(batches) - depth + 1; k < len(batches); k++ {
+				check(k)
+			}
+			ts.fin()
+			// Leaving the registry is the handler's last act on the
+			// connection, so once it is gone the slots are settled.
+			for gone := false; !gone; time.Sleep(time.Millisecond) {
+				s.stream.mu.Lock()
+				gone = len(s.stream.conns) == 0
+				s.stream.mu.Unlock()
+			}
+			used := 0
+			for _, sl := range sc.slots {
+				if sl.raw != nil {
+					used++
+				}
+			}
+			if used > depth || depth == 1 && used != 1 {
+				t.Errorf("%d batches %d in flight filled %d of %d slots, want %d", len(batches), depth, used, len(sc.slots), depth)
+			}
+
+			var dr DrainResponse
+			if rec := do(t, s, "POST", "/v1/instances/"+id+"/drain", nil, &dr); rec.Code != http.StatusOK {
+				t.Fatalf("drain: status %d: %s", rec.Code, rec.Body.String())
+			}
+			if !dr.Result.Core().Equal(oracle) {
+				t.Fatal("drained result differs from the serial oracle")
+			}
+		})
 	}
 }
 

@@ -114,6 +114,15 @@ func AliasBatch(data []byte, offs []int32) (members []setsystem.SetID, offsOut, 
 	return members, offs, caps, true, nil
 }
 
+// leBytes views a slice's backing memory as bytes: on a little-endian
+// host (aliasable), the wire encoding of its values.
+func leBytes[T ~int32 | ~float64](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
 // appendSetIDsLE appends ids onto dst in the wire's little-endian
 // uint32 layout. On a little-endian platform the int32 backing memory
 // IS that layout, so the whole slice goes over as one bulk copy — the
@@ -127,8 +136,7 @@ func appendSetIDsLE(dst []byte, ids []setsystem.SetID) []byte {
 		return dst
 	}
 	if aliasable {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), 4*len(ids))
-		return append(dst, raw...)
+		return append(dst, leBytes(ids)...)
 	}
 	for _, s := range ids {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))

@@ -49,11 +49,14 @@ import (
 // length prefixes, and a frame is the whole of its reader: a short
 // frame and trailing bytes are both malformed.
 //
-// WriteSnapshot and ReadSnapshot stream the three arrays through one
-// fixed chunk (snapChunk bytes), so neither side ever holds an encoded
-// frame whole. The reader trusts the header's m only as far as the
-// bytes that back it: a header claiming MaxSets sets followed by
-// nothing costs one chunk, not 16·MaxSets bytes.
+// WriteSnapshot streams the three arrays through one fixed chunk
+// (snapChunk bytes), and ReadSnapshot reads them through it or straight
+// into the decoded arrays, so neither side ever holds an encoded frame
+// whole. On a little-endian host the weights and counts cross as bytes,
+// with no per-value work; the sizes (int in memory, uint32 on the wire)
+// are converted a chunk at a time. The reader trusts the header's m
+// only as far as the bytes that back it: a header claiming MaxSets sets
+// followed by nothing costs one chunk, not 16·MaxSets bytes.
 
 // ContentTypeSnapshot marks an HTTP body as a binary snapshot frame —
 // accepted by POST /v1/instances (register or restore), returned by
@@ -147,17 +150,30 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.AssignedTotal)
 	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, s.Dropped)
 	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(m))
-	for _, x := range s.Weights {
-		sw.room(8)
-		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(x))
+	if aliasable {
+		sw.putRaw(leBytes(s.Weights))
+	} else {
+		for _, x := range s.Weights {
+			sw.room(8)
+			sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(x))
+		}
 	}
-	for _, x := range s.Sizes {
+	for sizes := s.Sizes; len(sizes) > 0; {
 		sw.room(4)
-		sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x))
+		k := min(len(sizes), (cap(sw.buf)-len(sw.buf))/4)
+		out := sw.buf[len(sw.buf) : len(sw.buf)+4*k]
+		for i, x := range sizes[:k] {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
+		}
+		sw.buf, sizes = sw.buf[:len(sw.buf)+4*k], sizes[k:]
 	}
-	for _, x := range s.Assigned {
-		sw.room(4)
-		sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x))
+	if aliasable {
+		sw.putRaw(leBytes(s.Assigned))
+	} else {
+		for _, x := range s.Assigned {
+			sw.room(4)
+			sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x))
+		}
 	}
 	sw.flush()
 	return sw.err
@@ -185,6 +201,16 @@ func (sw *snapWriter) flush() {
 	sw.buf = sw.buf[:0]
 }
 
+// putRaw copies b through the chunk, sending the chunk each time it
+// fills.
+func (sw *snapWriter) putRaw(b []byte) {
+	for len(b) > 0 {
+		sw.room(1)
+		n := copy(sw.buf[len(sw.buf):cap(sw.buf)], b)
+		sw.buf, b = sw.buf[:len(sw.buf)+n], b[n:]
+	}
+}
+
 func (sw *snapWriter) putString(s string) {
 	if len(s) > snapMaxStringLen {
 		panic(fmt.Sprintf("wire: snapshot string %d bytes, max %d", len(s), snapMaxStringLen))
@@ -208,9 +234,11 @@ func (sw *snapWriter) putString(s string) {
 // ErrVersion; any other error is r's own (a body-size limit, say).
 //
 // Memory follows the bytes that arrive, not the header's m: the
-// weights grow by doubling as their chunks come in, and the sizes and
-// counts are allocated whole only once all 8m weight bytes are in — so
-// the arrays never take more than twice the array bytes received.
+// weights grow by doubling as their chunks come in — a doubling waits
+// for a chunk that needs it, and the rest of its capacity is then read
+// in place — and the sizes and counts are allocated whole only once all
+// 8m weight bytes are in — so the arrays never take more than twice the
+// array bytes received.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	sr := snapReader{r: r, buf: make([]byte, snapChunk)}
 	b, err := sr.take(6, "header")
@@ -259,6 +287,13 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	for len(s.Weights) < m {
+		if spare := s.Weights[len(s.Weights):cap(s.Weights)]; aliasable && len(spare) > 0 {
+			if err := sr.fill(leBytes(spare), "weights"); err != nil {
+				return nil, err
+			}
+			s.Weights = s.Weights[:cap(s.Weights)]
+			continue
+		}
 		if b, err = sr.chunk(m-len(s.Weights), 8, "weights"); err != nil {
 			return nil, err
 		}
@@ -267,6 +302,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			grown := make([]float64, len(s.Weights), min(max(2*cap(s.Weights), n), m))
 			copy(grown, s.Weights)
 			s.Weights = grown
+		}
+		if aliasable {
+			k := len(s.Weights)
+			s.Weights = s.Weights[:k+len(b)/8]
+			copy(leBytes(s.Weights[k:]), b)
+			continue
 		}
 		for ; len(b) > 0; b = b[8:] {
 			s.Weights = append(s.Weights, math.Float64frombits(binary.LittleEndian.Uint64(b)))
@@ -279,28 +320,39 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if b, err = sr.chunk(m-i, 4, "sizes"); err != nil {
 			return nil, err
 		}
-		for ; len(b) > 0; b, i = b[4:], i+1 {
-			v := binary.LittleEndian.Uint32(b)
+		sizes := s.Sizes[i : i+len(b)/4]
+		for j := range sizes {
+			v := binary.LittleEndian.Uint32(b[4*j:])
 			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: set %d size %d overflows int32", ErrFrame, i, v)
+				return nil, fmt.Errorf("%w: set %d size %d overflows int32", ErrFrame, i+j, v)
 			}
-			s.Sizes[i] = int(v)
+			sizes[j] = int(v)
 		}
+		i += len(sizes)
 	}
 	s.Assigned = make([]int32, m)
-	for i := 0; i < m; {
-		if b, err = sr.chunk(m-i, 4, "assigned counts"); err != nil {
+	if aliasable {
+		if err := sr.fill(leBytes(s.Assigned), "assigned counts"); err != nil {
 			return nil, err
 		}
-		for ; len(b) > 0; b, i = b[4:], i+1 {
-			v := binary.LittleEndian.Uint32(b)
-			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: set %d assigned count %d overflows int32", ErrFrame, i, v)
+	} else {
+		for i := 0; i < m; {
+			if b, err = sr.chunk(m-i, 4, "assigned counts"); err != nil {
+				return nil, err
 			}
-			if int(v) > s.Sizes[i] {
-				return nil, fmt.Errorf("%w: set %d assigned %d of %d elements", ErrFrame, i, v, s.Sizes[i])
+			counts := s.Assigned[i : i+len(b)/4]
+			for j := range counts {
+				counts[j] = int32(binary.LittleEndian.Uint32(b[4*j:]))
 			}
-			s.Assigned[i] = int32(v)
+			i += len(counts)
+		}
+	}
+	for i, v := range s.Assigned {
+		if v < 0 {
+			return nil, fmt.Errorf("%w: set %d assigned count %d overflows int32", ErrFrame, i, uint32(v))
+		}
+		if int(v) > s.Sizes[i] {
+			return nil, fmt.Errorf("%w: set %d assigned %d of %d elements", ErrFrame, i, v, s.Sizes[i])
 		}
 	}
 
@@ -323,13 +375,21 @@ type snapReader struct {
 // take reads the next n bytes (n <= len(buf)) of field what.
 func (sr *snapReader) take(n int, what string) ([]byte, error) {
 	b := sr.buf[:n]
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: snapshot truncated in %s", ErrFrame, what)
-		}
+	if err := sr.fill(b, what); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// fill reads the next len(b) bytes of field what into b.
+func (sr *snapReader) fill(b []byte, what string) error {
+	if _, err := io.ReadFull(sr.r, b); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("%w: snapshot truncated in %s", ErrFrame, what)
+		}
+		return err
+	}
+	return nil
 }
 
 // chunk reads the next run of an array with left values of width bytes

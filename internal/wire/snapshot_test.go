@@ -156,8 +156,12 @@ func TestSnapshotGoldenV1(t *testing.T) {
 
 // TestSnapshotChunked round-trips frames whose arrays span several
 // chunks, through readers that hand out one byte at a time or end with
-// data and EOF together, and writers that see every chunk.
+// data and EOF together, and writers that see every chunk. It runs the
+// host's codec and the per-value one big-endian hosts use, which must
+// write the same bytes and read the same snapshot.
 func TestSnapshotChunked(t *testing.T) {
+	native := aliasable
+	defer func() { aliasable = native }()
 	for _, m := range []int{0, 1, snapChunk / 8, snapChunk/8 + 1, 3*snapChunk/4 + 5} {
 		want := &Snapshot{ID: "i-3", Policy: "greedy-remaining", Seed: uint64(m), Shards: 2,
 			Weights: make([]float64, m), Sizes: make([]int, m), Assigned: make([]int32, m)}
@@ -166,24 +170,31 @@ func TestSnapshotChunked(t *testing.T) {
 			want.Sizes[i] = i%7 + 1
 			want.Assigned[i] = int32(i % (i%7 + 1))
 		}
+		aliasable = native
 		raw := encodeSnapshot(t, want)
 		if len(raw) != SnapshotLen(want) {
 			t.Fatalf("m=%d: encoded %d bytes, SnapshotLen says %d", m, len(raw), SnapshotLen(want))
 		}
-		for name, r := range map[string]io.Reader{
-			"whole":    bytes.NewReader(raw),
-			"one byte": iotest.OneByteReader(bytes.NewReader(raw)),
-			"data+EOF": iotest.DataErrReader(bytes.NewReader(raw)),
-		} {
-			got, err := ReadSnapshot(r)
-			if err != nil {
-				t.Fatalf("m=%d %s: %v", m, name, err)
+		for _, bulk := range []bool{native, false} {
+			aliasable = bulk
+			if !bytes.Equal(encodeSnapshot(t, want), raw) {
+				t.Fatalf("m=%d: the per-value and the host's codec write different bytes", m)
 			}
-			if !snapshotsEqual(got, want) {
-				t.Fatalf("m=%d %s: round trip differs", m, name)
-			}
-			if cap(got.Weights) != m {
-				t.Fatalf("m=%d %s: weights capacity %d, want exactly m", m, name, cap(got.Weights))
+			for name, r := range map[string]io.Reader{
+				"whole":    bytes.NewReader(raw),
+				"one byte": iotest.OneByteReader(bytes.NewReader(raw)),
+				"data+EOF": iotest.DataErrReader(bytes.NewReader(raw)),
+			} {
+				got, err := ReadSnapshot(r)
+				if err != nil {
+					t.Fatalf("m=%d %s bulk=%v: %v", m, name, bulk, err)
+				}
+				if !snapshotsEqual(got, want) {
+					t.Fatalf("m=%d %s bulk=%v: round trip differs", m, name, bulk)
+				}
+				if cap(got.Weights) != m {
+					t.Fatalf("m=%d %s bulk=%v: weights capacity %d, want exactly m", m, name, bulk, cap(got.Weights))
+				}
 			}
 		}
 	}
