@@ -600,7 +600,7 @@ func benchSerial(inst *setsystem.Instance, reps int, seed int64) SerialBench {
 // measures steady-state ingestion allocations on a persistent engine.
 func benchEngine(inst *setsystem.Instance, shards, reps int, seed int64) (ShardBench, error) {
 	ns, allocs, err := benchEngineConfig(inst,
-		engine.Config{Shards: shards, BatchSize: 128, QueueDepth: 8}, nil, reps, seed)
+		engine.Config{Shards: shards, BatchSize: 128, QueueDepth: 8}, reps, seed)
 	if err != nil {
 		return ShardBench{}, err
 	}
@@ -620,7 +620,7 @@ func benchEngine(inst *setsystem.Instance, shards, reps int, seed int64) (ShardB
 func benchPolicy(inst *setsystem.Instance, workloadName, name string, reps int, seed int64) (PolicyBench, error) {
 	const policyShards = 4
 	cfg := engine.Config{Shards: policyShards, BatchSize: 128, QueueDepth: 8, Policy: name}
-	ns, allocs, err := benchEngineConfig(inst, cfg, nil, reps, seed)
+	ns, allocs, err := benchEngineConfig(inst, cfg, reps, seed)
 	if err != nil {
 		return PolicyBench{}, err
 	}
@@ -666,20 +666,16 @@ func benchEngineTelemetry(inst *setsystem.Instance, reps int, seed int64) (Shard
 		SampleEvery: 64, RingSize: 1024, FlushEvery: time.Millisecond,
 	})
 	defer dlog.Close()
-	pol, err := core.LookupPolicy(core.DefaultPolicy)
-	if err != nil {
-		return ShardBench{}, err
-	}
 	var qwait, decide obs.Histogram
 	cfg := engine.Config{
 		Shards: shards, BatchSize: 128, QueueDepth: 8,
 		Telemetry: &obs.EngineTelemetry{
-			Decisions: dlog.Logger("bench", pol.Name(), shards),
+			Decisions: dlog.Logger("bench", core.DefaultPolicy, shards),
 			QueueWait: &qwait,
 			Decide:    &decide,
 		},
 	}
-	ns, allocs, err := benchEngineConfig(inst, cfg, pol, reps, seed)
+	ns, allocs, err := benchEngineConfig(inst, cfg, reps, seed)
 	if err != nil {
 		return ShardBench{}, err
 	}
@@ -695,19 +691,13 @@ func benchEngineTelemetry(inst *setsystem.Instance, reps int, seed int64) (Shard
 
 // benchEngineConfig is the shared measurement body: best-of replay wall
 // time plus the steady-state allocation probe on a persistent engine.
-// A non-nil pol overrides cfg.Policy (the interface-dispatch row).
-func benchEngineConfig(inst *setsystem.Instance, cfg engine.Config, pol core.Policy, reps int, seed int64) (ns int64, allocs uint64, err error) {
-	if pol == nil {
-		if pol, err = core.LookupPolicy(cfg.Policy); err != nil {
-			return 0, 0, err
-		}
-	}
+func benchEngineConfig(inst *setsystem.Instance, cfg engine.Config, reps int, seed int64) (ns int64, allocs uint64, err error) {
 	var replayErr error
 	ns = timeBest(reps, func() {
 		if replayErr != nil {
 			return
 		}
-		if _, err := engine.ReplayWithPolicy(inst, pol, uint64(seed), cfg); err != nil {
+		if _, err := engine.Replay(inst, uint64(seed), cfg); err != nil {
 			replayErr = err
 		}
 	})
@@ -717,7 +707,7 @@ func benchEngineConfig(inst *setsystem.Instance, cfg engine.Config, pol core.Pol
 
 	// Steady-state allocation probe: warm a persistent engine past its
 	// high-water mark, then count mallocs over a second full pass.
-	e, err := engine.NewWithPolicy(core.InfoOf(inst), pol, uint64(seed), cfg)
+	e, err := engine.New(core.InfoOf(inst), uint64(seed), cfg)
 	if err != nil {
 		return 0, 0, err
 	}

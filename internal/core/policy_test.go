@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/hashpr"
 	"repro/internal/setsystem"
+	"repro/internal/workload"
 )
 
 // policyInfo is a small fixture with distinct weights and sizes so every
@@ -159,6 +160,33 @@ func TestRandPrPolicyMatchesHashRandPr(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Errorf("randpr policy oracle differs from HashRandPr: %v vs %v", got.Benefit, want.Benefit)
+	}
+}
+
+// TestRandPrPolicyWithPolyFamilyHasher pins the policy's hasher
+// override: under a PolyFamily hasher the randpr policy decides as
+// HashRandPr does under the same hasher, so the engine, which runs only
+// the policy, serves any hash family the policy is given.
+func TestRandPrPolicyWithPolyFamilyHasher(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inst, err := workload.Uniform(workload.UniformConfig{M: 40, N: 200, Load: 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := hashpr.NewPolyFamily(8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(inst, &HashRandPr{Hasher: pf}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(inst, &PolicyAlgorithm{Policy: RandPrPolicy{Hasher: pf}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Errorf("randpr policy under PolyFamily differs from HashRandPr: %v vs %v", got.Benefit, want.Benefit)
 	}
 }
 

@@ -141,14 +141,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Errors reported by the engine. Invalid elements are rejected with the
-// setsystem validation errors (setsystem.ErrBadCapacity,
-// setsystem.ErrMemberRange, …); unknown policy names are rejected with
-// core.ErrUnknownPolicy wrapped.
-var (
-	ErrDrained   = errors.New("engine: stream already drained")
-	ErrNilPolicy = errors.New("engine: nil policy")
-)
+// ErrDrained is returned by submissions once the stream is drained.
+// Invalid elements are rejected with the setsystem validation errors
+// (setsystem.ErrBadCapacity, setsystem.ErrMemberRange, …); unknown
+// policy names are rejected with core.ErrUnknownPolicy wrapped.
+var ErrDrained = errors.New("engine: stream already drained")
 
 // Batch is one ingestion unit in flat structure-of-arrays layout: the
 // member lists of all batched elements concatenated into one buffer, plus
@@ -334,22 +331,13 @@ type shard struct {
 // sizes), resolving cfg.Policy through the core policy registry and
 // setting it up under seed. Every shard — and any serial or remote
 // replica running the same (policy, seed) pair — agrees on all decisions
-// without coordination.
+// without coordination. A custom policy (another hash family, an
+// experimental rule) is registered with core.RegisterPolicy and then
+// named like any other.
 func New(info core.Info, seed uint64, cfg Config) (*Engine, error) {
 	pol, err := core.LookupPolicy(cfg.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
-	}
-	return NewWithPolicy(info, pol, seed, cfg)
-}
-
-// NewWithPolicy is New for callers that inject a Policy value directly
-// instead of naming a registered one — custom hash families, experimental
-// policies not in the registry. cfg.Policy is ignored; the engine reports
-// pol.Name().
-func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*Engine, error) {
-	if pol == nil {
-		return nil, ErrNilPolicy
 	}
 	state, err := pol.Setup(info, seed)
 	if err != nil {
@@ -754,17 +742,7 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // If a Submit fails mid-stream, the engine is still drained to stop the
 // shard workers and the submit and drain errors are joined.
 func Replay(inst *setsystem.Instance, seed uint64, cfg Config) (*core.Result, error) {
-	pol, err := core.LookupPolicy(cfg.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	return ReplayWithPolicy(inst, pol, seed, cfg)
-}
-
-// ReplayWithPolicy is Replay with a directly injected Policy value (see
-// NewWithPolicy).
-func ReplayWithPolicy(inst *setsystem.Instance, pol core.Policy, seed uint64, cfg Config) (*core.Result, error) {
-	e, err := NewWithPolicy(core.InfoOf(inst), pol, seed, cfg)
+	e, err := New(core.InfoOf(inst), seed, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -120,28 +120,6 @@ func TestEngineMatchesSerialOnScenarios(t *testing.T) {
 	}
 }
 
-// PolyFamily hashers drive the engine just as well as Mixer.
-func TestEngineWithPolyFamilyHasher(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 40, N: 200, Load: 4}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := hashpr.NewPolyFamily(8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Run(inst, &core.HashRandPr{Hasher: pf}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReplayWithPolicy(inst, core.RandPrPolicy{Hasher: pf}, 0, Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalent(t, got, want, "polyfamily")
-}
-
 func TestSubmitDrainLifecycle(t *testing.T) {
 	info := core.Info{Weights: []float64{2, 3}, Sizes: []int{1, 2}}
 	e, err := New(info, 1, Config{Shards: 2, BatchSize: 1})
@@ -269,12 +247,6 @@ func TestSubmitValidation(t *testing.T) {
 		if err := e.Submit(el); err == nil {
 			t.Errorf("bad element %d accepted", i)
 		}
-	}
-}
-
-func TestNewRejectsNilPolicy(t *testing.T) {
-	if _, err := NewWithPolicy(core.Info{}, nil, 0, Config{}); err != ErrNilPolicy {
-		t.Errorf("NewWithPolicy(nil policy) = %v, want ErrNilPolicy", err)
 	}
 }
 

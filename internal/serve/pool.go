@@ -142,20 +142,23 @@ type Pool struct {
 	nextID int
 	max    int
 	closed bool
+	// opening holds the IDs reserved by opens whose engines are being
+	// built. Each counts against max, and no other open may take its ID.
+	opening map[string]bool
 
 	// Telemetry hooks, set once before serving (SetTelemetry). attachTel
 	// builds the telemetry bundle a new engine records into; detachTel
 	// flushes and forgets an instance's decision logger when the instance
-	// is removed or its registration rolls back.
+	// is removed or its open rolls back.
 	attachTel func(id, policy string, shards int) *obs.EngineTelemetry
 	detachTel func(id string)
 }
 
 // SetTelemetry installs the pool's telemetry hooks: attach is called
-// during Register with the new instance's ID, resolved policy name and
+// while an instance opens, with its ID, resolved policy name and
 // resolved shard count, and its return value becomes the engine's
-// Telemetry config; detach is called when an instance is removed (or a
-// registration fails after attach). Either may be nil. Must be called
+// Telemetry config; detach is called when an instance is removed (or
+// its open fails after attach). Either may be nil. Must be called
 // before the pool serves registrations.
 func (p *Pool) SetTelemetry(attach func(id, policy string, shards int) *obs.EngineTelemetry, detach func(id string)) {
 	p.attachTel = attach
@@ -168,74 +171,94 @@ func NewPool(max int) *Pool {
 	if max <= 0 {
 		max = 1024
 	}
-	return &Pool{byID: make(map[string]*Instance), max: max}
+	return &Pool{byID: make(map[string]*Instance), opening: make(map[string]bool), max: max}
 }
 
-// Register creates an instance with a fresh engine and returns it. The
-// engine — whose construction allocates the priority vector, per-shard
-// counter arrays and the pre-filled batch free list, and spawns the
-// shard goroutines — is built OUTSIDE the pool mutex, so a large
-// registration never stalls the Get/Len/Instances calls every other
-// handler and the /metrics scrape depend on.
-func (p *Pool) Register(spec Spec) (*Instance, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if len(p.byID) >= p.max {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w (max %d)", ErrPoolFull, p.max)
-	}
-	p.nextID++
-	id := "i-" + strconv.Itoa(p.nextID)
-	p.mu.Unlock()
+// Register creates an instance with a fresh engine under the next free
+// ID and returns it.
+func (p *Pool) Register(spec Spec) (*Instance, error) { return p.open(spec, 0, nil) }
 
-	// Resolve the policy here (rather than inside engine.New) so the
-	// telemetry attach hook sees the resolved name the engine will report.
+// open is the one path that adds an instance to the pool, registered
+// fresh (n == 0: the next ID, and cp nil) or restored as "i-<n>" from
+// checkpoint cp. Under the mutex it reserves the ID and a place under
+// the instance limit, so a taken ID or a full pool is refused before
+// any engine is built. The engine — whose construction allocates the
+// priority vector and per-shard counters and spawns the shard
+// goroutines — is built OUTSIDE the mutex, so a large open never
+// stalls the Get/Len/Instances calls every other handler and the
+// /metrics scrape depend on. The open then commits, or rolls back if
+// shutdown began meanwhile.
+func (p *Pool) open(spec Spec, n int, cp *engine.Checkpoint) (*Instance, error) {
+	// Resolve the policy here too, so the telemetry attach hook sees the
+	// resolved name the engine will report.
 	pol, err := core.LookupPolicy(spec.Engine.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	detach := func() {}
-	if p.attachTel != nil {
-		spec.Engine.Telemetry = p.attachTel(id, pol.Name(), spec.Engine.Resolved().Shards)
-		if p.detachTel != nil {
-			detach = func() { p.detachTel(id) }
-		}
-	}
-	eng, err := engine.NewWithPolicy(spec.Info, pol, spec.Seed, spec.Engine)
-	if err != nil {
-		detach()
-		return nil, err
-	}
-	in := &Instance{
-		id:    id,
-		label: spec.Label,
-		seed:  spec.Seed,
-		info:  spec.Info,
-		eng:   eng,
-	}
-
-	// Re-check under the lock: shutdown or a concurrent registration
-	// burst may have won the race while the engine was being built. The
-	// fresh engine is drained before rejecting so its shard goroutines
-	// never leak.
 	p.mu.Lock()
+	var id string
 	switch {
 	case p.closed:
-		p.mu.Unlock()
-		eng.Drain() //nolint:errcheck // fresh engine, nothing streamed
-		detach()
-		return nil, ErrPoolClosed
-	case len(p.byID) >= p.max:
-		p.mu.Unlock()
-		eng.Drain() //nolint:errcheck
-		detach()
-		return nil, fmt.Errorf("%w (max %d)", ErrPoolFull, p.max)
+		err = ErrPoolClosed
+	case len(p.byID)+len(p.opening) >= p.max:
+		err = fmt.Errorf("%w (max %d)", ErrPoolFull, p.max)
+	case n == 0:
+		p.nextID++
+		id = "i-" + strconv.Itoa(p.nextID)
+	default:
+		id = "i-" + strconv.Itoa(n)
+		if p.byID[id] != nil || p.opening[id] {
+			err = fmt.Errorf("serve: restore: instance %s already exists", id)
+		}
+		// Fresh registrations never take a restored ID.
+		p.nextID = max(p.nextID, n)
 	}
-	p.byID[in.id] = in
+	if err == nil {
+		p.opening[id] = true
+	}
 	p.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
+	if p.attachTel != nil {
+		spec.Engine.Telemetry = p.attachTel(id, pol.Name(), spec.Engine.Resolved().Shards)
+	}
+	in := &Instance{id: id, label: spec.Label, seed: spec.Seed, info: spec.Info}
+	if cp == nil {
+		in.eng, err = engine.New(spec.Info, spec.Seed, spec.Engine)
+	} else {
+		in.eng, err = engine.NewFromCheckpoint(spec.Info, spec.Seed, spec.Engine, cp)
+		if err == nil && cp.Final {
+			// The stream logically ended before the snapshot: re-derive
+			// the terminal Result (the drain merges the baseline counts and
+			// sweeps completions deterministically — exact) and restore as
+			// drained.
+			in.final.Store(true)
+			_, err = in.eng.Drain()
+		}
+	}
+
+	p.mu.Lock()
+	delete(p.opening, id)
+	if err == nil && p.closed {
+		// Shutdown began while the engine was being built, and it drains
+		// only the instances it found.
+		err = ErrPoolClosed
+	}
+	if err == nil {
+		p.byID[id] = in
+	}
+	p.mu.Unlock()
+	if err != nil {
+		if in.eng != nil {
+			in.eng.Drain() //nolint:errcheck // stops the shard goroutines; nothing streamed since open
+		}
+		if p.attachTel != nil && p.detachTel != nil {
+			p.detachTel(id)
+		}
+		return nil, err
+	}
 	return in, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -234,5 +235,37 @@ func TestRemoveCollectsDominantInstance(t *testing.T) {
 	}
 	if got := forced(); got != before+1 {
 		t.Fatalf("removing the last instance forced %d collections, want 1", got-before)
+	}
+}
+
+// TestOpenRollsBackOnShutdown pins the open path's rollback: a
+// registration whose engine is being built when Shutdown begins is
+// refused with ErrPoolClosed, its telemetry is detached, and the pool
+// stays empty.
+func TestOpenRollsBackOnShutdown(t *testing.T) {
+	p := NewPool(0)
+	reserved, release := make(chan struct{}), make(chan struct{})
+	var detached []string // written by Register's goroutine before errc's send
+	p.SetTelemetry(func(id, policy string, shards int) *obs.EngineTelemetry {
+		close(reserved)
+		<-release
+		return nil
+	}, func(id string) { detached = append(detached, id) })
+	spec := poolSpec(t, 1)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := p.Register(spec)
+		errc <- err
+	}()
+	<-reserved
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-errc; !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("register across shutdown = %v, want ErrPoolClosed", err)
+	}
+	if p.Len() != 0 || len(detached) != 1 || detached[0] != "i-1" {
+		t.Fatalf("after rollback: %d instances, detached %v; want none and [i-1]", p.Len(), detached)
 	}
 }

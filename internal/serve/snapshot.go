@@ -18,16 +18,16 @@ import (
 
 // Snapshot frames at the service layer: Export quiesces one instance
 // and frames its recoverable state (engine.Checkpoint → wire.Snapshot);
-// Pool.Restore is Register's mirror that rebuilds an instance — same
-// ID, same policy state, counters resumed — from such a frame. The
-// HTTP surface is POST /v1/instances/{id}/snapshot (returns the frame,
-// and persists it when the server runs with a snapshot directory) and
-// POST /v1/instances with Content-Type application/x-osp-snapshot
-// (register when the frame's ID is empty, restore-on-register
-// otherwise); a drain that accepts the frame type is answered with the
-// Final frame. Every frame is streamed through wire's fixed chunk.
-// ospserve -snapshot-dir wires WriteSnapshots / RestoreDir around
-// shutdown and boot so a restart loses nothing.
+// Pool.Restore rebuilds an instance — same ID, same policy state,
+// counters resumed — from such a frame, through Register's open path.
+// The HTTP surface is POST /v1/instances/{id}/snapshot (returns the
+// frame, and persists it when the server runs with a snapshot
+// directory) and POST /v1/instances with Content-Type
+// application/x-osp-snapshot (register when the frame's ID is empty,
+// restore-on-register otherwise); a drain that accepts the frame type
+// is answered with the Final frame. Every frame is streamed through
+// wire's fixed chunk. ospserve -snapshot-dir wires WriteSnapshots /
+// RestoreDir around shutdown and boot so a restart loses nothing.
 
 // exportQuiesceTimeout bounds how long a snapshot request waits for the
 // engine's in-flight batches to be decided. The backlog is bounded by
@@ -83,109 +83,31 @@ func (in *Instance) frame(cp *engine.Checkpoint, final bool) *wire.Snapshot {
 // baseline its eventual drain merges, so the restored instance's final
 // Result is bit-for-bit what the uninterrupted instance would have
 // reported. A Final snapshot is restored directly into the drained
-// state with its terminal Result re-derived.
+// state with its terminal Result re-derived. It opens the instance
+// through the same path as Register, so a live ID, or one a
+// registration is building, is refused.
 //
-// The ID must be of the pool's own "i-<n>" form (snapshots come from a
-// pool); the registration counter is bumped past it so later fresh
+// The ID must be the pool's own canonical "i-<n>" (snapshots come from
+// a pool); the registration counter is bumped past it so later fresh
 // registrations never collide.
 func (p *Pool) Restore(snap *wire.Snapshot) (*Instance, error) {
 	n, err := restoreID(snap.ID)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if len(p.byID) >= p.max {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w (max %d)", ErrPoolFull, p.max)
-	}
-	if _, exists := p.byID[snap.ID]; exists {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("serve: restore: instance %s already exists", snap.ID)
-	}
-	if n > p.nextID {
-		p.nextID = n
-	}
-	p.mu.Unlock()
-
-	pol, err := core.LookupPolicy(snap.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	cfg := engine.Config{
-		Shards: snap.Shards, BatchSize: snap.BatchSize, QueueDepth: snap.QueueDepth,
-		Policy: snap.Policy,
-	}
-	detach := func() {}
-	if p.attachTel != nil {
-		cfg.Telemetry = p.attachTel(snap.ID, pol.Name(), cfg.Resolved().Shards)
-		if p.detachTel != nil {
-			detach = func() { p.detachTel(snap.ID) }
-		}
-	}
-	info := core.Info{Weights: snap.Weights, Sizes: snap.Sizes}
-	eng, err := engine.NewFromCheckpoint(info, snap.Seed, cfg, &engine.Checkpoint{
+	return p.open(specOf(snap), n, &engine.Checkpoint{
 		Submitted: snap.Submitted, Processed: snap.Processed, Batches: snap.Batches,
 		AssignedTotal: snap.AssignedTotal, Dropped: snap.Dropped,
 		Assigned: snap.Assigned, Final: snap.Final,
 	})
-	if err != nil {
-		detach()
-		return nil, err
-	}
-	in := &Instance{
-		id:    snap.ID,
-		label: snap.Label,
-		seed:  snap.Seed,
-		info:  info,
-		eng:   eng,
-	}
-	if snap.Final {
-		// The stream logically ended before the snapshot: re-derive the
-		// terminal Result (the drain merges the baseline counts and sweeps
-		// completions deterministically — exact) and restore as drained.
-		in.final.Store(true)
-		if _, err := eng.Drain(); err != nil {
-			detach()
-			return nil, err
-		}
-	}
-
-	p.mu.Lock()
-	switch {
-	case p.closed:
-		p.mu.Unlock()
-		eng.Drain() //nolint:errcheck // nothing streamed since restore
-		detach()
-		return nil, ErrPoolClosed
-	case len(p.byID) >= p.max:
-		p.mu.Unlock()
-		eng.Drain() //nolint:errcheck
-		detach()
-		return nil, fmt.Errorf("%w (max %d)", ErrPoolFull, p.max)
-	}
-	if _, exists := p.byID[in.id]; exists {
-		p.mu.Unlock()
-		eng.Drain() //nolint:errcheck
-		detach()
-		return nil, fmt.Errorf("serve: restore: instance %s already exists", in.id)
-	}
-	p.byID[in.id] = in
-	p.mu.Unlock()
-	return in, nil
 }
 
-// restoreID validates the "i-<n>" form and extracts the counter.
+// restoreID extracts the counter n of an ID spelled exactly as the pool
+// spells it, "i-" + strconv.Itoa(n) with n >= 1: i-05 or i-+5 would
+// otherwise go live beside i-5.
 func restoreID(id string) (int, error) {
-	digits, ok := strings.CutPrefix(id, "i-")
-	if !ok {
-		return 0, fmt.Errorf("serve: restore: instance id %q is not of the form i-<n>", id)
-	}
-	n, err := strconv.Atoi(digits)
-	if err != nil || n < 1 {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "i-"))
+	if err != nil || n < 1 || id != "i-"+strconv.Itoa(n) {
 		return 0, fmt.Errorf("serve: restore: instance id %q is not of the form i-<n>", id)
 	}
 	return n, nil

@@ -9,9 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/setsystem"
 	"repro/internal/wire"
 )
 
@@ -183,6 +187,22 @@ func TestRestoreRejections(t *testing.T) {
 		!strings.Contains(rec.Body.String(), "not of the form") {
 		t.Errorf("malformed id restore: status %d body %s", rec.Code, rec.Body.String())
 	}
+	// Only the pool's canonical spelling of a counter is an ID: i-05 and
+	// i-+5 would otherwise go live beside i-5, all three claiming 5.
+	s2 := New(Config{})
+	for _, id := range []string{"i-5", "i-05", "i-+5", "i-0", "i-"} {
+		snap.ID = id
+		rec := restore(t, s2, encodeFrame(t, snap))
+		switch {
+		case id == "i-5" && rec.Code != http.StatusCreated:
+			t.Errorf("restore %s: status %d body %s", id, rec.Code, rec.Body.String())
+		case id != "i-5" && (rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "not of the form")):
+			t.Errorf("non-canonical id %q restore: status %d body %s", id, rec.Code, rec.Body.String())
+		}
+	}
+	if n := s2.Pool().Len(); n != 1 {
+		t.Errorf("restoring i-5 and its non-canonical spellings left %d instances, want 1", n)
+	}
 }
 
 // TestWriteSnapshotsRestoreDir pins the daemon round trip: shutdown
@@ -252,4 +272,174 @@ func TestWriteSnapshotsRestoreDir(t *testing.T) {
 	if n, err := New(Config{}).RestoreDir(dir2); n != 0 || err == nil {
 		t.Errorf("RestoreDir(corrupt) = %d, %v; want 0 restored and an error", n, err)
 	}
+}
+
+// restoreFrame is a restore frame for instance id over inst: zero
+// counters, not Final, so it restores a fresh instance under that ID.
+func restoreFrame(inst *setsystem.Instance, id string) *wire.Snapshot {
+	f := freshFrame(inst, 1)
+	f.ID = id
+	return f
+}
+
+// TestRestoreRacingRegisterForOneID pins that an ID opens once: a
+// restore of i-1 that lands while a fresh registration holds i-1 —
+// reserved, its engine not yet built — is refused, and the pool keeps
+// the registered instance.
+func TestRestoreRacingRegisterForOneID(t *testing.T) {
+	inst := uniformInst(t, 10, 100, 3, 9)
+	p := NewPool(0)
+	defer p.Shutdown(context.Background()) //nolint:errcheck
+	reserved, release := make(chan struct{}), make(chan struct{})
+	var attached atomic.Int32
+	p.SetTelemetry(func(id, policy string, shards int) *obs.EngineTelemetry {
+		if attached.Add(1) == 1 {
+			close(reserved)
+			<-release
+		}
+		return nil
+	}, nil)
+	type opened struct {
+		in  *Instance
+		err error
+	}
+	registered := make(chan opened, 1)
+	go func() {
+		in, err := p.Register(Spec{Info: core.InfoOf(inst), Seed: 1, Engine: engine.Config{Shards: 2}})
+		registered <- opened{in, err}
+	}()
+	<-reserved
+	restored, rerr := p.Restore(restoreFrame(inst, "i-1"))
+	close(release)
+	reg := <-registered
+
+	if (reg.err == nil) == (rerr == nil) {
+		t.Fatalf("register = %v, restore = %v: want exactly one to succeed", reg.err, rerr)
+	}
+	if rerr == nil || !strings.Contains(rerr.Error(), "already exists") {
+		t.Fatalf("restore of an ID a registration holds = %v, want already exists", rerr)
+	}
+	if got, ok := p.Get("i-1"); !ok || got != reg.in || p.Len() != 1 {
+		t.Fatalf("pool holds %v (%d instances), want the registered instance alone", got, p.Len())
+	}
+	if restored != nil {
+		restored.Drain() //nolint:errcheck // stop an instance the pool lost
+	}
+}
+
+// TestOpenRefusals pins every refusal on each way an instance opens — a
+// JSON register, a frame register, a frame restore and a boot restore
+// (RestoreDir) — to the status and message it answers: 503 once the pool
+// is closed, 429 at the instance limit, 400 for a restored ID that is
+// taken, 400 for an unknown policy.
+func TestOpenRefusals(t *testing.T) {
+	inst := uniformInst(t, 10, 100, 3, 9)
+	_, unknown := core.LookupPolicy("bogus")
+	if unknown == nil {
+		t.Fatal("policy bogus is registered")
+	}
+	// Each way opens the instance frame f describes (registrations
+	// ignore its ID) and reports the answer: status and error message,
+	// or 0 and the returned error for RestoreDir.
+	ways := []struct {
+		name string
+		open func(s *Server, f *wire.Snapshot) (int, string)
+	}{
+		{"json register", func(s *Server, f *wire.Snapshot) (int, string) {
+			return answer(t, do(t, s, "POST", "/v1/instances", RegisterRequest{
+				Weights: f.Weights, Sizes: f.Sizes, Seed: f.Seed, Shards: f.Shards, Policy: f.Policy,
+			}, nil))
+		}},
+		{"frame register", func(s *Server, f *wire.Snapshot) (int, string) {
+			g := *f
+			g.ID = ""
+			return answer(t, restore(t, s, encodeFrame(t, &g)))
+		}},
+		{"frame restore", func(s *Server, f *wire.Snapshot) (int, string) {
+			return answer(t, restore(t, s, encodeFrame(t, f)))
+		}},
+		{"boot restore", func(s *Server, f *wire.Snapshot) (int, string) {
+			dir := t.TempDir()
+			if err := writeSnapshotFile(dir, f); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RestoreDir(dir); err != nil {
+				return 0, err.Error()
+			}
+			return 0, ""
+		}},
+	}
+	closed := func(s *Server) {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holdsOne := func(s *Server) { register(t, s, inst, 5) }
+	for _, tc := range []struct {
+		name   string
+		max    int
+		setup  func(*Server)
+		frame  *wire.Snapshot
+		status int
+		want   map[string]string // by way; a missing way is not refused
+	}{
+		{"pool closed", 0, closed, restoreFrame(inst, "i-1"), http.StatusServiceUnavailable, map[string]string{
+			"json register":  "serve: pool is shutting down",
+			"frame register": "serve: pool is shutting down",
+			"frame restore":  "serve: pool is shutting down",
+			"boot restore":   "i-1.osps: serve: pool is shutting down",
+		}},
+		{"pool full", 1, holdsOne, restoreFrame(inst, "i-2"), http.StatusTooManyRequests, map[string]string{
+			"json register":  "serve: instance limit reached (max 1)",
+			"frame register": "serve: instance limit reached (max 1)",
+			"frame restore":  "serve: instance limit reached (max 1)",
+			"boot restore":   "i-2.osps: serve: instance limit reached (max 1)",
+		}},
+		{"id taken", 0, holdsOne, restoreFrame(inst, "i-1"), http.StatusBadRequest, map[string]string{
+			"frame restore": "restore: serve: restore: instance i-1 already exists",
+			"boot restore":  "i-1.osps: serve: restore: instance i-1 already exists",
+		}},
+		{"unknown policy", 0, func(*Server) {}, func() *wire.Snapshot {
+			f := restoreFrame(inst, "i-1")
+			f.Policy = "bogus"
+			return f
+		}(), http.StatusBadRequest, map[string]string{
+			"json register":  "register: " + unknown.Error(),
+			"frame register": "register: " + unknown.Error(),
+			"frame restore":  "restore: " + unknown.Error(),
+			"boot restore":   "i-1.osps: " + unknown.Error(),
+		}},
+	} {
+		for _, w := range ways {
+			s := New(Config{MaxInstances: tc.max})
+			tc.setup(s)
+			before := s.Pool().Len()
+			status, msg := w.open(s, tc.frame)
+			want, refused := tc.want[w.name]
+			switch {
+			case !refused:
+				if msg != "" || (status != 0 && status != http.StatusCreated) {
+					t.Errorf("%s, %s: answered %d %q, want it opened", tc.name, w.name, status, msg)
+				}
+			case msg != want || (status != 0 && status != tc.status):
+				t.Errorf("%s, %s: answered %d %q, want %d %q", tc.name, w.name, status, msg, tc.status, want)
+			case s.Pool().Len() != before:
+				t.Errorf("%s, %s: refused, but the pool went from %d to %d instances", tc.name, w.name, before, s.Pool().Len())
+			}
+			s.Shutdown(context.Background()) //nolint:errcheck
+		}
+	}
+}
+
+// answer is a response's status and, for a refusal, its error message.
+func answer(t *testing.T, rec *httptest.ResponseRecorder) (int, string) {
+	t.Helper()
+	if rec.Code == http.StatusCreated {
+		return rec.Code, ""
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+		t.Fatalf("status %d: bad error body %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	return rec.Code, er.Error
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/setsystem"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -41,8 +42,10 @@ import (
 //
 //	slots      [window]ingestSlot. A slot owns everything one batch in
 //	           flight needs — the aligned payload buffer the engine
-//	           aliases, the offsets buffer, the verdict mask buffer,
-//	           and a dedicated aliased engine.Batch struct.
+//	           aliases, the offsets buffer, the copying decoder's
+//	           member and capacity buffers, the verdict mask buffer,
+//	           and a dedicated aliased engine.Batch struct, so every
+//	           batch a connection submits is its slot's.
 //	freed      chan int, cap = window: slot indices the writer hands
 //	           back once their verdict frame is on the wire. The reader
 //	           keeps the free indices on a stack and lands each batch in
@@ -116,20 +119,23 @@ type respFrame struct {
 	payload []byte
 }
 
-// ingestSlot is one window slot of a connection's zero-copy ingest
-// path: the storage one batch in flight flows through without copying.
-// raw holds the frame payload at an alignment wire.AliasBatch
-// can alias (BatchAliasShift picks the landing offset); batch is the
-// slot's dedicated Aliased engine.Batch — the engine detaches it after
-// the decide instead of free-listing it, so the struct and its backing
-// buffers stay with the slot for the next turn. masks capacity round-
-// trips through the verdict callback and the writer stores it back
-// here, possibly grown.
+// ingestSlot is one window slot of a connection's ingest path: the
+// storage one batch in flight flows through. raw holds the frame
+// payload at an alignment wire.AliasBatch can alias (BatchAliasShift
+// picks the landing offset); members and caps are the copying decoder's
+// storage, used only when a frame cannot be aliased; batch is the
+// slot's dedicated Aliased engine.Batch over either — the engine
+// detaches it after the decide instead of free-listing it, so the
+// struct and its backing buffers stay with the slot for the next turn.
+// masks capacity round-trips through the verdict callback and the
+// writer stores it back here, possibly grown.
 type ingestSlot struct {
-	raw   []byte
-	offs  []int32
-	masks []byte
-	batch *engine.Batch
+	raw     []byte
+	offs    []int32
+	members []setsystem.SetID
+	caps    []int32
+	masks   []byte
+	batch   *engine.Batch
 }
 
 // streamStats are the stream transport's lifetime counters, exported
@@ -356,10 +362,11 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 
 // streamReadLoop reads batch frames, lands each payload in the most
 // recently freed window slot at an aliasable alignment, hands the
-// engine caps/members views over those bytes (zero-copy; the copying
-// decoder when aliasing is impossible) and submits through
-// Instance.IngestBatch with the verdict callback set; the engine shard
-// completes the verdict frame during its decide. The loop ends by
+// engine caps/members views over those bytes (zero-copy; when aliasing
+// is impossible, copies decoded into the slot's own buffers) and
+// submits the slot's batch through Instance.IngestBatch with the
+// verdict callback set; the engine shard completes the verdict frame
+// during its decide. The loop ends by
 // handing the writer exactly one terminal frame whose seq equals the
 // number of batches submitted — the writer's signal that every verdict
 // below it must go out first.
@@ -372,7 +379,6 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 	for i := range free {
 		free[i] = window - 1 - i
 	}
-	eng := in.eng
 	numSets := in.info.NumSets()
 	copyDecode := s.copyDecode
 	timings := s.cfg.StreamTimings
@@ -454,44 +460,36 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				return
 			}
 			// Enforce the batch cap from the frame header BEFORE decoding,
-			// for the same reason the HTTP arm does: the copying decode
-			// fills engine free-list buffers that live as long as the
-			// instance.
+			// as the HTTP arm does: a refused batch then costs no decode
+			// and never grows the slot's decode buffers.
 			if c, ok := wire.PeekBatchCount(payload); ok && c > s.cfg.MaxBatch {
 				fail(http.StatusBadRequest, "ingest: batch of %d exceeds limit %d", c, s.cfg.MaxBatch)
 				return
 			}
-			var b *engine.Batch
+			var members []setsystem.SetID
+			var caps []int32
+			ok := false
 			if !copyDecode {
-				members, offs, caps, ok, aerr := wire.AliasBatch(payload, slot.offs[:0])
-				if aerr != nil {
-					fail(http.StatusBadRequest, "ingest: %v", aerr)
-					return
-				}
-				if ok {
-					slot.offs = offs
-					b = slot.batch
-					b.Members, b.Offs, b.Caps, b.Aliased = members, offs, caps, true
-				}
+				members, slot.offs, caps, ok, err = wire.AliasBatch(payload, slot.offs[:0])
 			}
-			if b == nil {
+			if !ok && err == nil {
 				// Copying fallback: the frame cannot be aliased on this
 				// platform, or a test forced this path.
-				b = eng.BorrowBatch()
-				b.Members, b.Offs, b.Caps, err = wire.DecodeBatch(payload, b.Members[:0], b.Offs[:0], b.Caps[:0])
-				if err != nil {
-					eng.ReturnBatch(b)
-					fail(http.StatusBadRequest, "ingest: %v", err)
-					return
-				}
+				slot.members, slot.offs, slot.caps, err = wire.DecodeBatch(payload, slot.members[:0], slot.offs[:0], slot.caps[:0])
+				members, caps = slot.members, slot.caps
 			}
+			if err != nil {
+				fail(http.StatusBadRequest, "ingest: %v", err)
+				return
+			}
+			b := slot.batch
+			b.Members, b.Offs, b.Caps, b.Aliased = members, slot.offs, caps, true
 			// Atomicity, as on the JSON arm: the whole batch is validated
 			// against the instance's universe before any element is
-			// submitted. For aliased batches this is also where values
+			// submitted. For aliased frames this is also where values
 			// past MaxInt32 — negative through the int32 view — are
 			// rejected, which is what lets AliasBatch skip that scan.
 			if err := b.Validate(numSets); err != nil {
-				eng.ReturnBatch(b)
 				fail(http.StatusBadRequest, "ingest: %v", err)
 				return
 			}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"unsafe"
 
 	"repro/internal/setsystem"
@@ -48,15 +47,16 @@ func BatchAliasShift(buf []byte) int {
 // success the returned members and caps slices alias data's backing
 // memory directly, and only offs — the prefix sums of the lens section —
 // is computed, appended onto the provided slice (pass it length-zero to
-// reuse its storage). The frame's structural validation is the same as
-// DecodeBatch's: magic, version, exact length, lens summing to the
+// reuse its storage). The frame's structural validation is DecodeBatch's
+// own (batchLayout): magic, version, exact length, lens summing to the
 // declared member count.
 //
 // ok=false (with err=nil) means the frame cannot be aliased here — the
 // platform is big-endian or data's sections are not 4-byte aligned (see
-// BatchAliasShift) — and the caller must fall back to DecodeBatch.
-// err != nil means the frame is malformed and no decode path accepts
-// it.
+// BatchAliasShift) — and the caller must fall back to DecodeBatch,
+// which also refuses the frame if it is malformed: the decline is
+// decided before any check. err != nil means the frame is malformed and
+// no decode path accepts it.
 //
 // Unlike DecodeBatch, values with the high bit set (capacity or SetID
 // past MaxInt32) are not rejected here: they alias to negative int32s,
@@ -64,50 +64,18 @@ func BatchAliasShift(buf []byte) int {
 // ingest path runs before submitting. Callers must run that validation;
 // the aliased slices are live views of data and must not outlive it.
 func AliasBatch(data []byte, offs []int32) (members []setsystem.SetID, offsOut, caps []int32, ok bool, err error) {
-	if len(data) < batchHeaderLen {
-		return nil, offs, nil, false, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrFrame, len(data), batchHeaderLen)
-	}
-	if [4]byte(data[:4]) != magicBatch {
-		return nil, offs, nil, false, fmt.Errorf("%w: bad magic %q", ErrFrame, data[:4])
-	}
-	if data[4] != Version {
-		return nil, offs, nil, false, fmt.Errorf("%w: version %d, this server speaks %d", ErrVersion, data[4], Version)
-	}
-	n := binary.LittleEndian.Uint32(data[5:])
-	nmem := binary.LittleEndian.Uint32(data[9:])
-	if n == 0 {
-		return nil, offs, nil, false, fmt.Errorf("%w: empty batch", ErrFrame)
-	}
-	want := uint64(batchHeaderLen) + 8*uint64(n) + 4*uint64(nmem)
-	if uint64(len(data)) != want {
-		return nil, offs, nil, false, fmt.Errorf("%w: %d bytes for %d elements with %d members, want %d", ErrFrame, len(data), n, nmem, want)
-	}
-
-	capsRaw := data[batchHeaderLen:]
-	lensRaw := capsRaw[4*n:]
-	memsRaw := lensRaw[4*n:]
-	if !aliasable || uintptr(unsafe.Pointer(unsafe.SliceData(capsRaw)))&3 != 0 {
+	// The caps section starts batchHeaderLen bytes into data, and the
+	// members section a multiple of 4 bytes after it.
+	if !aliasable || (uintptr(unsafe.Pointer(unsafe.SliceData(data)))+batchHeaderLen)&3 != 0 {
 		return nil, offs, nil, false, nil
 	}
-
-	// The lens pass is the one real decode: prefix sums become offs, and
-	// the running total validates the section against the header's nmem.
-	offs = append(offs, 0)
-	var total uint64
-	for i := uint32(0); i < n; i++ {
-		total += uint64(binary.LittleEndian.Uint32(lensRaw[4*i:]))
-		if total > uint64(nmem) {
-			return nil, offs, nil, false, fmt.Errorf("%w: member lengths sum past the declared %d", ErrFrame, nmem)
-		}
-		offs = append(offs, int32(total))
+	capsRaw, memsRaw, offs, err := batchLayout(data, offs)
+	if err != nil {
+		return nil, offs, nil, false, err
 	}
-	if total != uint64(nmem) {
-		return nil, offs, nil, false, fmt.Errorf("%w: member lengths sum to %d, header declares %d", ErrFrame, total, nmem)
-	}
-
-	caps = unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(capsRaw))), n)
-	if nmem > 0 {
-		members = unsafe.Slice((*setsystem.SetID)(unsafe.Pointer(unsafe.SliceData(memsRaw))), nmem)
+	caps = unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(capsRaw))), len(capsRaw)/4)
+	if len(memsRaw) > 0 {
+		members = unsafe.Slice((*setsystem.SetID)(unsafe.Pointer(unsafe.SliceData(memsRaw))), len(memsRaw)/4)
 	} else {
 		members = []setsystem.SetID{}
 	}

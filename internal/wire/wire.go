@@ -176,55 +176,66 @@ func PeekBatchCount(data []byte) (count int, ok bool) {
 // checked here: the frame is validated structurally, the elements by the
 // engine's batch validation against the instance's universe.
 func DecodeBatch(data []byte, members []setsystem.SetID, offs, caps []int32) ([]setsystem.SetID, []int32, []int32, error) {
+	capsRaw, memsRaw, offs, err := batchLayout(data, offs)
+	if err != nil {
+		return members, offs, caps, err
+	}
+	for i := 0; i < len(capsRaw); i += 4 {
+		v := binary.LittleEndian.Uint32(capsRaw[i:])
+		if v > math.MaxInt32 {
+			return members, offs, caps, fmt.Errorf("%w: element %d capacity %d overflows int32", ErrFrame, i/4, v)
+		}
+		caps = append(caps, int32(v))
+	}
+	for i := 0; i < len(memsRaw); i += 4 {
+		v := binary.LittleEndian.Uint32(memsRaw[i:])
+		if v > math.MaxInt32 {
+			return members, offs, caps, fmt.Errorf("%w: member %d set id %d overflows int32", ErrFrame, i/4, v)
+		}
+		members = append(members, setsystem.SetID(v))
+	}
+	return members, offs, caps, nil
+}
+
+// batchLayout is the structural check both batch decoders share: the
+// header (length, magic, version, a non-empty batch) and the exact
+// frame length, then the lens pass, whose prefix sums it appends onto
+// offs (offs[0] = 0) and checks against the header's member count. It
+// returns the caps and members sections, 4 bytes a value.
+func batchLayout(data []byte, offs []int32) (capsRaw, memsRaw []byte, offsOut []int32, err error) {
 	if len(data) < batchHeaderLen {
-		return members, offs, caps, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrFrame, len(data), batchHeaderLen)
+		return nil, nil, offs, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrFrame, len(data), batchHeaderLen)
 	}
 	if [4]byte(data[:4]) != magicBatch {
-		return members, offs, caps, fmt.Errorf("%w: bad magic %q", ErrFrame, data[:4])
+		return nil, nil, offs, fmt.Errorf("%w: bad magic %q", ErrFrame, data[:4])
 	}
 	if data[4] != Version {
-		return members, offs, caps, fmt.Errorf("%w: version %d, this server speaks %d", ErrVersion, data[4], Version)
+		return nil, nil, offs, fmt.Errorf("%w: version %d, this server speaks %d", ErrVersion, data[4], Version)
 	}
 	n := binary.LittleEndian.Uint32(data[5:])
 	nmem := binary.LittleEndian.Uint32(data[9:])
 	if n == 0 {
-		return members, offs, caps, fmt.Errorf("%w: empty batch", ErrFrame)
+		return nil, nil, offs, fmt.Errorf("%w: empty batch", ErrFrame)
 	}
 	want := uint64(batchHeaderLen) + 8*uint64(n) + 4*uint64(nmem)
 	if uint64(len(data)) != want {
-		return members, offs, caps, fmt.Errorf("%w: %d bytes for %d elements with %d members, want %d", ErrFrame, len(data), n, nmem, want)
+		return nil, nil, offs, fmt.Errorf("%w: %d bytes for %d elements with %d members, want %d", ErrFrame, len(data), n, nmem, want)
 	}
-
-	capsRaw := data[batchHeaderLen:]
-	lensRaw := capsRaw[4*n:]
-	memsRaw := lensRaw[4*n:]
-	for i := uint32(0); i < n; i++ {
-		v := binary.LittleEndian.Uint32(capsRaw[4*i:])
-		if v > math.MaxInt32 {
-			return members, offs, caps, fmt.Errorf("%w: element %d capacity %d overflows int32", ErrFrame, i, v)
-		}
-		caps = append(caps, int32(v))
-	}
+	capsRaw = data[batchHeaderLen : batchHeaderLen+4*n]
+	lensRaw := data[batchHeaderLen+4*n : batchHeaderLen+8*n]
 	offs = append(offs, 0)
 	var total uint64
 	for i := uint32(0); i < n; i++ {
 		total += uint64(binary.LittleEndian.Uint32(lensRaw[4*i:]))
 		if total > uint64(nmem) {
-			return members, offs, caps, fmt.Errorf("%w: member lengths sum past the declared %d", ErrFrame, nmem)
+			return nil, nil, offs, fmt.Errorf("%w: member lengths sum past the declared %d", ErrFrame, nmem)
 		}
 		offs = append(offs, int32(total))
 	}
 	if total != uint64(nmem) {
-		return members, offs, caps, fmt.Errorf("%w: member lengths sum to %d, header declares %d", ErrFrame, total, nmem)
+		return nil, nil, offs, fmt.Errorf("%w: member lengths sum to %d, header declares %d", ErrFrame, total, nmem)
 	}
-	for i := uint32(0); i < nmem; i++ {
-		v := binary.LittleEndian.Uint32(memsRaw[4*i:])
-		if v > math.MaxInt32 {
-			return members, offs, caps, fmt.Errorf("%w: member %d set id %d overflows int32", ErrFrame, i, v)
-		}
-		members = append(members, setsystem.SetID(v))
-	}
-	return members, offs, caps, nil
+	return capsRaw, data[batchHeaderLen+8*n:], offs, nil
 }
 
 // AppendVerdictsHeader appends the verdicts frame header for count

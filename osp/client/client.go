@@ -350,23 +350,20 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 // frame with an empty ID and zero counters, encoded straight into the
 // request body; under CodecJSON it is the JSON body curl speaks.
 func (c *Client) Register(ctx context.Context, spec Spec) (*Instance, error) {
-	var resp registerResponse
-	var err error
-	if c.codec == CodecJSON {
-		err = c.doJSON(ctx, "POST", "/v1/instances", registerRequest{
-			Weights:    spec.Info.Weights,
-			Sizes:      spec.Info.Sizes,
-			Seed:       spec.Seed,
-			Shards:     spec.Engine.Shards,
-			BatchSize:  spec.Engine.BatchSize,
-			QueueDepth: spec.Engine.QueueDepth,
-			Policy:     spec.Engine.Policy,
-			Label:      spec.Label,
-		}, &resp)
-	} else {
-		err = c.registerFrame(ctx, spec, &resp)
+	if c.codec != CodecJSON {
+		return c.registerFrame(ctx, spec)
 	}
-	if err != nil {
+	var resp registerResponse
+	if err := c.doJSON(ctx, "POST", "/v1/instances", registerRequest{
+		Weights:    spec.Info.Weights,
+		Sizes:      spec.Info.Sizes,
+		Seed:       spec.Seed,
+		Shards:     spec.Engine.Shards,
+		BatchSize:  spec.Engine.BatchSize,
+		QueueDepth: spec.Engine.QueueDepth,
+		Policy:     spec.Engine.Policy,
+		Label:      spec.Label,
+	}, &resp); err != nil {
 		return nil, err
 	}
 	return &Instance{c: c, id: resp.ID, shards: resp.Shards, policy: resp.Policy}, nil
@@ -374,13 +371,13 @@ func (c *Client) Register(ctx context.Context, spec Spec) (*Instance, error) {
 
 // registerFrame posts spec as a registration frame, piping the encoder
 // into the request so the frame is never held whole.
-func (c *Client) registerFrame(ctx context.Context, spec Spec, out *registerResponse) error {
+func (c *Client) registerFrame(ctx context.Context, spec Spec) (*Instance, error) {
 	m := len(spec.Info.Weights)
 	if len(spec.Info.Sizes) != m {
-		return fmt.Errorf("client: register: %d weights but %d sizes", m, len(spec.Info.Sizes))
+		return nil, fmt.Errorf("client: register: %d weights but %d sizes", m, len(spec.Info.Sizes))
 	}
 	if len(spec.Label) > math.MaxUint16 || len(spec.Engine.Policy) > math.MaxUint16 {
-		return fmt.Errorf("client: register: label and policy name are limited to %d bytes", math.MaxUint16)
+		return nil, fmt.Errorf("client: register: label and policy name are limited to %d bytes", math.MaxUint16)
 	}
 	snap := &wire.Snapshot{
 		Label: spec.Label, Policy: spec.Engine.Policy, Seed: spec.Seed,
@@ -399,24 +396,32 @@ func (c *Client) registerFrame(ctx context.Context, spec Spec, out *registerResp
 		pr.Close()
 		<-encoded
 	}()
-	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/instances", pr)
+	return c.postFrame(ctx, pr, int64(wire.SnapshotLen(snap)))
+}
+
+// postFrame posts a snapshot frame of size bytes to /v1/instances — a
+// registration when the frame has no ID, a restore otherwise — and
+// returns the handle of the instance the server opened.
+func (c *Client) postFrame(ctx context.Context, frame io.Reader, size int64) (*Instance, error) {
+	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/instances", frame)
 	if err != nil {
-		return fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	req.ContentLength = int64(wire.SnapshotLen(snap))
+	req.ContentLength = size
 	req.Header.Set("Content-Type", wire.ContentTypeSnapshot)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: POST /v1/instances: %w", err)
+		return nil, fmt.Errorf("client: POST /v1/instances: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return apiError(resp)
+		return nil, apiError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("client: decode POST /v1/instances response: %w", err)
+	var rr registerResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		return nil, fmt.Errorf("client: decode POST /v1/instances response: %w", err)
 	}
-	return nil
+	return &Instance{c: c, id: rr.ID, shards: rr.Shards, policy: rr.Policy}, nil
 }
 
 // Instances lists every instance on the server with live metrics.

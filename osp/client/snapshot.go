@@ -3,12 +3,9 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-
-	"repro/internal/wire"
 )
 
 // Snapshot quiesces the instance on the server and returns its binary
@@ -44,24 +41,7 @@ func (in *Instance) Snapshot(ctx context.Context) ([]byte, error) {
 // drain is bit-for-bit what the uninterrupted instance would have
 // reported.
 func (c *Client) Restore(ctx context.Context, frame []byte) (*Instance, error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/instances", bytes.NewReader(frame))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeSnapshot)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: restore: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, apiError(resp)
-	}
-	var rr registerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("client: decode restore response: %w", err)
-	}
-	return &Instance{c: c, id: rr.ID, shards: rr.Shards, policy: rr.Policy}, nil
+	return c.postFrame(ctx, bytes.NewReader(frame), int64(len(frame)))
 }
 
 // Instance reattaches a handle to an instance that already exists on
