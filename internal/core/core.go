@@ -225,13 +225,15 @@ func RunSource(src Source, alg Algorithm, rng *rand.Rand) (*Result, *setsystem.I
 // size, and Benefit sums the completed weights in ascending set order —
 // the one float-add order every runner, engine drain and cluster merge
 // shares, which is what keeps their Results bit-for-bit equal. The
-// Result takes ownership of assigned.
+// Result takes ownership of assigned, which holds one count per set; the
+// sweep reads a set's weight only when the set completed.
 func ResultFromCounts(info Info, assigned []int32) *Result {
 	res := &Result{Assigned: assigned}
-	for i, w := range info.Weights {
-		if int(assigned[i]) == info.Sizes[i] {
+	sizes := info.Sizes[:len(assigned)]
+	for i, a := range assigned {
+		if int(a) == sizes[i] {
 			res.Completed = append(res.Completed, setsystem.SetID(i))
-			res.Benefit += w
+			res.Benefit += info.Weights[i]
 		}
 	}
 	return res

@@ -485,12 +485,27 @@ func (e *Engine) wrap(set setsystem.SetID) {
 // or caught up with every submitted element (Checkpoint): each shard
 // publishes a part's processed count with an atomic add after writing
 // its counters and carry, which orders those writes before these reads.
+// The first shard's counters assign the total (with the carry, once a
+// counter has wrapped) and the others add to it, so the merge makes one
+// pass per shard.
 func (e *Engine) counts() []int32 {
 	total := make([]int32, e.info.NumSets())
-	copy(total, e.carry)
-	for _, s := range e.shards {
+	first := e.shards[0].assigned
+	t := total[:len(first)]
+	if e.carry != nil {
+		carry := e.carry[:len(first)]
+		for i, c := range first {
+			t[i] = carry[i] + int32(c)
+		}
+	} else {
+		for i, c := range first {
+			t[i] = int32(c)
+		}
+	}
+	for _, s := range e.shards[1:] {
+		t := total[:len(s.assigned)]
 		for i, c := range s.assigned {
-			total[i] += int32(c)
+			t[i] += int32(c)
 		}
 	}
 	return total

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,33 +42,33 @@ func freshFrame(inst *setsystem.Instance, seed uint64) *wire.Snapshot {
 	}
 }
 
-// drainFrame drains id asking for the Final frame and rebuilds the
-// Result from its counts, as the binary client does.
+// drainFrame drains id asking for the result frame, as the binary
+// client does, and returns the Result it carries.
 func drainFrame(t *testing.T, s *Server, id string) *core.Result {
 	t.Helper()
 	req := httptest.NewRequest("POST", "/v1/instances/"+id+"/drain", nil)
-	req.Header.Set("Accept", "application/json;q=0.5, "+wire.ContentTypeSnapshot)
+	req.Header.Set("Accept", "application/json;q=0.5, "+wire.ContentTypeResult)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("frame drain: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != wire.ContentTypeSnapshot {
+	if ct := rec.Header().Get("Content-Type"); ct != wire.ContentTypeResult {
 		t.Fatalf("frame drain content type = %q", ct)
 	}
-	snap, err := wire.ReadSnapshot(rec.Body)
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("frame drain Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
+	res, err := wire.ReadResult(rec.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.ID != id || !snap.Final || snap.Submitted != snap.Processed {
-		t.Fatalf("drain frame = ID %q Final %v submitted %d processed %d", snap.ID, snap.Final, snap.Submitted, snap.Processed)
-	}
-	return core.ResultFromCounts(core.Info{Weights: snap.Weights, Sizes: snap.Sizes}, snap.Assigned)
+	return res
 }
 
 // TestFrameRegisterDrainsToOracle pins the binary control plane: an
 // instance registered by frame drains to the serial oracle whether the
-// drain answers with the Final frame or with JSON, and so does a
+// drain answers with the result frame or with JSON, and so does a
 // JSON-registered one drained by frame.
 func TestFrameRegisterDrainsToOracle(t *testing.T) {
 	const seed = 808
@@ -114,7 +115,8 @@ func TestFrameRegisterDrainsToOracle(t *testing.T) {
 }
 
 // TestDrainWithoutAcceptAnswersJSON pins that the drain body is JSON
-// unless the request asks for the frame, and that it is the same body
+// unless the request accepts the result frame — an Accept naming only
+// the snapshot frame gets JSON too — and that it is the same body
 // whichever way the instance was registered.
 func TestDrainWithoutAcceptAnswersJSON(t *testing.T) {
 	inst := uniformInst(t, 25, 500, 3, 4)
@@ -123,33 +125,42 @@ func TestDrainWithoutAcceptAnswersJSON(t *testing.T) {
 	for name, reg := range map[string]func(*testing.T, *Server, *setsystem.Instance, uint64) string{
 		"json": register, "frame": registerFrame,
 	} {
-		id := reg(t, s, inst, 31)
-		do(t, s, "POST", "/v1/instances/"+id+"/elements", IngestRequest{Elements: wireElems(inst.Elements)}, nil)
-		rec := do(t, s, "POST", "/v1/instances/"+id+"/drain", nil, nil)
-		if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "application/json" {
-			t.Fatalf("%s-registered drain: status %d, content type %q", name, rec.Code, ct)
+		for _, accept := range []string{"", wire.ContentTypeSnapshot} {
+			id := reg(t, s, inst, 31)
+			do(t, s, "POST", "/v1/instances/"+id+"/elements", IngestRequest{Elements: wireElems(inst.Elements)}, nil)
+			req := httptest.NewRequest("POST", "/v1/instances/"+id+"/drain", nil)
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "application/json" {
+				t.Fatalf("%s-registered drain, Accept %q: status %d, content type %q", name, accept, rec.Code, ct)
+			}
+			var raw map[string]json.RawMessage
+			var dr DrainResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) != 2 || raw["result"] == nil || raw["metrics"] == nil {
+				t.Fatalf("%s-registered drain, Accept %q, body keys: %s", name, accept, rec.Body.String())
+			}
+			bodies[name+" "+accept] = dr
 		}
-		var raw map[string]json.RawMessage
-		var dr DrainResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil {
-			t.Fatal(err)
-		}
-		if len(raw) != 2 || raw["result"] == nil || raw["metrics"] == nil {
-			t.Fatalf("%s-registered drain body keys: %s", name, rec.Body.String())
-		}
-		bodies[name] = dr
 	}
-	a, b := bodies["json"], bodies["frame"]
-	if !a.Result.Core().Equal(b.Result.Core()) {
-		t.Error("frame-registered instance drains a different JSON result")
-	}
-	a.Metrics.ElapsedSeconds, a.Metrics.ElementsPerSec = 0, 0
-	b.Metrics.ElapsedSeconds, b.Metrics.ElementsPerSec = 0, 0
-	if a.Metrics != b.Metrics {
-		t.Errorf("drain metrics differ: json %+v, frame %+v", a.Metrics, b.Metrics)
+	want := bodies["json "]
+	want.Metrics.ElapsedSeconds, want.Metrics.ElementsPerSec = 0, 0
+	for key, b := range bodies {
+		if !want.Result.Core().Equal(b.Result.Core()) {
+			t.Errorf("%s: drains a different JSON result", key)
+		}
+		b.Metrics.ElapsedSeconds, b.Metrics.ElementsPerSec = 0, 0
+		if want.Metrics != b.Metrics {
+			t.Errorf("%s: drain metrics differ: %+v, want %+v", key, b.Metrics, want.Metrics)
+		}
 	}
 }
 

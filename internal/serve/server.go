@@ -20,8 +20,8 @@
 //	                                     instance's recoverable state (persisted
 //	                                     to -snapshot-dir when configured)
 //	POST   /v1/instances/{id}/drain      close the stream → final Result (idempotent;
-//	                                     the Final snapshot frame when the request
-//	                                     accepts application/x-osp-snapshot)
+//	                                     a result frame when the request accepts
+//	                                     application/x-osp-result)
 //	DELETE /v1/instances/{id}            drain and remove the instance
 //	GET    /v1/instances/{id}/decisions  tail of the sampled decision log
 //	                                     (404 unless Config.Decisions is set)
@@ -499,9 +499,9 @@ func verdictsOf(els []WireElement, masks []byte, total int) []Verdict {
 }
 
 // handleDrain closes a stream: POST /v1/instances/{id}/drain. A request
-// that accepts application/x-osp-snapshot gets the instance's Final
-// frame, written from the drained Result's own counts; any other gets
-// the JSON body.
+// that accepts application/x-osp-result gets the drained Result as a
+// result frame, written straight from the engine's Result; any other
+// gets the JSON body.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instance(w, r)
 	if !ok {
@@ -513,8 +513,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "drain: %v", err)
 		return
 	}
-	if accepts(r, wire.ContentTypeSnapshot) {
-		writeFrame(w, in.finalFrame(res))
+	if accepts(r, wire.ContentTypeResult) {
+		w.Header().Set("Content-Type", wire.ContentTypeResult)
+		w.Header().Set("Content-Length", strconv.Itoa(wire.ResultLen(res)))
+		w.WriteHeader(http.StatusOK)
+		wire.WriteResult(w, res) //nolint:errcheck // client gone mid-write is not actionable
 		return
 	}
 	writeJSON(w, http.StatusOK, DrainResponse{

@@ -24,10 +24,11 @@ import (
 // frame, and persists it when the server runs with a snapshot
 // directory) and POST /v1/instances with Content-Type
 // application/x-osp-snapshot (register when the frame's ID is empty,
-// restore-on-register otherwise); a drain that accepts the frame type
-// is answered with the Final frame. Every frame is streamed through
-// wire's fixed chunk. ospserve -snapshot-dir wires WriteSnapshots /
-// RestoreDir around shutdown and boot so a restart loses nothing.
+// restore-on-register otherwise). A drained instance's snapshot is its
+// Final frame; the drain itself answers with the smaller result frame
+// (handleDrain). Every frame is streamed through wire's fixed chunk.
+// ospserve -snapshot-dir wires WriteSnapshots / RestoreDir around
+// shutdown and boot so a restart loses nothing.
 
 // exportQuiesceTimeout bounds how long a snapshot request waits for the
 // engine's in-flight batches to be decided. The backlog is bounded by
@@ -46,21 +47,6 @@ func (in *Instance) Export(ctx context.Context) (*wire.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.frame(cp, cp.Final && in.Final()), nil
-}
-
-// finalFrame is the Final frame of a client-drained instance, carrying
-// the drained Result's counts themselves rather than a copy.
-func (in *Instance) finalFrame(res *core.Result) *wire.Snapshot {
-	m := in.Snapshot()
-	return in.frame(&engine.Checkpoint{
-		Submitted: m.Submitted, Processed: m.Processed, Batches: m.Batches,
-		AssignedTotal: m.Assigned, Dropped: m.Dropped, Assigned: res.Assigned,
-	}, true)
-}
-
-// frame is the snapshot frame of the instance at checkpoint cp.
-func (in *Instance) frame(cp *engine.Checkpoint, final bool) *wire.Snapshot {
 	cfg := in.eng.Config()
 	return &wire.Snapshot{
 		ID:     in.id,
@@ -68,13 +54,13 @@ func (in *Instance) frame(cp *engine.Checkpoint, final bool) *wire.Snapshot {
 		Policy: in.eng.PolicyName(),
 		Seed:   in.seed,
 		Shards: cfg.Shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth,
-		Final:     final,
+		Final:     cp.Final && in.Final(),
 		Submitted: cp.Submitted, Processed: cp.Processed, Batches: cp.Batches,
 		AssignedTotal: cp.AssignedTotal, Dropped: cp.Dropped,
 		Weights:  in.info.Weights,
 		Sizes:    in.info.Sizes,
 		Assigned: cp.Assigned,
-	}
+	}, nil
 }
 
 // Restore rebuilds an instance from a snapshot under its original ID:

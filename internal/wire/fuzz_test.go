@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/setsystem"
 	"repro/internal/workload"
 )
@@ -133,6 +134,40 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		for n := range len(data) {
 			if _, err := ReadSnapshot(bytes.NewReader(data[:n])); err == nil {
+				t.Fatalf("%d-byte prefix of an accepted %d-byte frame accepted", n, len(data))
+			}
+		}
+	})
+}
+
+// FuzzReadResult drives the result reader with arbitrary bytes. It must
+// never panic; whatever it accepts, WriteResult re-encodes to the same
+// bytes (so the frame reads back equal), and every proper prefix of an
+// accepted frame is rejected. The seed corpus is the codec tests'
+// sample frames.
+func FuzzReadResult(f *testing.F) {
+	good := encodeResult(f, goldenResult())
+	f.Add(good)
+	f.Add(encodeResult(f, &core.Result{}))
+	f.Add(encodeResult(f, &core.Result{Assigned: []int32{0, 7}}))
+	f.Add(good[:len(good)-3])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add([]byte("OSPR"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := ReadResult(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("rejection is neither ErrFrame nor ErrVersion: %v", err)
+			}
+			return
+		}
+		if re := encodeResult(t, res); !bytes.Equal(re, data) {
+			t.Fatalf("accepted %d-byte frame re-encodes to %d different bytes", len(data), len(re))
+		}
+		for n := range len(data) {
+			if _, err := ReadResult(bytes.NewReader(data[:n])); err == nil {
 				t.Fatalf("%d-byte prefix of an accepted %d-byte frame accepted", n, len(data))
 			}
 		}

@@ -12,11 +12,12 @@
 // frame per Verdicts envelope. The JSON ingest endpoint stays for curl
 // and debugging; it refuses a ContentTypeBatch body and names the stream.
 //
-// The control plane has a third frame, the snapshot frame of
-// snapshot.go: an instance's Info, sizing and counts. It registers an
-// instance, answers a drain, and carries snapshot export and restore,
-// and it is streamed through a fixed chunk in both directions
-// (WriteSnapshot, ReadSnapshot).
+// The control plane has two more frames, both streamed through one
+// fixed chunk in both directions. The snapshot frame of snapshot.go
+// (WriteSnapshot, ReadSnapshot) holds an instance's Info, sizing and
+// counts: it registers an instance and carries snapshot export and
+// restore. The result frame of result.go (WriteResult, ReadResult)
+// holds a drained core.Result and answers a drain.
 //
 // # Batch frame (requests)
 //

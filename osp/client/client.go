@@ -8,9 +8,9 @@
 // priority seed — then elements stream in batches, each answered with
 // the verdict the engine's coordination-free admission policy reached.
 // By default batches ride a binary verdict stream (an HTTP/1.1 Upgrade
-// of the server's own listener, or its raw stream port), and register
-// and drain carry internal/wire snapshot frames; CodecJSON sends all
-// three as JSON requests, the shapes curl speaks.
+// of the server's own listener, or its raw stream port), register
+// carries an internal/wire snapshot frame and drain a result frame;
+// CodecJSON sends all three as JSON requests, the shapes curl speaks.
 // The drained Result is bit-for-bit identical to a serial osp.Run with
 // the matching osp.NewPolicyAlgorithm(policy, seed) over the same
 // elements — osp.NewHashRandPr(seed) for the default randpr policy —
@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 	"repro/osp"
 )
@@ -49,9 +48,9 @@ type Codec int
 
 const (
 	// CodecBinary — the default — sends binary batch frames over the
-	// instance's verdict stream, and registers and drains with snapshot
-	// frames; a server that refuses the stream surfaces the resulting
-	// *APIError.
+	// instance's verdict stream, registers with a snapshot frame and
+	// drains into a result frame; a server that refuses the stream
+	// surfaces the resulting *APIError.
 	CodecBinary Codec = iota
 	// CodecJSON sends every batch, registration and drain as a JSON
 	// request.
@@ -91,10 +90,11 @@ func WithHTTPClient(hc *http.Client) Option {
 // WithCodec picks the wire codec of ingest and of the control plane.
 // The default, CodecBinary, sends internal/wire's flat batch frames over
 // a verdict stream — the zero-allocation path, measured severalfold
-// faster than JSON end to end — and registers and drains with snapshot
-// frames (POST /v1/instances with a frame, Accept: application/
-// x-osp-snapshot on .../drain). CodecJSON sends one JSON request per
-// batch and JSON register and drain bodies, the shapes curl speaks.
+// faster than JSON end to end — registers with a snapshot frame (POST
+// /v1/instances, Content-Type: application/x-osp-snapshot) and drains
+// into a result frame (Accept: application/x-osp-result on .../drain).
+// CodecJSON sends one JSON request per batch and JSON register and
+// drain bodies, the shapes curl speaks.
 func WithCodec(codec Codec) Option {
 	return func(c *Client) { c.codec = codec }
 }
@@ -581,11 +581,13 @@ func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdic
 // identical to a serial osp.Run with osp.NewHashRandPr under the
 // instance's seed over the same elements. The instance's pinned verdict
 // stream, if any, is released first: every batch it carried has been
-// answered. Under the default CodecBinary the server answers with the
-// instance's Final snapshot frame and the Result is rebuilt from its
-// counts by the same function the engine's drain uses; under CodecJSON
-// it is the JSON body. Idempotent: draining again returns the same
-// Result — which is also what makes it safe to retry under WithRetry.
+// answered. Under the default CodecBinary the server answers with a
+// result frame (Accept: application/x-osp-result) carrying the Result
+// its engine drained — completed sets, benefit bits and per-set counts,
+// 4 bytes per set — which the client decodes with no recomputation;
+// under CodecJSON it is the JSON body. Idempotent: draining again
+// returns the same Result — which is also what makes it safe to retry
+// under WithRetry.
 func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.tmu.Lock()
 	if in.pinned != nil {
@@ -620,15 +622,15 @@ func (in *Instance) drainJSON(ctx context.Context) (*osp.Result, error) {
 	}, nil
 }
 
-// drainFrame is the binary arm of Drain: it reads the Final frame
-// through wire's fixed chunk and rebuilds the Result from its counts.
+// drainFrame is the binary arm of Drain: it reads the result frame
+// through wire's fixed chunk and returns the Result it carries.
 func (in *Instance) drainFrame(ctx context.Context) (*osp.Result, error) {
 	path := "/v1/instances/" + in.id + "/drain"
 	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	req.Header.Set("Accept", wire.ContentTypeSnapshot)
+	req.Header.Set("Accept", wire.ContentTypeResult)
 	resp, err := in.c.hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: POST %s: %w", path, err)
@@ -637,17 +639,14 @@ func (in *Instance) drainFrame(ctx context.Context) (*osp.Result, error) {
 	if resp.StatusCode >= 300 {
 		return nil, apiError(resp)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeSnapshot {
-		return nil, fmt.Errorf("client: POST %s answered %q, want %s", path, ct, wire.ContentTypeSnapshot)
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeResult {
+		return nil, fmt.Errorf("client: POST %s answered %q, want %s", path, ct, wire.ContentTypeResult)
 	}
-	snap, err := wire.ReadSnapshot(resp.Body)
+	res, err := wire.ReadResult(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: POST %s: %w", path, err)
 	}
-	if !snap.Final {
-		return nil, fmt.Errorf("client: POST %s answered a frame that is not Final", path)
-	}
-	return core.ResultFromCounts(core.Info{Weights: snap.Weights, Sizes: snap.Sizes}, snap.Assigned), nil
+	return res, nil
 }
 
 // Status fetches the instance's lifecycle state and live metrics.

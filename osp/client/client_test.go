@@ -368,8 +368,8 @@ func TestCodecEquivalence(t *testing.T) {
 }
 
 // TestControlPlaneCodecs pins what each codec sends to register and
-// drain — a snapshot frame and an Accept for the Final frame under the
-// default codec, JSON under CodecJSON — and that an instance
+// drain — a snapshot frame and an Accept for the result frame under
+// the default codec, JSON under CodecJSON — and that an instance
 // registered under either codec drains to the oracle under both.
 func TestControlPlaneCodecs(t *testing.T) {
 	ctx := context.Background()
@@ -400,7 +400,7 @@ func TestControlPlaneCodecs(t *testing.T) {
 	}
 	codecs := map[string]*client.Client{"binary": cBin, "json": cJSON}
 	sends := map[string]struct{ register, drain string }{
-		"binary": {"application/x-osp-snapshot", "application/x-osp-snapshot"},
+		"binary": {"application/x-osp-snapshot", "application/x-osp-result"},
 		"json":   {"application/json", ""},
 	}
 
