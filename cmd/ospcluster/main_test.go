@@ -1,8 +1,14 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/osp"
 )
 
 // TestRunEmbeddedVerify is the happy path: an embedded 2-node fleet,
@@ -22,6 +28,64 @@ func TestRunEmbeddedVerify(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunExternalNodes drives an external 2-node fleet through -nodes
+// and -stream-nodes: node 0 by its raw stream listener, node 1 by an
+// empty entry that streams through its HTTP upgrade. The merged drain
+// verifies against the serial oracle, only node 1 answers an upgrade,
+// and a -stream-nodes list of another length than -nodes is refused.
+func TestRunExternalNodes(t *testing.T) {
+	var bases []string
+	var raw string
+	for i := 0; i < 2; i++ {
+		ln, err := cluster.StartLocalNode(osp.ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Shutdown(context.Background()) }) //nolint:errcheck
+		bases = append(bases, ln.Config().BaseURL)
+		if i == 0 {
+			raw = ln.Config().StreamAddr
+		}
+	}
+	nodes := strings.Join(bases, ",")
+	var b strings.Builder
+	err := run([]string{"-nodes", nodes, "-stream-nodes", raw + ",",
+		"-m", "30", "-n", "3000", "-load", "3", "-batch", "250"}, &b)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, b.String())
+	}
+	out := b.String()
+	for _, want := range []string{
+		"fleet:    2 nodes, journal on",
+		"on slots [0 1]",
+		"verify:   merged drain bit-for-bit identical to serial randpr oracle",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	const upgraded = `osp_http_requests_total{handler="GET /v1/stream",code="101"}`
+	for slot, want := range []bool{false, true} {
+		resp, err := http.Get(bases[slot] + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(text), upgraded); got != want {
+			t.Errorf("slot %d answered a stream upgrade: %v, want %v", slot, got, want)
+		}
+	}
+
+	err = run([]string{"-nodes", nodes, "-stream-nodes", raw, "-n", "10"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "-stream-nodes lists 1 addrs for 2 nodes") {
+		t.Errorf("mismatched -stream-nodes = %v, want the length refusal", err)
 	}
 }
 

@@ -12,15 +12,14 @@
 //	osploadgen -n 500000                 # no -addr: embeds a server in-process
 //	osploadgen -n 200000 -rate 0        # full speed, report the sustained rate
 //	osploadgen -policy first-fit -n 100000  # register a non-default policy
-//	osploadgen -codec json -n 200000    # one JSON request per batch instead of the stream
 //	osploadgen -pipeline 1 -n 500000    # one batch in flight on the verdict stream
 //	osploadgen -addr http://host:8080 -stream-addr host:8081
 //	                                    # stream over the raw port, not the HTTP upgrade
 //	osploadgen -policy randpr-weighted -zipf 1.2  # skewed Zipf(1.2) set weights,
 //	                                    # where the weighted variant actually diverges
-//	osploadgen -nodes http://a:8080,http://b:8080 -stream-nodes a:8081,b:8081
-//	                                    # cluster mode: fan the stream across a fleet
-//	                                    # (an empty -stream-nodes entry upgrades instead)
+//
+// It drives one server; cmd/ospcluster drives a fleet through the
+// cluster coordinator.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/osp"
 	"repro/osp/client"
 )
@@ -60,14 +58,11 @@ func run(args []string, w io.Writer) error {
 		capacity = fs.Int("cap", 2, "uniform workload: element capacity b(u)")
 		seed     = fs.Int64("seed", 1, "workload seed and shared priority seed")
 		rate     = fs.Float64("rate", 0, "target arrival rate in elements/sec (0 = full speed)")
-		batch    = fs.Int("batch", 1000, "elements per ingest request")
+		batch    = fs.Int("batch", 1000, "elements per batch")
 		shards   = fs.Int("shards", 0, "server-side engine shards (0 = server default)")
 		policy   = fs.String("policy", "", "admission policy: "+strings.Join(osp.PolicyNames(), ", ")+` ("" = server default randpr)`)
-		codec    = fs.String("codec", "binary", "ingest codec: binary (pipelined frames over one verdict stream) or json (one HTTP request per batch)")
-		pipeline = fs.Int("pipeline", 8, "binary codec: batches kept in flight on the stream (capped by the server's window)")
+		pipeline = fs.Int("pipeline", 8, "batches kept in flight on the verdict stream (capped by the server's window)")
 		strmAddr = fs.String("stream-addr", "", "host:port of the server's raw stream listener (ospserve -stream-listen); empty streams through an HTTP upgrade of -addr")
-		nodesCSV = fs.String("nodes", "", "cluster mode: comma-separated node base URLs, in slot order; ingest routes through a cluster coordinator instead of one server")
-		strmCSV  = fs.String("stream-nodes", "", "cluster mode: comma-separated raw stream listener host:ports, parallel to -nodes (\"\" entries stream through the node's HTTP upgrade)")
 		zipf     = fs.Float64("zipf", 0, "Zipf exponent s for skewed set weights w(S_i) ∝ 1/(i+1)^s (0 = unit weights)")
 		label    = fs.String("label", "loadgen", "metrics label for the registered instance")
 		verify   = fs.Bool("verify", true, "cross-check the drained result against the policy's serial oracle")
@@ -77,15 +72,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *batch < 1 {
 		return fmt.Errorf("batch must be >= 1, got %d", *batch)
-	}
-	var wireCodec client.Codec
-	switch *codec {
-	case "binary":
-		wireCodec = client.CodecBinary
-	case "json":
-		wireCodec = client.CodecJSON
-	default:
-		return fmt.Errorf("unknown codec %q (binary, json)", *codec)
 	}
 	if *pipeline < 1 {
 		return fmt.Errorf("pipeline depth must be >= 1, got %d", *pipeline)
@@ -109,17 +95,6 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "workload: %v\n", inst)
 
-	if *nodesCSV != "" {
-		if *addr != "" {
-			return errors.New("-nodes (cluster mode) and -addr (single server) are mutually exclusive")
-		}
-		return runCluster(w, inst, clusterRun{
-			nodes: *nodesCSV, streamNodes: *strmCSV,
-			seed: *seed, rate: *rate, batch: *batch, shards: *shards,
-			policy: *policy, label: *label, verify: *verify,
-		})
-	}
-
 	base := *addr
 	embedded := ""
 	if base == "" {
@@ -133,7 +108,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	ctx := context.Background()
-	opts := []client.Option{client.WithCodec(wireCodec)}
+	var opts []client.Option
 	via := "HTTP upgrade"
 	if *strmAddr != "" {
 		opts = append(opts, client.WithStreamAddr(*strmAddr))
@@ -169,25 +144,6 @@ func run(args []string, w io.Writer) error {
 				time.Sleep(d)
 			}
 		}
-	}
-
-	ingestJSON := func() error {
-		for off := 0; off < len(inst.Elements); off += *batch {
-			pace(off)
-			end := min(off+*batch, len(inst.Elements))
-			sent := time.Now()
-			verdicts, err := h.Ingest(ctx, inst.Elements[off:end])
-			lat = append(lat, time.Since(sent))
-			if err != nil {
-				return fmt.Errorf("ingest batch at %d (policy %s): %w", off, h.Policy(), err)
-			}
-			for _, v := range verdicts {
-				admitted += uint64(len(v.Admitted))
-				dropped += uint64(len(v.Dropped))
-			}
-			batches++
-		}
-		return nil
 	}
 
 	// ingestStream runs the pipeline dance: keep up to -pipeline batches
@@ -249,11 +205,7 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	ingest, arm := ingestStream, fmt.Sprintf("codec %s, pipeline %d via %s", h.Codec(), *pipeline, via)
-	if wireCodec == client.CodecJSON {
-		ingest, arm = ingestJSON, "codec "+h.Codec()
-	}
-	if err := ingest(); err != nil {
+	if err := ingestStream(); err != nil {
 		// Drain the instance anyway so the server side stops cleanly,
 		// and surface both errors — as engine.Replay does for a
 		// mid-stream Submit failure.
@@ -267,8 +219,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	sustained := float64(len(inst.Elements)) / elapsed.Seconds()
-	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, %s)\n",
-		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, arm)
+	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, codec stream, pipeline %d via %s)\n",
+		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, *pipeline, via)
 	p50, p95, p99 := latencyPercentiles(lat)
 	fmt.Fprintf(w, "latency:  per-batch client-observed p50 %v, p95 %v, p99 %v\n",
 		p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
@@ -300,121 +252,6 @@ func run(args []string, w io.Writer) error {
 				h.Policy(), res.Benefit, serial.Benefit, *seed)
 		}
 		fmt.Fprintf(w, "verify:   drained result bit-for-bit identical to serial %s oracle (seed %d)\n", h.Policy(), *seed)
-	}
-	return nil
-}
-
-// clusterRun carries the -nodes arm's parameters.
-type clusterRun struct {
-	nodes, streamNodes string
-	seed               int64
-	rate               float64
-	batch, shards      int
-	policy, label      string
-	verify             bool
-}
-
-// runCluster is the -nodes arm: the same load-and-verify loop, routed
-// through a cluster coordinator that fans the element stream across the
-// fleet by element hash, forwards each share over the node's verdict
-// stream, and merges the per-node drains. The merged result is
-// still checked bit-for-bit against the serial oracle — placement
-// cannot change a verdict.
-func runCluster(w io.Writer, inst *osp.Instance, p clusterRun) error {
-	bases := strings.Split(p.nodes, ",")
-	streams := make([]string, len(bases))
-	if p.streamNodes != "" {
-		got := strings.Split(p.streamNodes, ",")
-		if len(got) != len(bases) {
-			return fmt.Errorf("-stream-nodes lists %d addrs for %d nodes", len(got), len(bases))
-		}
-		streams = got
-	}
-	fleet := make([]cluster.Node, len(bases))
-	for i, b := range bases {
-		fleet[i] = cluster.Node{BaseURL: strings.TrimSpace(b), StreamAddr: strings.TrimSpace(streams[i])}
-	}
-	co, err := cluster.New(cluster.Config{Nodes: fleet})
-	if err != nil {
-		return err
-	}
-	defer co.Close() //nolint:errcheck
-	ctx := context.Background()
-	in, err := co.Register(ctx, cluster.Spec{
-		Info: osp.InfoOf(inst), Seed: uint64(p.seed), FanOut: true,
-		Engine: osp.EngineConfig{Shards: p.shards, Policy: p.policy},
-		Label:  p.label,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "target:   cluster of %d nodes, instance %s on slots %v, rate target %s\n",
-		len(fleet), in.ID(), in.Slots(), rateString(p.rate))
-
-	var admitted, dropped uint64
-	start := time.Now()
-	batches := 0
-	lat := make([]time.Duration, 0, (len(inst.Elements)+p.batch-1)/p.batch)
-	for off := 0; off < len(inst.Elements); off += p.batch {
-		if p.rate > 0 {
-			target := start.Add(time.Duration(float64(off) / p.rate * float64(time.Second)))
-			if d := time.Until(target); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		els := inst.Elements[off:min(off+p.batch, len(inst.Elements))]
-		sent := time.Now()
-		err := in.Ingest(ctx, els, func(i int, adm []osp.SetID) {
-			admitted += uint64(len(adm))
-			dropped += uint64(len(els[i].Members) - len(adm))
-		})
-		lat = append(lat, time.Since(sent))
-		if err != nil {
-			return fmt.Errorf("cluster ingest batch at %d: %w", off, err)
-		}
-		batches++
-	}
-	elapsed := time.Since(start)
-
-	res, err := in.Drain(ctx)
-	if err != nil {
-		return err
-	}
-	sustained := float64(len(inst.Elements)) / elapsed.Seconds()
-	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, cluster fan-out)\n",
-		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches)
-	p50, p95, p99 := latencyPercentiles(lat)
-	fmt.Fprintf(w, "latency:  per-batch client-observed p50 %v, p95 %v, p99 %v\n",
-		p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
-	fmt.Fprintf(w, "verdicts: %d admitted, %d dropped memberships\n", admitted, dropped)
-	fmt.Fprintf(w, "goodput:  %d sets completed, weight %.1f of %.1f offered\n",
-		len(res.Completed), res.Benefit, inst.TotalWeight())
-
-	var assigned uint64
-	for _, cnt := range res.Assigned {
-		assigned += uint64(cnt)
-	}
-	if assigned != admitted {
-		return fmt.Errorf("verdicts admitted %d memberships but drained result assigns %d", admitted, assigned)
-	}
-	if p.verify {
-		alg, err := osp.NewPolicyAlgorithm(p.policy, uint64(p.seed))
-		if err != nil {
-			return err
-		}
-		serial, err := osp.Run(inst, alg, nil)
-		if err != nil {
-			return err
-		}
-		if !res.Equal(serial) {
-			return fmt.Errorf("cluster drain differs from its serial oracle (cluster %.3f, serial %.3f, seed %d)",
-				res.Benefit, serial.Benefit, p.seed)
-		}
-		pol := p.policy
-		if pol == "" {
-			pol = osp.DefaultPolicy
-		}
-		fmt.Fprintf(w, "verify:   merged cluster drain bit-for-bit identical to serial %s oracle (seed %d)\n", pol, p.seed)
 	}
 	return nil
 }

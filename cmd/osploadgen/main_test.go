@@ -59,7 +59,8 @@ func TestLoadgenPolicies(t *testing.T) {
 // entries — the HTTP upgrade of the embedded server, and a node's raw
 // stream listener named by -stream-addr: the oracle check must pass,
 // and the report must name the codec, depth and entry it actually used.
-// The retired -transport and -conns flags are undefined.
+// The retired -transport, -conns, -codec, -nodes and -stream-nodes
+// flags are undefined.
 func TestLoadgenStreamTransport(t *testing.T) {
 	node, err := cluster.StartLocalNode(osp.ServerConfig{})
 	if err != nil {
@@ -95,7 +96,10 @@ func TestLoadgenStreamTransport(t *testing.T) {
 	if err := run([]string{"-pipeline", "0", "-n", "10"}, &buf); err == nil {
 		t.Error("pipeline depth 0 accepted")
 	}
-	for _, retired := range [][]string{{"-transport", "stream"}, {"-conns", "2"}} {
+	for _, retired := range [][]string{
+		{"-transport", "stream"}, {"-conns", "2"}, {"-codec", "json"},
+		{"-nodes", node.Config().BaseURL}, {"-stream-nodes", node.Config().StreamAddr},
+	} {
 		if err := run(append(retired, "-n", "10"), &buf); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v = %v, want an undefined-flag error", retired, err)
@@ -149,84 +153,6 @@ func TestLoadgenErrors(t *testing.T) {
 	// A dead server fails the health probe, not the stream.
 	if err := run([]string{"-addr", "http://127.0.0.1:1", "-n", "10"}, &buf); err == nil {
 		t.Error("unreachable server accepted")
-	}
-}
-
-// TestLoadgenCodecs runs the generator once per codec and once with the
-// default; all three must verify against the serial oracle — the
-// "-verify passes over the new codec" acceptance — and report the codec
-// actually used.
-func TestLoadgenCodecs(t *testing.T) {
-	for _, tc := range []struct{ flag, want string }{
-		{"", "codec stream"}, // the default
-		{"json", "codec json"},
-		{"binary", "codec stream"},
-	} {
-		args := []string{"-m", "30", "-n", "3000", "-load", "4", "-batch", "300", "-seed", "11"}
-		if tc.flag != "" {
-			args = append(args, "-codec", tc.flag)
-		}
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Fatalf("codec %q: %v", tc.flag, err)
-		}
-		for _, frag := range []string{
-			tc.want,
-			"verify:   drained result bit-for-bit identical",
-		} {
-			if !strings.Contains(buf.String(), frag) {
-				t.Errorf("codec %q: output missing %q:\n%s", tc.flag, frag, buf.String())
-			}
-		}
-	}
-	for _, bad := range []string{"bogus", "auto"} {
-		var buf bytes.Buffer
-		if err := run([]string{"-codec", bad, "-n", "10"}, &buf); err == nil {
-			t.Errorf("codec %q accepted", bad)
-		}
-	}
-}
-
-// TestLoadgenClusterMode routes the generator through a 2-node cluster
-// coordinator (-nodes): the element stream fans across both nodes by
-// element hash, forwards over node 0's raw stream listener and, for
-// node 1's empty -stream-nodes entry, through its HTTP upgrade, and the
-// merged drain still verifies bit-for-bit against the serial oracle.
-func TestLoadgenClusterMode(t *testing.T) {
-	var nodes, streams []string
-	for i := 0; i < 2; i++ {
-		ln, err := cluster.StartLocalNode(osp.ServerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Shutdown(context.Background()) }) //nolint:errcheck
-		nodes = append(nodes, ln.Config().BaseURL)
-		streams = append(streams, ln.Config().StreamAddr)
-	}
-	var buf bytes.Buffer
-	err := run([]string{"-m", "30", "-n", "3000", "-load", "3", "-batch", "250", "-seed", "21",
-		"-nodes", strings.Join(nodes, ","), "-stream-nodes", streams[0] + ","}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{
-		"target:   cluster of 2 nodes, instance c-0 on slots [0 1]",
-		"loadgen:  3000 elements",
-		"verify:   merged cluster drain bit-for-bit identical to serial randpr oracle",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("output missing %q:\n%s", frag, out)
-		}
-	}
-
-	// Cluster mode and a single -addr target are mutually exclusive.
-	if err := run([]string{"-nodes", nodes[0], "-addr", nodes[0], "-n", "10"}, &buf); err == nil {
-		t.Error("-nodes with -addr accepted")
-	}
-	// Mismatched stream list lengths are a config error.
-	if err := run([]string{"-nodes", strings.Join(nodes, ","), "-stream-nodes", streams[0], "-n", "10"}, &buf); err == nil {
-		t.Error("mismatched -stream-nodes length accepted")
 	}
 }
 

@@ -6,9 +6,9 @@
 // on both the uniform and the skewed Zipf-weight workload, the
 // service-level mode — the full networked ingest path over an embedded
 // server: JSON over HTTP, and the binary frames pipelined over one
-// raw-TCP verdict stream — and the cluster scaling rows: the same
-// workload fanned across N coordinator-fronted nodes by element hash
-// and merged on drain.
+// verdict stream upgraded from the same listener — and the cluster
+// scaling rows: the same workload fanned across N coordinator-fronted
+// nodes by element hash and merged on drain.
 //
 // Usage:
 //
@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -54,6 +55,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hashpr"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/setsystem"
 	"repro/internal/workload"
 	"repro/osp"
@@ -138,11 +140,12 @@ type PolicyBench struct {
 
 // ServiceBench is the networked ingest path under one wire codec and
 // transport: the matrix workload streamed through a real server on
-// loopback sockets via osp/client, timed end to end (register, batched
-// ingest with verdicts, drain). Codec "json" over transport "http" is
-// one keep-alive request per batch; codec "binary" over transport
-// "stream" is pipelined batch frames over one long-lived connection
-// upgraded from the same HTTP listener. AllocsPerElement is process-wide — client encode +
+// loopback sockets, timed end to end (register, batched ingest with
+// verdicts, drain). Codec "json" over transport "http" is one
+// keep-alive net/http request per batch to the server's JSON endpoints;
+// codec "binary" over transport "stream" is osp/client pipelining batch
+// frames over one long-lived connection upgraded from the same HTTP
+// listener. AllocsPerElement is process-wide — client encode +
 // server decode + verdict paths together — so it bounds the serve-side
 // number from above; the serve package's alloc-regression tests pin
 // the decode paths themselves at 0. SpeedupVsJSON is filled on the
@@ -298,11 +301,11 @@ func run(args []string, w io.Writer) error {
 	if *quick {
 		svcBatch = 1024
 	}
-	jsonRow, err := benchService(inst, client.CodecJSON, svcBatch, *reps, *seed)
+	jsonRow, err := benchService(inst, "json", svcBatch, *reps, *seed)
 	if err != nil {
 		return err
 	}
-	streamRow, err := benchService(inst, client.CodecBinary, svcBatch, *reps, *seed)
+	streamRow, err := benchService(inst, "binary", svcBatch, *reps, *seed)
 	if err != nil {
 		return err
 	}
@@ -727,16 +730,17 @@ func benchEngineConfig(inst *setsystem.Instance, cfg engine.Config, reps int, se
 }
 
 // benchService measures one service row: an embedded admission server
-// on a loopback listener, the real osp/client, the matrix workload in
-// fixed batches. Under CodecJSON each batch is one keep-alive request;
-// under CodecBinary the batches go out as frames pipelined 8 deep over
-// one verdict stream (upgraded from the same listener) and verdicts
-// come back as in-order frames decoded in place — no request envelope,
-// no response materialization. Each timed pass registers a fresh
+// on a loopback listener and the matrix workload in fixed batches. Codec
+// "json" posts each batch as one keep-alive request to the JSON
+// endpoints (jsonPass); codec "binary" runs the real osp/client, whose
+// batches go out as frames pipelined 8 deep over one verdict stream
+// (upgraded from the same listener) and whose verdicts come back as
+// in-order frames decoded in place — no request envelope, no response
+// materialization (streamPass). Each timed pass registers a fresh
 // instance, ingests everything, drains and removes it, so both rows pay
 // registration and drain alike; the drained result of the first pass
 // is verified bit-for-bit against the serial randpr oracle.
-func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int, seed int64) (ServiceBench, error) {
+func benchService(inst *setsystem.Instance, codec string, batch, reps int, seed int64) (ServiceBench, error) {
 	srv := osp.NewServer(osp.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -754,71 +758,24 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 	// Pin the HTTP client's connection reuse so the rows are comparable
 	// run to run: one warm keep-alive connection, no compression — the
 	// best case HTTP can put up.
-	c, err := client.New("http://"+ln.Addr().String(), client.WithCodec(codec),
-		client.WithHTTPClient(&http.Client{Transport: &http.Transport{
-			MaxIdleConns:        4,
-			MaxIdleConnsPerHost: 4,
-			IdleConnTimeout:     90 * time.Second,
-			DisableCompression:  true,
-		}}))
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	ctx := context.Background()
-	ingestJSON := func(h *client.Instance) error {
-		for off := 0; off < len(inst.Elements); off += batch {
-			if _, err := h.Ingest(ctx, inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	discard := func(int, []osp.SetID) {}
-	ingestStream := func(h *client.Instance) error {
-		st, err := h.OpenStream(ctx)
+	hc := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        4,
+		MaxIdleConnsPerHost: 4,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
+	}}
+	base := "http://" + ln.Addr().String()
+	var pass func() (*core.Result, error)
+	transport := "stream"
+	if codec == "json" {
+		transport = "http"
+		pass = func() (*core.Result, error) { return jsonPass(hc, base, inst, batch, seed) }
+	} else {
+		c, err := client.New(base, client.WithHTTPClient(hc))
 		if err != nil {
-			return err
+			return ServiceBench{}, err
 		}
-		defer st.Close()
-		depth := min(8, st.Window())
-		for off := 0; off < len(inst.Elements); off += batch {
-			if st.Outstanding() == depth {
-				if err := st.Recv(discard); err != nil {
-					return err
-				}
-			}
-			if err := st.Send(inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
-				return err
-			}
-		}
-		if err := st.CloseSend(); err != nil {
-			return err
-		}
-		for {
-			if err := st.Recv(discard); err == io.EOF {
-				return st.Close()
-			} else if err != nil {
-				return err
-			}
-		}
-	}
-	ingest, transport := ingestStream, "stream"
-	if codec == client.CodecJSON {
-		ingest, transport = ingestJSON, "http"
-	}
-	pass := func() (*core.Result, error) {
-		h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: uint64(seed)})
-		if err != nil {
-			return nil, err
-		}
-		if err := ingest(h); err != nil {
-			return nil, err
-		}
-		res, err := h.Drain(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res, h.Remove(ctx)
+		pass = func() (*core.Result, error) { return streamPass(c, inst, batch, seed) }
 	}
 
 	// Correctness first: one verified pass before any timing.
@@ -855,7 +812,7 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 
 	n := inst.NumElements()
 	return ServiceBench{
-		Codec:            codec.String(),
+		Codec:            codec,
 		Transport:        transport,
 		Elements:         n,
 		Batch:            batch,
@@ -863,6 +820,114 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 		ElementsPerSec:   float64(n) / (float64(ns) * 1e-9),
 		AllocsPerElement: float64(allocs) / float64(n),
 	}, nil
+}
+
+// jsonPass is one pass of the JSON row: register, one request per
+// batch with its verdicts decoded, drain and remove, all through the
+// server's JSON endpoints in internal/serve's own wire types.
+func jsonPass(hc *http.Client, base string, inst *setsystem.Instance, batch int, seed int64) (*core.Result, error) {
+	var reg serve.RegisterResponse
+	if err := callJSON(hc, "POST", base+"/v1/instances", serve.RegisterRequest{
+		Weights: inst.Weights, Sizes: inst.Sizes, Seed: uint64(seed),
+	}, &reg); err != nil {
+		return nil, err
+	}
+	path := base + "/v1/instances/" + reg.ID
+	req := serve.IngestRequest{Elements: make([]serve.WireElement, 0, batch)}
+	for off := 0; off < len(inst.Elements); off += batch {
+		req.Elements = req.Elements[:0]
+		for _, el := range inst.Elements[off:min(off+batch, len(inst.Elements))] {
+			req.Elements = append(req.Elements, serve.WireElement{Members: el.Members, Capacity: el.Capacity})
+		}
+		var resp serve.IngestResponse
+		if err := callJSON(hc, "POST", path+"/elements", req, &resp); err != nil {
+			return nil, err
+		}
+	}
+	var dr serve.DrainResponse
+	if err := callJSON(hc, "POST", path+"/drain", nil, &dr); err != nil {
+		return nil, err
+	}
+	return dr.Result.Core(), callJSON(hc, "DELETE", path, nil, nil)
+}
+
+// callJSON sends one request, with body (nil: none) as JSON, and decodes
+// a 2xx answer into out (nil: discard it).
+func callJSON(hc *http.Client, method, url string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(msg))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// streamPass is one pass of the stream row through osp/client: register
+// by snapshot frame, batches pipelined 8 deep over one verdict stream,
+// drain by result frame, remove.
+func streamPass(c *client.Client, inst *setsystem.Instance, batch int, seed int64) (*core.Result, error) {
+	ctx := context.Background()
+	h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: uint64(seed)})
+	if err != nil {
+		return nil, err
+	}
+	st, err := h.OpenStream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	discard := func(int, []osp.SetID) {}
+	depth := min(8, st.Window())
+	for off := 0; off < len(inst.Elements); off += batch {
+		if st.Outstanding() == depth {
+			if err := st.Recv(discard); err != nil {
+				return nil, err
+			}
+		}
+		if err := st.Send(inst.Elements[off:min(off+batch, len(inst.Elements))]); err != nil {
+			return nil, err
+		}
+	}
+	if err := st.CloseSend(); err != nil {
+		return nil, err
+	}
+	for {
+		if err := st.Recv(discard); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	res, err := h.Drain(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res, h.Remove(ctx)
 }
 
 // minClusterReps is the fewest timed passes a cluster row takes the

@@ -10,10 +10,10 @@ import (
 )
 
 // This file defines the JSON wire shapes of the admission service's HTTP
-// API. osp/client mirrors these shapes field-for-field; the contract is
-// the JSON, not the Go types, and the client round-trip tests pin the two
-// against each other. docs/OPERATIONS.md documents every endpoint with
-// request/response examples.
+// API. osp/client mirrors the answers it reads in its own types; the
+// contract is the JSON, not the Go types, and the client round-trip
+// tests pin the two against each other. docs/OPERATIONS.md documents
+// every endpoint with request/response examples.
 
 // RegisterRequest is the body of POST /v1/instances: the up-front
 // information of an OSP instance (per-set weights and declared sizes —
@@ -117,8 +117,8 @@ func wireResult(r *core.Result) WireResult {
 	return WireResult{Completed: r.Completed, Benefit: r.Benefit, Assigned: r.Assigned}
 }
 
-// Core converts the wire shape back to a core.Result (the client's drain
-// path).
+// Core converts the wire shape back to a core.Result, for readers of the
+// JSON drain.
 func (r WireResult) Core() *core.Result {
 	return &core.Result{Completed: r.Completed, Benefit: r.Benefit, Assigned: r.Assigned}
 }

@@ -70,7 +70,7 @@ func FuzzDecodeBatch(f *testing.F) {
 				}
 			}
 			// Round-trip: re-encoding the decoded layout reproduces the frame.
-			if re := AppendBatch(nil, members, offs, caps); !bytes.Equal(re, data) {
+			if re := appendBatch(nil, members, offs, caps); !bytes.Equal(re, data) {
 				t.Fatalf("re-encoded frame differs: %d vs %d bytes", len(re), len(data))
 			}
 			return

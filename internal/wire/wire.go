@@ -102,26 +102,6 @@ func BatchLen(n, nmem int) int { return batchHeaderLen + 8*n + 4*nmem }
 // MaskLen returns the byte length of one element's verdict mask.
 func MaskLen(load int) int { return (load + 7) / 8 }
 
-// AppendBatch appends one encoded batch frame built from flat
-// structure-of-arrays buffers — element i's members are
-// members[offs[i]:offs[i+1]], its capacity caps[i] — and returns the
-// extended slice. It is the encoding mirror of DecodeBatch and the
-// engine's batch layout, used by tests and by servers relaying batches.
-func AppendBatch(dst []byte, members []setsystem.SetID, offs, caps []int32) []byte {
-	n := len(caps)
-	dst = appendBatchHeader(dst, n, len(members))
-	for _, c := range caps {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
-	}
-	for i := 0; i < n; i++ {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(offs[i+1]-offs[i]))
-	}
-	for _, s := range members {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
-	}
-	return dst
-}
-
 // AppendElements appends one encoded batch frame built from elements —
 // the client-side form — and returns the extended slice. Pre-grow dst
 // with BatchLen to avoid growth copies.

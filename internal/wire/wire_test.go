@@ -23,8 +23,27 @@ func flatten(els []setsystem.Element) (members []setsystem.SetID, offs, caps []i
 	return members, offs, caps
 }
 
+// appendBatch appends one encoded batch frame built from flat
+// structure-of-arrays buffers — element i's members are
+// members[offs[i]:offs[i+1]], its capacity caps[i] — the encoding
+// mirror of DecodeBatch's layout, which the round-trip checks re-encode.
+func appendBatch(dst []byte, members []setsystem.SetID, offs, caps []int32) []byte {
+	n := len(caps)
+	dst = appendBatchHeader(dst, n, len(members))
+	for _, c := range caps {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
+	}
+	for i := 0; i < n; i++ {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(offs[i+1]-offs[i]))
+	}
+	for _, s := range members {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
+	}
+	return dst
+}
+
 // TestBatchRoundTrip pins the frame contract: AppendElements and
-// AppendBatch produce the identical frame, and DecodeBatch reproduces
+// appendBatch produce the identical frame, and DecodeBatch reproduces
 // the flat layout bit for bit, reusing caller storage.
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -36,8 +55,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	wantMembers, wantOffs, wantCaps := flatten(els)
 
 	frame := AppendElements(nil, els)
-	if got := AppendBatch(nil, wantMembers, wantOffs, wantCaps); string(got) != string(frame) {
-		t.Fatalf("AppendBatch and AppendElements frames differ: %d vs %d bytes", len(got), len(frame))
+	if got := appendBatch(nil, wantMembers, wantOffs, wantCaps); string(got) != string(frame) {
+		t.Fatalf("appendBatch and AppendElements frames differ: %d vs %d bytes", len(got), len(frame))
 	}
 	if len(frame) != BatchLen(len(els), len(wantMembers)) {
 		t.Fatalf("frame is %d bytes, BatchLen says %d", len(frame), BatchLen(len(els), len(wantMembers)))

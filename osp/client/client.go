@@ -7,11 +7,11 @@
 // information — per-set weights and declared sizes plus the shared
 // priority seed — then elements stream in batches, each answered with
 // the verdict the engine's coordination-free admission policy reached.
-// By default batches ride a binary verdict stream (an HTTP/1.1 Upgrade
-// of the server's own listener, or its raw stream port), register
-// carries an internal/wire snapshot frame and drain a result frame;
-// CodecJSON sends all three as JSON requests, the shapes curl speaks.
-// The drained Result is bit-for-bit identical to a serial osp.Run with
+// Batches ride a binary verdict stream (an HTTP/1.1 Upgrade of the
+// server's own listener, or its raw stream port), register carries an
+// internal/wire snapshot frame and drain a result frame. The server's
+// JSON endpoints, which curl speaks, answer the same. The drained
+// Result is bit-for-bit identical to a serial osp.Run with
 // the matching osp.NewPolicyAlgorithm(policy, seed) over the same
 // elements — osp.NewHashRandPr(seed) for the default randpr policy —
 // which is how cmd/osploadgen verifies a live server. The HTTP API and
@@ -26,7 +26,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -42,29 +41,6 @@ import (
 	"repro/osp"
 )
 
-// Codec selects the wire representation of ingest, register and drain
-// (see WithCodec).
-type Codec int
-
-const (
-	// CodecBinary — the default — sends binary batch frames over the
-	// instance's verdict stream, registers with a snapshot frame and
-	// drains into a result frame; a server that refuses the stream
-	// surfaces the resulting *APIError.
-	CodecBinary Codec = iota
-	// CodecJSON sends every batch, registration and drain as a JSON
-	// request.
-	CodecJSON
-)
-
-// String returns the flag-friendly codec name.
-func (c Codec) String() string {
-	if c == CodecJSON {
-		return "json"
-	}
-	return "binary"
-}
-
 // Client talks to one admission server. Safe for concurrent use (the
 // underlying http.Client is).
 type Client struct {
@@ -72,7 +48,6 @@ type Client struct {
 	host       string // base URL's host:port, the stream upgrade's dial target
 	https      bool
 	hc         *http.Client
-	codec      Codec
 	streamAddr string       // host:port of the raw-TCP stream listener, "" = upgrade
 	retry      *RetryPolicy // nil = no retries (WithRetry)
 }
@@ -85,18 +60,6 @@ type Option func(*Client)
 // &http.Client{}.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithCodec picks the wire codec of ingest and of the control plane.
-// The default, CodecBinary, sends internal/wire's flat batch frames over
-// a verdict stream — the zero-allocation path, measured severalfold
-// faster than JSON end to end — registers with a snapshot frame (POST
-// /v1/instances, Content-Type: application/x-osp-snapshot) and drains
-// into a result frame (Accept: application/x-osp-result on .../drain).
-// CodecJSON sends one JSON request per batch and JSON register and
-// drain bodies, the shapes curl speaks.
-func WithCodec(codec Codec) Option {
-	return func(c *Client) { c.codec = codec }
 }
 
 // New returns a client for the admission server at baseURL, e.g.
@@ -226,56 +189,20 @@ type Instance struct {
 	shards int
 	policy string
 
-	// tmu serializes binary ingest and Close over the pinned stream,
-	// which is a single in-order connection.
+	// tmu serializes ingest and Close over the pinned stream, which is
+	// a single in-order connection.
 	tmu sync.Mutex
-	// pinned is the long-lived verdict stream binary ingest opened, nil
+	// pinned is the long-lived verdict stream ingest opened, nil
 	// when none is open (guarded by tmu).
 	pinned *Stream
 }
 
 // wire shapes (mirroring internal/serve; the contract is the JSON).
-type wireElement struct {
-	Members  []osp.SetID `json:"members"`
-	Capacity int         `json:"capacity"`
-}
-
-type registerRequest struct {
-	Weights    []float64 `json:"weights"`
-	Sizes      []int     `json:"sizes"`
-	Seed       uint64    `json:"seed"`
-	Shards     int       `json:"shards,omitempty"`
-	BatchSize  int       `json:"batch_size,omitempty"`
-	QueueDepth int       `json:"queue_depth,omitempty"`
-	Policy     string    `json:"policy,omitempty"`
-	Label      string    `json:"label,omitempty"`
-}
-
 type registerResponse struct {
 	ID     string `json:"id"`
 	Shards int    `json:"shards"`
 	Policy string `json:"policy"`
 	State  string `json:"state"`
-}
-
-type ingestRequest struct {
-	Elements []wireElement `json:"elements"`
-}
-
-type ingestResponse struct {
-	Verdicts []Verdict `json:"verdicts"`
-	Ingested int       `json:"ingested"`
-}
-
-type wireResult struct {
-	Completed []osp.SetID `json:"completed"`
-	Benefit   float64     `json:"benefit"`
-	Assigned  []int32     `json:"assigned"`
-}
-
-type drainResponse struct {
-	Result  wireResult      `json:"result"`
-	Metrics MetricsSnapshot `json:"metrics"`
 }
 
 type listResponse struct {
@@ -311,22 +238,12 @@ func apiError(resp *http.Response) error {
 	return &APIError{StatusCode: resp.StatusCode, Message: msg}
 }
 
-// doJSON performs one request; a non-2xx answer decodes into *APIError.
-func (c *Client) doJSON(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+// doJSON performs one bodiless request and decodes its JSON answer into
+// out (nil: discard it); a non-2xx answer decodes into *APIError.
+func (c *Client) doJSON(ctx context.Context, method, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -346,32 +263,10 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 }
 
 // Register opens a new instance on the server and returns its handle.
-// Under the default CodecBinary the registration travels as a snapshot
-// frame with an empty ID and zero counters, encoded straight into the
-// request body; under CodecJSON it is the JSON body curl speaks.
+// The registration travels as a snapshot frame with an empty ID and zero
+// counters, piped from the encoder into the request body so the frame is
+// never held whole.
 func (c *Client) Register(ctx context.Context, spec Spec) (*Instance, error) {
-	if c.codec != CodecJSON {
-		return c.registerFrame(ctx, spec)
-	}
-	var resp registerResponse
-	if err := c.doJSON(ctx, "POST", "/v1/instances", registerRequest{
-		Weights:    spec.Info.Weights,
-		Sizes:      spec.Info.Sizes,
-		Seed:       spec.Seed,
-		Shards:     spec.Engine.Shards,
-		BatchSize:  spec.Engine.BatchSize,
-		QueueDepth: spec.Engine.QueueDepth,
-		Policy:     spec.Engine.Policy,
-		Label:      spec.Label,
-	}, &resp); err != nil {
-		return nil, err
-	}
-	return &Instance{c: c, id: resp.ID, shards: resp.Shards, policy: resp.Policy}, nil
-}
-
-// registerFrame posts spec as a registration frame, piping the encoder
-// into the request so the frame is never held whole.
-func (c *Client) registerFrame(ctx context.Context, spec Spec) (*Instance, error) {
 	m := len(spec.Info.Weights)
 	if len(spec.Info.Sizes) != m {
 		return nil, fmt.Errorf("client: register: %d weights but %d sizes", m, len(spec.Info.Sizes))
@@ -427,7 +322,7 @@ func (c *Client) postFrame(ctx context.Context, frame io.Reader, size int64) (*I
 // Instances lists every instance on the server with live metrics.
 func (c *Client) Instances(ctx context.Context) ([]Status, error) {
 	var resp listResponse
-	if err := c.doJSON(ctx, "GET", "/v1/instances", nil, &resp); err != nil {
+	if err := c.doJSON(ctx, "GET", "/v1/instances", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Instances, nil
@@ -438,7 +333,7 @@ func (c *Client) Instances(ctx context.Context) ([]Status, error) {
 // discovery call that replaces hardcoding the built-in names.
 func (c *Client) Policies(ctx context.Context) ([]PolicyInfo, error) {
 	var resp policiesResponse
-	if err := c.doJSON(ctx, "GET", "/v1/policies", nil, &resp); err != nil {
+	if err := c.doJSON(ctx, "GET", "/v1/policies", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Policies, nil
@@ -501,27 +396,14 @@ func (in *Instance) Policy() string { return in.policy }
 // full the call blocks — backpressure propagates to the producer, which
 // is the paper's admission deadline made tangible.
 //
-// The wire representation follows the client's codec (WithCodec): by
-// default the batch rides the instance's pinned verdict stream, exactly
-// as IngestFunc sends it; under CodecJSON it is one JSON request.
-// Either way the verdicts and the eventual drained result are
-// bit-for-bit identical — every arm applies one policy state.
+// The batch rides the instance's pinned verdict stream, as IngestFunc
+// sends it. The verdicts are bit-for-bit those the server's JSON
+// endpoint answers: every arm applies one policy state.
 //
 // With WithRetry configured, transient failures (transport errors, 429,
 // 5xx) are retried under the policy's backoff and budget; permanent 4xx
 // rejections are returned immediately.
 func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	if in.c.codec == CodecJSON {
-		var verdicts []Verdict
-		err := in.c.withRetry(ctx, func(ctx context.Context) (err error) {
-			verdicts, err = in.ingestJSON(ctx, els)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return verdicts, nil
-	}
 	// Two arrays back the whole batch's verdicts: admitted is the
 	// callback's list, dropped the element's other members, both in
 	// member order.
@@ -554,40 +436,16 @@ func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, e
 	return verdicts, nil
 }
 
-// Codec reports the arm Ingest and IngestFunc use: "stream" under the
-// default CodecBinary, "json" under CodecJSON — so a benchmark or
-// loadgen report can name the arm it exercised.
-func (in *Instance) Codec() string {
-	if in.c.codec == CodecJSON {
-		return "json"
-	}
-	return "stream"
-}
-
-// ingestJSON is the JSON arm of Ingest.
-func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	req := ingestRequest{Elements: make([]wireElement, len(els))}
-	for i, el := range els {
-		req.Elements[i] = wireElement{Members: el.Members, Capacity: el.Capacity}
-	}
-	var resp ingestResponse
-	if err := in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/elements", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Verdicts, nil
-}
-
 // Drain closes the stream and returns the final Result — bit-for-bit
 // identical to a serial osp.Run with osp.NewHashRandPr under the
 // instance's seed over the same elements. The instance's pinned verdict
 // stream, if any, is released first: every batch it carried has been
-// answered. Under the default CodecBinary the server answers with a
-// result frame (Accept: application/x-osp-result) carrying the Result
-// its engine drained — completed sets, benefit bits and per-set counts,
-// 4 bytes per set — which the client decodes with no recomputation;
-// under CodecJSON it is the JSON body. Idempotent: draining again
-// returns the same Result — which is also what makes it safe to retry
-// under WithRetry.
+// answered. The server answers with a result frame (Accept:
+// application/x-osp-result) carrying the Result its engine drained —
+// completed sets, benefit bits and per-set counts, 4 bytes per set —
+// which the client decodes with no recomputation. Idempotent: draining
+// again returns the same Result — which is also what makes it safe to
+// retry under WithRetry.
 func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.tmu.Lock()
 	if in.pinned != nil {
@@ -596,11 +454,7 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.tmu.Unlock()
 	var res *osp.Result
 	err := in.c.withRetry(ctx, func(ctx context.Context) (err error) {
-		if in.c.codec == CodecJSON {
-			res, err = in.drainJSON(ctx)
-		} else {
-			res, err = in.drainFrame(ctx)
-		}
+		res, err = in.drainFrame(ctx)
 		return err
 	})
 	if err != nil {
@@ -609,21 +463,8 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	return res, nil
 }
 
-// drainJSON is the JSON arm of Drain.
-func (in *Instance) drainJSON(ctx context.Context) (*osp.Result, error) {
-	var resp drainResponse
-	if err := in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/drain", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &osp.Result{
-		Completed: resp.Result.Completed,
-		Benefit:   resp.Result.Benefit,
-		Assigned:  resp.Result.Assigned,
-	}, nil
-}
-
-// drainFrame is the binary arm of Drain: it reads the result frame
-// through wire's fixed chunk and returns the Result it carries.
+// drainFrame is one attempt of Drain: it reads the result frame through
+// wire's fixed chunk and returns the Result it carries.
 func (in *Instance) drainFrame(ctx context.Context) (*osp.Result, error) {
 	path := "/v1/instances/" + in.id + "/drain"
 	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+path, nil)
@@ -652,7 +493,7 @@ func (in *Instance) drainFrame(ctx context.Context) (*osp.Result, error) {
 // Status fetches the instance's lifecycle state and live metrics.
 func (in *Instance) Status(ctx context.Context) (*Status, error) {
 	var st Status
-	if err := in.c.doJSON(ctx, "GET", "/v1/instances/"+in.id, nil, &st); err != nil {
+	if err := in.c.doJSON(ctx, "GET", "/v1/instances/"+in.id, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -661,5 +502,5 @@ func (in *Instance) Status(ctx context.Context) (*Status, error) {
 // Remove drains the instance server-side and deletes it from the pool,
 // freeing its memory. The handle is dead afterwards.
 func (in *Instance) Remove(ctx context.Context) error {
-	return in.c.doJSON(ctx, "DELETE", "/v1/instances/"+in.id, nil, nil)
+	return in.c.doJSON(ctx, "DELETE", "/v1/instances/"+in.id, nil)
 }

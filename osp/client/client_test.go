@@ -259,23 +259,9 @@ func isStatus(err error, code int) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode == code
 }
 
-// startServerWith is startServer with client options.
-func startServerWith(t *testing.T, opts ...client.Option) (*client.Client, *osp.Server) {
-	t.Helper()
-	srv := osp.NewServer(osp.ServerConfig{})
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-	c, err := client.New(hs.URL, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, srv
-}
-
 // startLegacyServer emulates a server without the stream upgrade:
 // GET /v1/stream is answered 404 before the real handler sees it.
-func startLegacyServer(t *testing.T, opts ...client.Option) *client.Client {
+func startLegacyServer(t *testing.T) *client.Client {
 	t.Helper()
 	srv := osp.NewServer(osp.ServerConfig{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +273,7 @@ func startLegacyServer(t *testing.T, opts ...client.Option) *client.Client {
 	}))
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-	c, err := client.New(hs.URL, opts...)
+	c, err := client.New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +298,12 @@ func ingestAll(ctx context.Context, t *testing.T, h *client.Instance, inst *osp.
 	return admitted, dropped
 }
 
-// TestCodecEquivalence is the client-side codec contract: the same
-// stream ingested over JSON, over the stream on the raw listener, over
-// the stream through the HTTP upgrade and over the upgrade of an https
-// listener (the http.Client's TLS configuration carries over) produces
-// identical verdict aggregates and bit-for-bit identical drained
-// results, all equal to the serial oracle.
+// TestCodecEquivalence is the client-side contract across the stream's
+// entries: the same stream ingested over the raw listener, through the
+// HTTP upgrade and through the upgrade of an https listener (the
+// http.Client's TLS configuration carries over) produces identical
+// verdict aggregates and bit-for-bit identical drained results, all
+// equal to the serial oracle.
 func TestCodecEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const seed = 23
@@ -327,7 +313,6 @@ func TestCodecEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cJSON, _ := startServerWith(t, client.WithCodec(client.CodecJSON))
 	cAddr, _ := startStreamServer(t)
 	cUpgrade, _ := startServer(t)
 	srv := osp.NewServer(osp.ServerConfig{})
@@ -340,15 +325,12 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 	var admits []int
 	for _, arm := range []struct {
-		name, codec string
-		c           *client.Client
-	}{{"json", "json", cJSON}, {"stream-addr", "stream", cAddr}, {"upgrade", "stream", cUpgrade}, {"upgrade-tls", "stream", cTLS}} {
+		name string
+		c    *client.Client
+	}{{"stream-addr", cAddr}, {"upgrade", cUpgrade}, {"upgrade-tls", cTLS}} {
 		h, err := arm.c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := h.Codec(); got != arm.codec {
-			t.Errorf("%s: Codec() = %q, want %q", arm.name, got, arm.codec)
 		}
 		adm, _ := ingestAll(ctx, t, h, inst, 170)
 		admits = append(admits, adm)
@@ -362,15 +344,15 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 	for _, a := range admits[1:] {
 		if a != admits[0] {
-			t.Errorf("admitted memberships differ across arms (json, stream-addr, upgrade, upgrade-tls): %v", admits)
+			t.Errorf("admitted memberships differ across arms (stream-addr, upgrade, upgrade-tls): %v", admits)
 		}
 	}
 }
 
-// TestControlPlaneCodecs pins what each codec sends to register and
-// drain — a snapshot frame and an Accept for the result frame under
-// the default codec, JSON under CodecJSON — and that an instance
-// registered under either codec drains to the oracle under both.
+// TestControlPlaneCodecs pins what the client sends to register and
+// drain — a snapshot frame, and an Accept for the result frame — and
+// that a handle reattached by Client.Instance, which holds no Info,
+// drains the result frame to the oracle.
 func TestControlPlaneCodecs(t *testing.T) {
 	ctx := context.Background()
 	srv := osp.NewServer(osp.ServerConfig{})
@@ -390,18 +372,9 @@ func TestControlPlaneCodecs(t *testing.T) {
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
 	seen := func() string { mu.Lock(); defer mu.Unlock(); return last }
-	cBin, err := client.New(hs.URL)
+	c, err := client.New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cJSON, err := client.New(hs.URL, client.WithCodec(client.CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	codecs := map[string]*client.Client{"binary": cBin, "json": cJSON}
-	sends := map[string]struct{ register, drain string }{
-		"binary": {"application/x-osp-snapshot", "application/x-osp-result"},
-		"json":   {"application/json", ""},
 	}
 
 	const seed = 23
@@ -410,44 +383,40 @@ func TestControlPlaneCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, reg := range []string{"binary", "json"} {
-		for _, drain := range []string{"binary", "json"} {
-			h, err := codecs[reg].Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed, Label: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := seen(); got != sends[reg].register {
-				t.Errorf("%s register sent Content-Type %q, want %q", reg, got, sends[reg].register)
-			}
-			if _, err := h.Ingest(ctx, inst.Elements); err != nil {
-				t.Fatal(err)
-			}
-			dh, err := codecs[drain].Instance(ctx, h.ID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := dh.Drain(ctx)
-			if err != nil {
-				t.Fatalf("%s-registered, %s drain: %v", reg, drain, err)
-			}
-			if got := seen(); got != sends[drain].drain {
-				t.Errorf("%s drain sent Accept %q, want %q", drain, got, sends[drain].drain)
-			}
-			if !res.Equal(serial) {
-				t.Errorf("%s-registered, %s drain differs from the serial oracle", reg, drain)
-			}
-		}
+	h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seen(); got != "application/x-osp-snapshot" {
+		t.Errorf("register sent Content-Type %q, want application/x-osp-snapshot", got)
+	}
+	if _, err := h.Ingest(ctx, inst.Elements); err != nil {
+		t.Fatal(err)
+	}
+	dh, err := c.Instance(ctx, h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dh.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seen(); got != "application/x-osp-result" {
+		t.Errorf("drain sent Accept %q, want application/x-osp-result", got)
+	}
+	if !res.Equal(serial) {
+		t.Error("drain through a reattached handle differs from the serial oracle")
 	}
 
-	// A frame cannot carry arrays of different lengths; the binary
-	// client says so instead of sending one.
+	// A frame cannot carry arrays of different lengths; the client says
+	// so instead of sending one.
 	bad := client.Spec{Info: osp.Info{Weights: []float64{1}, Sizes: []int{1, 2}}}
-	if _, err := cBin.Register(ctx, bad); err == nil || !strings.Contains(err.Error(), "1 weights but 2 sizes") {
+	if _, err := c.Register(ctx, bad); err == nil || !strings.Contains(err.Error(), "1 weights but 2 sizes") {
 		t.Errorf("mismatched register = %v", err)
 	}
 }
 
-// TestDefaultCodecIsBinary: a client built without WithCodec ingests
+// TestDefaultCodecIsBinary: a client built with no options ingests
 // binary frames over the verdict stream from its first batch.
 func TestDefaultCodecIsBinary(t *testing.T) {
 	ctx := context.Background()
@@ -457,34 +426,30 @@ func TestDefaultCodecIsBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Codec(); got != "stream" {
-		t.Errorf("Codec() = %q, want stream", got)
-	}
 	if _, err := h.Ingest(ctx, inst.Elements[:50]); err != nil {
 		t.Fatal(err)
 	}
 	assertStreamConns(t, c, 1)
 }
 
-// TestCodecBinaryForcedSurfacesRejection: with CodecBinary — the
-// default, here also set explicitly — a server without the stream
+// TestCodecBinaryForcedSurfacesRejection: a server without the stream
 // upgrade is an error, not a silent downgrade to JSON.
 func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
-	c := startLegacyServer(t, client.WithCodec(client.CodecBinary))
+	c := startLegacyServer(t)
 	h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Ingest(ctx, inst.Elements[:10]); !isStatus(err, http.StatusNotFound) {
-		t.Errorf("forced binary against a legacy server: err = %v, want 404 APIError", err)
+		t.Errorf("ingest against a server without the upgrade: err = %v, want 404 APIError", err)
 	}
 }
 
 // TestDefaultCodecInvalidBatchStays400: a genuinely invalid batch over
-// the default codec comes back as a 400 *APIError — the stream's Error
-// frame ends that stream — and the next call re-dials and flows.
+// the stream comes back as a 400 *APIError — the stream's Error frame
+// ends that stream — and the next call re-dials and flows.
 func TestDefaultCodecInvalidBatchStays400(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)

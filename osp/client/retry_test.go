@@ -2,10 +2,12 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,55 +219,71 @@ func TestRetryStreamReconnectCallbackOrdering(t *testing.T) {
 }
 
 // TestEmptyBatchRefusedUnderBothCodecs pins that an empty batch is a
-// permanent 400 under either codec, refused before it reaches the
-// wire: no retry, no dial, and under the default codec the pinned
-// stream survives for the next batch.
+// permanent 400 under both codecs the service speaks, with one message.
+// The client refuses it before it reaches the wire: no retry, no dial,
+// and the pinned stream survives for the next batch. The server's JSON
+// endpoint answers the same status and message the client reports.
 func TestEmptyBatchRefusedUnderBothCodecs(t *testing.T) {
 	ctx := context.Background()
-	for _, codec := range []client.Codec{client.CodecBinary, client.CodecJSON} {
-		t.Run(codec.String(), func(t *testing.T) {
-			c, p := startProxiedServer(t, client.WithCodec(codec), client.WithRetry(client.RetryPolicy{}))
-			const seed = 5
-			inst := uniform(t, 20, 400, 3, 9)
-			h := registerTwin(t, c, inst, seed)
-			half := len(inst.Elements) / 2
-			if err := h.IngestFunc(ctx, inst.Elements[:half], nil); err != nil {
-				t.Fatalf("first batch: %v", err)
-			}
-			dialed := p.Accepted()
+	const want = "ingest: empty batch"
+	t.Run("binary", func(t *testing.T) {
+		c, p := startProxiedServer(t, client.WithRetry(client.RetryPolicy{}))
+		const seed = 5
+		inst := uniform(t, 20, 400, 3, 9)
+		h := registerTwin(t, c, inst, seed)
+		half := len(inst.Elements) / 2
+		if err := h.IngestFunc(ctx, inst.Elements[:half], nil); err != nil {
+			t.Fatalf("first batch: %v", err)
+		}
+		dialed := p.Accepted()
 
-			_, ingestErr := h.Ingest(ctx, []osp.Element{})
-			for name, err := range map[string]error{
-				"IngestFunc": h.IngestFunc(ctx, nil, nil),
-				"Ingest":     ingestErr,
-			} {
-				var apiErr *client.APIError
-				if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
-					apiErr.Message != "ingest: empty batch" {
-					t.Fatalf("%s of an empty batch = %v, want *APIError 400 \"ingest: empty batch\"", name, err)
-				}
+		_, ingestErr := h.Ingest(ctx, []osp.Element{})
+		for name, err := range map[string]error{
+			"IngestFunc": h.IngestFunc(ctx, nil, nil),
+			"Ingest":     ingestErr,
+		} {
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Message != want {
+				t.Fatalf("%s of an empty batch = %v, want *APIError 400 %q", name, err, want)
 			}
-			if n := p.Accepted(); n != dialed {
-				t.Fatalf("empty batches dialed %d connections", n-dialed)
-			}
+		}
+		if n := p.Accepted(); n != dialed {
+			t.Fatalf("empty batches dialed %d connections", n-dialed)
+		}
 
-			if err := h.IngestFunc(ctx, inst.Elements[half:], nil); err != nil {
-				t.Fatalf("batch after the empty ones: %v", err)
-			}
-			if n := p.Accepted(); n != dialed {
-				t.Errorf("batch after the empty ones dialed %d connections, want the pinned one reused", n-dialed)
-			}
-			res, err := h.Drain(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Equal(oracle) {
-				t.Error("drain differs from the serial oracle")
-			}
-		})
-	}
+		if err := h.IngestFunc(ctx, inst.Elements[half:], nil); err != nil {
+			t.Fatalf("batch after the empty ones: %v", err)
+		}
+		if n := p.Accepted(); n != dialed {
+			t.Errorf("batch after the empty ones dialed %d connections, want the pinned one reused", n-dialed)
+		}
+		res, err := h.Drain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(oracle) {
+			t.Error("drain differs from the serial oracle")
+		}
+	})
+	t.Run("json", func(t *testing.T) {
+		c, p := startProxiedServer(t)
+		h := registerTwin(t, c, uniform(t, 5, 20, 2, 1), 1)
+		resp, err := http.Post("http://"+p.Addr()+"/v1/instances/"+h.ID()+"/elements",
+			"application/json", strings.NewReader(`{"elements":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || body.Error != want {
+			t.Fatalf("JSON empty batch = %d %q, want 400 %q", resp.StatusCode, body.Error, want)
+		}
+	})
 }

@@ -50,7 +50,7 @@ func (c *Client) Restore(ctx context.Context, frame []byte) (*Instance, error) {
 // (or lost) the original handle. The ID is verified against the server.
 func (c *Client) Instance(ctx context.Context, id string) (*Instance, error) {
 	var st Status
-	if err := c.doJSON(ctx, "GET", "/v1/instances/"+id, nil, &st); err != nil {
+	if err := c.doJSON(ctx, "GET", "/v1/instances/"+id, &st); err != nil {
 		return nil, err
 	}
 	return &Instance{c: c, id: st.ID, shards: st.Shards, policy: st.Policy}, nil

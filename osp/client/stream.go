@@ -19,7 +19,7 @@ import (
 	"repro/osp"
 )
 
-// The stream transport, the client's one binary path: one long-lived
+// The stream transport, the client's ingest path: one long-lived
 // TCP connection carrying pipelined binary batch frames instead of one
 // HTTP request per batch. The connection is an HTTP/1.1 Upgrade of the
 // server's main listener (GET /v1/stream) by default, or a dial of the

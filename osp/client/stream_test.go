@@ -50,9 +50,10 @@ func registerTwin(t *testing.T, c *client.Client, inst *osp.Instance, seed uint6
 }
 
 // TestStreamMatchesHTTPAndOracle is the client-side equivalence anchor:
-// the same workload through the pipelined stream and through JSON
-// Ingest on twin instances (same seed) produces bit-for-bit identical
-// per-element verdicts, and both drain to the serial oracle's result.
+// the same workload pipelined by hand over the raw stream listener and
+// sent through Ingest over the HTTP listener's upgrade, on twin
+// instances (same seed), produces bit-for-bit identical per-element
+// verdicts, and both drain to the serial oracle's result.
 func TestStreamMatchesHTTPAndOracle(t *testing.T) {
 	ctx := context.Background()
 	c, srv := startStreamServer(t)
@@ -60,11 +61,11 @@ func TestStreamMatchesHTTPAndOracle(t *testing.T) {
 	inst := uniform(t, 40, 1200, 4, 7)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	cJSON, err := client.New(hs.URL, client.WithCodec(client.CodecJSON))
+	cHTTP, err := client.New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpH := registerTwin(t, cJSON, inst, seed)
+	httpH := registerTwin(t, cHTTP, inst, seed)
 	streamH := registerTwin(t, c, inst, seed)
 
 	st, err := streamH.OpenStream(ctx)
@@ -211,126 +212,110 @@ func TestStreamOpenErrors(t *testing.T) {
 }
 
 // TestIngestFuncMatchesIngest checks the callback ingest arm against
-// the materializing one on twin instances, over both the binary codec
-// (both ride the verdict stream; Ingest rebuilds []Verdict from it) and
-// the JSON codec.
+// the materializing one on twin instances: both ride the verdict stream,
+// and Ingest rebuilds []Verdict from it.
 func TestIngestFuncMatchesIngest(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		codec client.Codec
-	}{{"binary", client.CodecBinary}, {"json", client.CodecJSON}} {
-		t.Run(tc.name, func(t *testing.T) {
-			codec := tc.codec
-			ctx := context.Background()
-			c, _ := startServerWith(t, client.WithCodec(codec))
-			const seed = 13
-			inst := uniform(t, 30, 900, 3, 11)
-			ingestH := registerTwin(t, c, inst, seed)
-			funcH := registerTwin(t, c, inst, seed)
+	ctx := context.Background()
+	c, _ := startServer(t)
+	const seed = 13
+	inst := uniform(t, 30, 900, 3, 11)
+	ingestH := registerTwin(t, c, inst, seed)
+	funcH := registerTwin(t, c, inst, seed)
 
-			const batch = 111
-			for off := 0; off < len(inst.Elements); off += batch {
-				els := inst.Elements[off:min(off+batch, len(inst.Elements))]
-				want, err := ingestH.Ingest(ctx, els)
-				if err != nil {
-					t.Fatal(err)
-				}
-				calls := 0
-				err = funcH.IngestFunc(ctx, els, func(i int, admitted []osp.SetID) {
-					if i != calls {
-						t.Fatalf("callback order: got element %d, want %d", i, calls)
-					}
-					calls++
-					if fmt.Sprint(admitted) != fmt.Sprint(want[i].Admitted) {
-						t.Fatalf("element %d: IngestFunc admitted %v, Ingest %v", off+i, admitted, want[i].Admitted)
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if calls != len(els) {
-					t.Fatalf("callback ran %d times for %d elements", calls, len(els))
-				}
+	const batch = 111
+	for off := 0; off < len(inst.Elements); off += batch {
+		els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+		want, err := ingestH.Ingest(ctx, els)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		err = funcH.IngestFunc(ctx, els, func(i int, admitted []osp.SetID) {
+			if i != calls {
+				t.Fatalf("callback order: got element %d, want %d", i, calls)
 			}
-
-			serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range []*client.Instance{ingestH, funcH} {
-				res, err := h.Drain(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Equal(serial) {
-					t.Fatalf("drained result differs from serial oracle (codec %s)", tc.name)
-				}
+			calls++
+			if fmt.Sprint(admitted) != fmt.Sprint(want[i].Admitted) {
+				t.Fatalf("element %d: IngestFunc admitted %v, Ingest %v", off+i, admitted, want[i].Admitted)
 			}
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != len(els) {
+			t.Fatalf("callback ran %d times for %d elements", calls, len(els))
+		}
+	}
+
+	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*client.Instance{ingestH, funcH} {
+		res, err := h.Drain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(serial) {
+			t.Fatalf("instance %s drained result differs from serial oracle", h.ID())
+		}
 	}
 }
 
-// TestIngestShares checks the multi-instance ingest on both codecs: two
-// instances each take half of every batch, every element is called back
-// once with the verdict a single instance gives it, share 0's callbacks
-// all run before share 1's, and an empty share or a second share on one
-// instance fails alone.
+// TestIngestShares checks the multi-instance ingest: two instances each
+// take half of every batch, every element is called back once with the
+// verdict a single instance gives it, share 0's callbacks all run before
+// share 1's, and an empty share or a second share on one instance fails
+// alone.
 func TestIngestShares(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		codec client.Codec
-	}{{"binary", client.CodecBinary}, {"json", client.CodecJSON}} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			c, _ := startServerWith(t, client.WithCodec(tc.codec))
-			const seed = 19
-			inst := uniform(t, 30, 900, 3, 23)
-			ref := registerTwin(t, c, inst, seed)
-			a, b := registerTwin(t, c, inst, seed), registerTwin(t, c, inst, seed)
+	ctx := context.Background()
+	c, _ := startServer(t)
+	const seed = 19
+	inst := uniform(t, 30, 900, 3, 23)
+	ref := registerTwin(t, c, inst, seed)
+	a, b := registerTwin(t, c, inst, seed), registerTwin(t, c, inst, seed)
 
-			const batch = 150
-			for off := 0; off < len(inst.Elements); off += batch {
-				els := inst.Elements[off:min(off+batch, len(inst.Elements))]
-				want, err := ref.Ingest(ctx, els)
-				if err != nil {
-					t.Fatal(err)
+	const batch = 150
+	for off := 0; off < len(inst.Elements); off += batch {
+		els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+		want, err := ref.Ingest(ctx, els)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(els) / 2
+		next := 0 // index into els of the next expected callback
+		check := func(base int) func(int, []osp.SetID) {
+			return func(i int, admitted []osp.SetID) {
+				if base+i != next {
+					t.Fatalf("callback for element %d, want %d", base+i, next)
 				}
-				half := len(els) / 2
-				next := 0 // index into els of the next expected callback
-				check := func(base int) func(int, []osp.SetID) {
-					return func(i int, admitted []osp.SetID) {
-						if base+i != next {
-							t.Fatalf("callback for element %d, want %d", base+i, next)
-						}
-						next++
-						if fmt.Sprint(admitted) != fmt.Sprint(want[base+i].Admitted) {
-							t.Fatalf("element %d: admitted %v, single instance %v", off+base+i, admitted, want[base+i].Admitted)
-						}
-					}
-				}
-				shares := []client.Share{
-					{In: a, Els: els[:half], Fn: check(0)},
-					{In: b, Els: els[half:], Fn: check(half)},
-					{In: b, Els: els},
-					{In: ref, Els: els[:0]},
-				}
-				client.IngestShares(ctx, shares)
-				for k, s := range shares[:2] {
-					if s.Err != nil {
-						t.Fatalf("share %d: %v", k, s.Err)
-					}
-				}
-				if next != len(els) {
-					t.Fatalf("%d callbacks for %d elements", next, len(els))
-				}
-				if shares[2].Err == nil {
-					t.Fatal("a second share on one instance was accepted")
-				}
-				if !isStatus(shares[3].Err, http.StatusBadRequest) {
-					t.Fatalf("empty share: %v, want a 400", shares[3].Err)
+				next++
+				if fmt.Sprint(admitted) != fmt.Sprint(want[base+i].Admitted) {
+					t.Fatalf("element %d: admitted %v, single instance %v", off+base+i, admitted, want[base+i].Admitted)
 				}
 			}
-		})
+		}
+		shares := []client.Share{
+			{In: a, Els: els[:half], Fn: check(0)},
+			{In: b, Els: els[half:], Fn: check(half)},
+			{In: b, Els: els},
+			{In: ref, Els: els[:0]},
+		}
+		client.IngestShares(ctx, shares)
+		for k, s := range shares[:2] {
+			if s.Err != nil {
+				t.Fatalf("share %d: %v", k, s.Err)
+			}
+		}
+		if next != len(els) {
+			t.Fatalf("%d callbacks for %d elements", next, len(els))
+		}
+		if shares[2].Err == nil {
+			t.Fatal("a second share on one instance was accepted")
+		}
+		if !isStatus(shares[3].Err, http.StatusBadRequest) {
+			t.Fatalf("empty share: %v, want a 400", shares[3].Err)
+		}
 	}
 }
 

@@ -15,27 +15,25 @@ import (
 // order, with the parent sets the element was admitted to. The
 // admitted slice is reused scratch, valid only during the callback.
 //
-// Under the default CodecBinary the batch rides the instance's pinned
-// verdict stream: the first call opens it (OpenStream: the stream
-// listener when WithStreamAddr is set, else an upgrade of the base
-// URL's connection) and later calls reuse it, so the whole round trip
-// runs on pooled buffers. Concurrent callers serialize on the instance,
+// The batch rides the instance's pinned verdict stream: the first call
+// opens it (OpenStream: the stream listener when WithStreamAddr is set,
+// else an upgrade of the base URL's connection) and later calls reuse
+// it, so the whole round trip runs on pooled buffers. Concurrent callers serialize on the instance,
 // since the pinned stream is one in-order connection. ctx's deadline
 // and cancellation bind to the connection for the call; when either
 // fires, or the stream fails, the stream is dropped and the next call
 // dials again. A dial or handshake failure is returned, not papered
 // over; a server that refuses the upgrade or the instance surfaces as
 // *APIError. Call Close when done to release the stream gracefully.
-// Under CodecJSON the batch is one JSON request.
 //
 // With WithRetry configured, attempts buffer their callbacks and fn
 // fires only after an attempt succeeds — each element exactly once, in
 // batch order, no matter how many retries or re-dials the batch rode
 // through.
 //
-// An empty batch is refused up front, under either codec, with the 400
-// *APIError the server answers a JSON one: it never reaches the wire,
-// so it cannot cost the pinned stream.
+// An empty batch is refused up front with the 400 *APIError the server
+// answers a JSON one: it never reaches the wire, so it cannot cost the
+// pinned stream.
 //
 // IngestFunc is IngestShares with one share.
 func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
@@ -46,8 +44,8 @@ func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i
 
 // Share is one instance's batch in an IngestShares call.
 type Share struct {
-	// In is the instance the batch goes to; its client's codec, retry
-	// policy and pinned stream apply, as for In.IngestFunc.
+	// In is the instance the batch goes to; its client's retry policy
+	// and its pinned stream apply, as for In.IngestFunc.
 	In *Instance
 	// Els is the batch, in arrival order.
 	Els []osp.Element
@@ -83,8 +81,8 @@ type Share struct {
 // would let that deadline fail a share its node has already decided,
 // and the retry would ingest it twice.
 //
-// Each stream share holds its instance, as IngestFunc does, from its
-// send until IngestShares returns. Instances are taken in the order the
+// Each share holds its instance, as IngestFunc does, from its send
+// until IngestShares returns. Instances are taken in the order the
 // shares list them, so concurrent calls that name the same instances
 // must list them in the same order; an instance may appear in only one
 // share of a call.
@@ -99,10 +97,8 @@ func IngestShares(ctx context.Context, shares []Share) {
 		if s.Err = s.check(shares[:k]); s.Err != nil {
 			continue
 		}
-		if s.In.c.codec != CodecJSON {
-			s.In.tmu.Lock()
-			s.held = true
-		}
+		s.In.tmu.Lock()
+		s.held = true
 		s.r = s.In.c.newRetrier(ctx)
 		s.send()
 	}
@@ -162,7 +158,7 @@ func (s *Share) recv() {
 			s.buf.reset()
 			fn = s.buf.collect
 		}
-		s.err = s.In.recvAttempt(s.actx, s.Els, s.stop, fn)
+		s.err = s.In.recvAttempt(s.actx, s.stop, fn)
 	}
 	if s.cancel != nil {
 		s.cancel()
@@ -196,29 +192,10 @@ func (s *Share) release() {
 	s.r, s.actx, s.cancel, s.stop, s.buf, s.held = retrier{}, nil, nil, nil, nil, false
 }
 
-// ingestFuncJSON adapts the JSON arm to the callback shape.
-func (in *Instance) ingestFuncJSON(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	verdicts, err := in.ingestJSON(ctx, els)
-	if err != nil {
-		return err
-	}
-	if len(verdicts) != len(els) {
-		return fmt.Errorf("client: %d verdicts for %d elements", len(verdicts), len(els))
-	}
-	for i, v := range verdicts {
-		fn(i, v.Admitted)
-	}
-	return nil
-}
-
-// sendAttempt is the first half of one attempt. On the stream it opens
-// the pinned stream if none is open, binds ctx to its connection and
-// sends els; the caller holds tmu through recvAttempt. The JSON arm's
-// request is the whole attempt, made in recvAttempt.
+// sendAttempt is the first half of one attempt: it opens the pinned
+// stream if none is open, binds ctx to its connection and sends els;
+// the caller holds tmu through recvAttempt.
 func (in *Instance) sendAttempt(ctx context.Context, els []osp.Element) (stop func() bool, err error) {
-	if in.c.codec == CodecJSON {
-		return nil, nil
-	}
 	if in.pinned == nil {
 		st, err := in.OpenStream(ctx)
 		if err != nil {
@@ -235,10 +212,7 @@ func (in *Instance) sendAttempt(ctx context.Context, els []osp.Element) (stop fu
 
 // recvAttempt is the second half of the attempt sendAttempt began: it
 // delivers the batch's verdicts to fn.
-func (in *Instance) recvAttempt(ctx context.Context, els []osp.Element, stop func() bool, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.codec == CodecJSON {
-		return in.ingestFuncJSON(ctx, els, fn)
-	}
+func (in *Instance) recvAttempt(ctx context.Context, stop func() bool, fn func(i int, admitted []osp.SetID)) error {
 	return in.endAttempt(ctx, stop, in.pinned.Recv(fn))
 }
 
@@ -260,7 +234,7 @@ func (in *Instance) endAttempt(ctx context.Context, stop func() bool, err error)
 
 // dropPinned closes the pinned stream without a goodbye — after a
 // terminal error, a spent deadline, or at Drain once every batch it
-// carried is answered; the next binary ingest re-dials.
+// carried is answered; the next ingest re-dials.
 func (in *Instance) dropPinned() {
 	in.pinned.Close() //nolint:errcheck // the stream is already broken
 	in.pinned = nil
@@ -269,7 +243,7 @@ func (in *Instance) dropPinned() {
 // Close releases the instance's pinned stream, if IngestFunc or Ingest
 // opened one, with a clean half-close handshake (every pipelined batch
 // is answered before the server confirms). The instance handle itself
-// stays usable — the next binary ingest re-dials. Safe to call when no
+// stays usable — the next ingest re-dials. Safe to call when no
 // stream is pinned.
 func (in *Instance) Close() error {
 	in.tmu.Lock()

@@ -16,8 +16,8 @@ import (
 	"repro/osp/client"
 )
 
-// These tests pin the automatic binary transport behind Ingest and
-// IngestFunc under the default codec: the instance streams over one
+// These tests pin the stream transport behind Ingest and IngestFunc:
+// the instance streams over one
 // pinned connection — the raw stream listener with WithStreamAddr, an
 // HTTP upgrade of the base URL without — a failed dial is returned and
 // re-dialed, a blackholed stream honours the caller's context, and
@@ -70,8 +70,9 @@ func ingestAuto(t *testing.T, h *client.Instance, inst *osp.Instance, batch int)
 
 // TestIngestAutoPinsStream is the happy path: with a live stream
 // listener, the first IngestFunc dials once, pins the stream, and every
-// later batch reuses the same connection. Verdicts match a JSON twin
-// and the drain matches the serial oracle.
+// later batch reuses the same connection. Verdicts match a twin that
+// streams through the HTTP upgrade, and the drain matches the serial
+// oracle.
 func TestIngestAutoPinsStream(t *testing.T) {
 	ctx := context.Background()
 	srv := osp.NewServer(osp.ServerConfig{})
@@ -84,7 +85,7 @@ func TestIngestAutoPinsStream(t *testing.T) {
 
 	const seed = 17
 	inst := uniform(t, 35, 1100, 4, 9)
-	c0, err := client.New(hs.URL, client.WithCodec(client.CodecJSON))
+	c0, err := client.New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +96,6 @@ func TestIngestAutoPinsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	autoH := registerTwin(t, c, inst, seed)
-	if got := autoH.Codec(); got != "stream" {
-		t.Fatalf("codec = %q, want stream", got)
-	}
 
 	const batch = 97
 	gotAuto := ingestAuto(t, autoH, inst, batch)
@@ -113,7 +111,7 @@ func TestIngestAutoPinsStream(t *testing.T) {
 	}
 	for i := range wantHTTP {
 		if gotAuto[i] != wantHTTP[i] {
-			t.Fatalf("element %d: IngestFunc admitted %s, JSON twin %s", i, gotAuto[i], wantHTTP[i])
+			t.Fatalf("element %d: IngestFunc admitted %s, upgrade twin %s", i, gotAuto[i], wantHTTP[i])
 		}
 	}
 	if n := proxy.Accepted(); n != 1 {
@@ -198,9 +196,6 @@ func TestIngestAutoNoStreamAddr(t *testing.T) {
 	inst := uniform(t, 15, 300, 3, 3)
 	h := registerTwin(t, c, inst, seed)
 	ingestAuto(t, h, inst, 50)
-	if got := h.Codec(); got != "stream" {
-		t.Fatalf("codec = %q, want stream", got)
-	}
 	assertStreamConns(t, c, 1)
 	serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
 	if err != nil {
