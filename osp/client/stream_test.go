@@ -213,8 +213,13 @@ func TestStreamOpenErrors(t *testing.T) {
 
 // TestIngestFuncMatchesIngest checks the callback ingest arm against
 // the materializing one on twin instances: both ride the verdict stream,
-// and Ingest rebuilds []Verdict from it.
+// and Ingest rebuilds []Verdict from it. The body runs as subtest
+// "binary", after the client's one wire format.
 func TestIngestFuncMatchesIngest(t *testing.T) {
+	t.Run("binary", testIngestFuncMatchesIngest)
+}
+
+func testIngestFuncMatchesIngest(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startServer(t)
 	const seed = 13
@@ -266,8 +271,13 @@ func TestIngestFuncMatchesIngest(t *testing.T) {
 // take half of every batch, every element is called back once with the
 // verdict a single instance gives it, share 0's callbacks all run before
 // share 1's, and an empty share or a second share on one instance fails
-// alone.
+// alone. The body runs as subtest "binary", after the client's one wire
+// format.
 func TestIngestShares(t *testing.T) {
+	t.Run("binary", testIngestShares)
+}
+
+func testIngestShares(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startServer(t)
 	const seed = 19
