@@ -1,12 +1,15 @@
 // Command ospbench regenerates the paper's results: it runs any (or all)
 // of the experiments X1…X16 indexed in EXPERIMENTS.md and prints their
-// tables.
+// tables. -all prints the complete report, every table under a header
+// recording the seed and configuration, suitable for diffing against
+// EXPERIMENTS.md after code changes.
 //
 // Usage:
 //
 //	ospbench -list
 //	ospbench -exp X2 -seed 1 -trials 50
 //	ospbench -all -quick
+//	ospbench -all > report.txt           # full sweeps (~1 min)
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -49,7 +53,14 @@ func run(args []string, w io.Writer) error {
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Quick: *quick}
 	switch {
 	case *all:
-		return experiments.RunAll(cfg, w)
+		start := time.Now()
+		fmt.Fprintf(w, "OSP reproduction report\npaper: Emek et al., Online Set Packing (PODC 2010)\nseed: %d  quick: %v  trials: %d\n\n",
+			*seed, *quick, *trials)
+		if err := experiments.RunAll(cfg, w); err != nil {
+			return err
+		}
+		_, err := fmt.Fprintf(w, "report generated in %v\n", time.Since(start).Round(time.Millisecond))
+		return err
 	case *expID != "":
 		e, err := experiments.ByID(*expID)
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -31,6 +32,29 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "NO") {
 		t.Errorf("X7 has failed verdicts:\n%s", buf.String())
+	}
+}
+
+// TestAllQuickReport runs the complete report: the header, every
+// experiment X1 through X16, the footer, and no failed verdict.
+func TestAllQuickReport(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-all", "-quick", "-trials", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, frag := range []string{"OSP reproduction report", "seed: 1  quick: true  trials: 2", "report generated in"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("report missing %q", frag)
+		}
+	}
+	for i := 1; i <= 16; i++ {
+		if frag := fmt.Sprintf("=== X%d:", i); !strings.Contains(out, frag) {
+			t.Errorf("report missing %q", frag)
+		}
+	}
+	if strings.Contains(out, "NO") {
+		t.Errorf("report contains failed verdicts:\n%s", out)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Command ospcluster runs an admission cluster end to end: a
 // coordinator over N service nodes, one instance placed by consistent
 // hashing or fanned out across the fleet by element hash, ingest
-// forwarded over each node's verdict stream (its -stream-nodes port, or
-// an HTTP upgrade of its base URL), and the per-node drains merged and
-// cross-checked bit-for-bit against the serial policy oracle. With
+// forwarded over each node's verdict stream (an HTTP upgrade of its
+// base URL), and the per-node drains merged and cross-checked
+// bit-for-bit against the serial policy oracle. With
 // -kill it doubles as the failover demo: kill a node mid-stream,
 // re-register the instance on a fresh replacement from the Spec the
 // coordinator holds, resend the retained shares, and verify the merged
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	ospcluster -spawn 3 -n 100000            # embedded 3-node fleet
-//	ospcluster -nodes http://a:8080,http://b:8080 -stream-nodes a:8081,b:8081
+//	ospcluster -nodes http://a:8080,http://b:8080
 //	ospcluster -spawn 3 -kill 1 -kill-at 0.5 # failover demo mid-stream
 //	ospcluster -spawn 3 -kill 1 -journal=false  # lossy failover, accounted
 //	ospcluster -spawn 3 -kill 1 -spares 1 -auto-failover  # zero-operator recovery
@@ -55,7 +55,6 @@ func run(args []string, w io.Writer) error {
 	var (
 		spawn     = fs.Int("spawn", 3, "embedded fleet: number of in-process nodes (ignored with -nodes)")
 		nodesFlag = fs.String("nodes", "", "external fleet: comma-separated node base URLs, in slot order")
-		strmFlag  = fs.String("stream-nodes", "", "external fleet: comma-separated raw stream listener host:ports, parallel to -nodes (\"\" entries stream through the node's HTTP upgrade)")
 		m         = fs.Int("m", 200, "uniform workload: number of sets")
 		n         = fs.Int("n", 100000, "uniform workload: number of elements")
 		load      = fs.Int("load", 8, "uniform workload: element load σ(u)")
@@ -121,20 +120,8 @@ func run(args []string, w io.Writer) error {
 		embedded = ""
 	)
 	if *nodesFlag != "" {
-		bases := strings.Split(*nodesFlag, ",")
-		streams := make([]string, len(bases))
-		if *strmFlag != "" {
-			got := strings.Split(*strmFlag, ",")
-			if len(got) != len(bases) {
-				return fmt.Errorf("-stream-nodes lists %d addrs for %d nodes", len(got), len(bases))
-			}
-			streams = got
-		}
-		for i, b := range bases {
-			fleet = append(fleet, cluster.Node{
-				BaseURL:    strings.TrimSpace(b),
-				StreamAddr: strings.TrimSpace(streams[i]),
-			})
+		for _, b := range strings.Split(*nodesFlag, ",") {
+			fleet = append(fleet, cluster.Node{BaseURL: strings.TrimSpace(b)})
 		}
 		if *kill >= 0 {
 			return errors.New("-kill needs an embedded fleet (-spawn); external nodes cannot be killed from here")
@@ -190,7 +177,6 @@ func run(args []string, w io.Writer) error {
 			Interval:      *healthIv,
 			FailThreshold: 2,
 			Spares:        spareNodes,
-			AutoFailover:  true,
 			OnEvent: func(ev cluster.HealthEvent) {
 				switch {
 				case ev.Failover && ev.Err == nil:

@@ -13,8 +13,6 @@
 //	osploadgen -n 200000 -rate 0        # full speed, report the sustained rate
 //	osploadgen -policy first-fit -n 100000  # register a non-default policy
 //	osploadgen -pipeline 1 -n 500000    # one batch in flight on the verdict stream
-//	osploadgen -addr http://host:8080 -stream-addr host:8081
-//	                                    # stream over the raw port, not the HTTP upgrade
 //	osploadgen -policy randpr-weighted -zipf 1.2  # skewed Zipf(1.2) set weights,
 //	                                    # where the weighted variant actually diverges
 //
@@ -62,7 +60,6 @@ func run(args []string, w io.Writer) error {
 		shards   = fs.Int("shards", 0, "server-side engine shards (0 = server default)")
 		policy   = fs.String("policy", "", "admission policy: "+strings.Join(osp.PolicyNames(), ", ")+` ("" = server default randpr)`)
 		pipeline = fs.Int("pipeline", 8, "batches kept in flight on the verdict stream (capped by the server's window)")
-		strmAddr = fs.String("stream-addr", "", "host:port of the server's raw stream listener (ospserve -stream-listen); empty streams through an HTTP upgrade of -addr")
 		zipf     = fs.Float64("zipf", 0, "Zipf exponent s for skewed set weights w(S_i) ∝ 1/(i+1)^s (0 = unit weights)")
 		label    = fs.String("label", "loadgen", "metrics label for the registered instance")
 		verify   = fs.Bool("verify", true, "cross-check the drained result against the policy's serial oracle")
@@ -108,13 +105,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	ctx := context.Background()
-	var opts []client.Option
-	via := "HTTP upgrade"
-	if *strmAddr != "" {
-		opts = append(opts, client.WithStreamAddr(*strmAddr))
-		via = *strmAddr
-	}
-	c, err := client.New(base, opts...)
+	c, err := client.New(base)
 	if err != nil {
 		return err
 	}
@@ -219,8 +210,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	sustained := float64(len(inst.Elements)) / elapsed.Seconds()
-	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, codec stream, pipeline %d via %s)\n",
-		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, *pipeline, via)
+	fmt.Fprintf(w, "loadgen:  %d elements in %v (%.0f elements/sec over %d batches, codec stream, pipeline %d via HTTP upgrade)\n",
+		len(inst.Elements), elapsed.Round(time.Microsecond), sustained, batches, *pipeline)
 	p50, p95, p99 := latencyPercentiles(lat)
 	fmt.Fprintf(w, "latency:  per-batch client-observed p50 %v, p95 %v, p99 %v\n",
 		p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))

@@ -55,39 +55,32 @@ func TestLoadgenPolicies(t *testing.T) {
 	}
 }
 
-// TestLoadgenStreamTransport runs the pipelined stream path on both
-// entries — the HTTP upgrade of the embedded server, and a node's raw
-// stream listener named by -stream-addr: the oracle check must pass,
-// and the report must name the codec, depth and entry it actually used.
-// The retired -transport, -conns, -codec, -nodes and -stream-nodes
-// flags are undefined.
+// TestLoadgenStreamTransport runs the pipelined stream path through
+// the HTTP upgrade of the embedded server and of a running node named
+// by -addr: the oracle check must pass, and the report must name the
+// codec, depth and entry it actually used. The retired -transport,
+// -conns, -codec, -nodes, -stream-nodes and -stream-addr flags are
+// undefined.
 func TestLoadgenStreamTransport(t *testing.T) {
 	node, err := cluster.StartLocalNode(osp.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Shutdown(context.Background()) }) //nolint:errcheck
-	for _, tc := range []struct {
-		args []string
-		via  string
-	}{
-		{nil, "codec stream, pipeline 4 via HTTP upgrade"},
-		{[]string{"-addr", node.Config().BaseURL, "-stream-addr", node.Config().StreamAddr},
-			"codec stream, pipeline 4 via " + node.Config().StreamAddr},
-	} {
+	for _, extra := range [][]string{nil, {"-addr", node.Config().BaseURL}} {
 		var buf bytes.Buffer
 		args := append([]string{"-m", "40", "-n", "6000", "-load", "4", "-batch", "250",
-			"-seed", "9", "-pipeline", "4"}, tc.args...)
+			"-seed", "9", "-pipeline", "4"}, extra...)
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
 		for _, frag := range []string{
-			tc.via,
+			"codec stream, pipeline 4 via HTTP upgrade",
 			"latency:  per-batch client-observed p50",
 			"verify:   drained result bit-for-bit identical",
 		} {
 			if !strings.Contains(buf.String(), frag) {
-				t.Errorf("output missing %q:\n%s", frag, buf.String())
+				t.Errorf("%v: output missing %q:\n%s", extra, frag, buf.String())
 			}
 		}
 	}
@@ -98,7 +91,8 @@ func TestLoadgenStreamTransport(t *testing.T) {
 	}
 	for _, retired := range [][]string{
 		{"-transport", "stream"}, {"-conns", "2"}, {"-codec", "json"},
-		{"-nodes", node.Config().BaseURL}, {"-stream-nodes", node.Config().StreamAddr},
+		{"-nodes", node.Config().BaseURL}, {"-stream-nodes", "127.0.0.1:1"},
+		{"-stream-addr", "127.0.0.1:1"},
 	} {
 		if err := run(append(retired, "-n", "10"), &buf); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {

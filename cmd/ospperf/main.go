@@ -15,7 +15,7 @@
 //	ospperf                       # full matrix, JSON report on stdout
 //	ospperf -out BENCH_6.json     # regenerate the tracked baseline
 //	ospperf -quick -out /dev/null # CI smoke sizes
-//	ospperf -failonalloc          # exit 1 on any allocs/element > 0
+//	ospperf -failonalloc          # exit 1 on a per-element allocation past its gate
 //	ospperf -compare BENCH_7.json NEW.json
 //	                              # per-row ns/element deltas; exit 1 when
 //	                              # any shared row regresses past -regress,
@@ -193,7 +193,7 @@ func run(args []string, w io.Writer) error {
 		quick       = fs.Bool("quick", false, "small sizes for a CI smoke pass")
 		reps        = fs.Int("reps", 3, "timed repetitions per cell (best-of; cluster rows take at least 5)")
 		seed        = fs.Int64("seed", 1, "workload generation seed")
-		failOnAlloc = fs.Bool("failonalloc", false, "exit nonzero if any steady-state allocs/element > 0 (service rows excluded: they include client-side JSON marshal)")
+		failOnAlloc = fs.Bool("failonalloc", false, "exit nonzero if the decide, engine or policy rows allocate per element in steady state, or the stream service row more than 0.1/element process-wide (the JSON service row and the cluster rows are not gated)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		compare     = fs.Bool("compare", false, "compare mode: ospperf -compare OLD.json NEW.json prints per-row ns/element deltas and exits nonzero on regressions past -regress")
 		regress     = fs.Float64("regress", 0.25, "compare mode: fail when a shared row's ns/element grows by more than this fraction")

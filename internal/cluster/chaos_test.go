@@ -28,7 +28,6 @@ func chaosHealth(spare cluster.Node) cluster.HealthConfig {
 		Timeout:        80 * time.Millisecond,
 		FailThreshold:  2,
 		Spares:         []cluster.Node{spare},
-		AutoFailover:   true,
 		FailoverBudget: 20 * time.Second,
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,10 +21,10 @@ import (
 type Node struct {
 	// BaseURL is the node's HTTP API, e.g. "http://10.0.0.7:8080".
 	BaseURL string
-	// StreamAddr is the node's raw-TCP stream listener (ospserve
-	// -stream-listen). The coordinator forwards ingest over a verdict
-	// stream either way (client.IngestShares): dialed here when
-	// set, an HTTP/1.1 Upgrade of BaseURL's listener when empty.
+	// StreamAddr, when set, is the node's raw-TCP stream listener
+	// (ospserve -stream-listen), which the node's verdict stream then
+	// dials; empty, the stream is an HTTP/1.1 Upgrade of BaseURL's
+	// listener.
 	StreamAddr string
 }
 
@@ -43,9 +43,6 @@ type Config struct {
 	// and resends only the unacknowledged in-flight shares. The cost is
 	// O(elements) coordinator memory per live instance.
 	Journal bool
-	// HTTPClient overrides the http.Client used for every node;
-	// nil means one shared plain &http.Client{}.
-	HTTPClient *http.Client
 	// StreamConns is the number of stream connections per node and
 	// instance. Only 0 or 1 is accepted: one connection reaches every
 	// shard of the node's engine, so New rejects any other value.
@@ -108,8 +105,8 @@ type member struct {
 	errs     atomic.Uint64
 }
 
-func dialMember(slot int, cfg Node, hc *http.Client, retry *client.RetryPolicy) (*member, error) {
-	opts := []client.Option{client.WithHTTPClient(hc)}
+func dialMember(slot int, cfg Node, retry *client.RetryPolicy) (*member, error) {
+	var opts []client.Option
 	if cfg.StreamAddr != "" {
 		opts = append(opts, client.WithStreamAddr(cfg.StreamAddr))
 	}
@@ -133,7 +130,6 @@ func dialMember(slot int, cfg Node, hc *http.Client, retry *client.RetryPolicy) 
 type Coordinator struct {
 	journal bool
 	ring    *Ring
-	httpc   *http.Client
 	retry   *client.RetryPolicy
 
 	mu     sync.Mutex
@@ -157,20 +153,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.StreamConns < 0 || cfg.StreamConns > 1 {
 		return nil, fmt.Errorf("cluster: StreamConns %d, want 0 or 1 (one stream connection per node)", cfg.StreamConns)
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	co := &Coordinator{
 		journal: cfg.Journal,
 		ring:    NewRing(len(cfg.Nodes)),
-		httpc:   hc,
 		retry:   cfg.Retry,
 		nodes:   make([]*member, len(cfg.Nodes)),
 		insts:   make(map[string]*Instance),
 	}
 	for i, n := range cfg.Nodes {
-		m, err := dialMember(i, n, hc, cfg.Retry)
+		m, err := dialMember(i, n, cfg.Retry)
 		if err != nil {
 			return nil, err
 		}
@@ -190,44 +181,40 @@ func (co *Coordinator) Nodes() []Node {
 	return out
 }
 
-// Instance is a handle to one cluster-level instance: its Spec, its
-// hosting slots, per-node client handles, and the retained element
-// shares that make failover exact (journal) or accounted (Lost).
+// Instance is a handle to one cluster-level instance: its Spec and one
+// host record per hosting slot, which holds everything the coordinator
+// keeps for that node — the node's instance handle, what it
+// acknowledged, and the shares a failover replay resends.
 type Instance struct {
-	co     *Coordinator
-	id     string
-	spec   Spec
-	fanOut bool
-	mixer  hashpr.Mixer
-	slots  []int // hosting slots, ascending
+	co    *Coordinator
+	id    string
+	spec  Spec
+	mixer hashpr.Mixer
 
 	mu      sync.Mutex
-	handles map[int]*client.Instance
-	journal map[int][][]osp.Element // acked shares per slot (Config.Journal)
-	acked   map[int]int             // acked elements per slot
-	failed  map[int][][]osp.Element // unacked in-flight shares per slot, in order
+	hosts   []host // by ascending slot; the slots never change
 	lost    uint64
 	drained *osp.Result
-
-	// Scratch for the batch in flight, reused across batches: a fan-out
-	// instance's part per hosting slot, the batch's shares, and the slot
-	// each share goes to.
-	parts      []part
-	shares     []client.Share
-	shareSlots []int
+	shares  []client.Share // the batch in flight, reused across batches
 }
 
-// part is one hosting slot's slice of a fan-out batch.
-type part struct {
-	slot  int
+// host is one hosting slot of an instance.
+type host struct {
+	slot    int
+	handle  *client.Instance // the node's instance
+	acked   int              // elements the node acknowledged
+	journal [][]osp.Element  // acked shares (Config.Journal)
+	failed  [][]osp.Element  // unacked in-flight shares, in order
+
+	// A fan-out batch's part for this slot, in reused scratch.
 	els   []osp.Element
 	idx   []int                             // batch index of each element of els
 	fn    func(i int, admitted []osp.SetID) // the caller's callback for the batch
-	remap func(i int, admitted []osp.SetID) // p.verdict, bound once
+	remap func(i int, admitted []osp.SetID) // h.verdict, bound once
 }
 
 // verdict hands one element's verdict to the caller under its batch index.
-func (p *part) verdict(i int, admitted []osp.SetID) { p.fn(p.idx[i], admitted) }
+func (h *host) verdict(i int, admitted []osp.SetID) { h.fn(h.idx[i], admitted) }
 
 // Register places a new instance on the fleet: on every node when
 // spec.FanOut, else on the single slot the consistent-hash ring assigns
@@ -248,45 +235,29 @@ func (co *Coordinator) Register(ctx context.Context, spec Spec) (*Instance, erro
 	co.nextID++
 	co.mu.Unlock()
 
-	var slots []int
-	if spec.FanOut && co.ring.Slots() > 1 {
-		slots = make([]int, co.ring.Slots())
-		for i := range slots {
-			slots[i] = i
+	in := &Instance{co: co, id: id, spec: spec, mixer: hashpr.Mixer{Seed: spec.Seed}}
+	if spec.FanOut {
+		in.hosts = make([]host, co.ring.Slots())
+		for k := range in.hosts {
+			in.hosts[k].slot = k
 		}
 	} else {
-		slots = []int{co.ring.Lookup(id)}
+		in.hosts = []host{{slot: co.ring.Lookup(id)}}
 	}
-	in := &Instance{
-		co: co, id: id, spec: spec,
-		fanOut:  len(slots) > 1,
-		mixer:   hashpr.Mixer{Seed: spec.Seed},
-		slots:   slots,
-		handles: make(map[int]*client.Instance, len(slots)),
-		journal: make(map[int][][]osp.Element),
-		acked:   make(map[int]int, len(slots)),
-		failed:  make(map[int][][]osp.Element),
-	}
-	if in.fanOut {
-		in.parts = make([]part, len(slots))
-		for k := range in.parts {
-			p := &in.parts[k]
-			p.slot = slots[k]
-			p.remap = p.verdict
-		}
-	}
-	for _, slot := range slots {
-		m := co.memberAt(slot)
-		h, err := m.c.Register(ctx, clientSpec(spec))
+	for k := range in.hosts {
+		h := &in.hosts[k]
+		h.remap = h.verdict
+		m := co.memberAt(h.slot)
+		ci, err := m.c.Register(ctx, clientSpec(spec))
 		if err != nil {
 			// Nothing holds the partial registration, so nothing could
 			// ever drain or remove it: undo it on the nodes that took it.
-			for _, accepted := range in.handles {
-				accepted.Remove(ctx) //nolint:errcheck // best effort; the refusal is the error to report
+			for _, accepted := range in.hosts[:k] {
+				accepted.handle.Remove(ctx) //nolint:errcheck // best effort; the refusal is the error to report
 			}
-			return nil, &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: err}
+			return nil, &NodeError{Slot: h.slot, Node: m.cfg.BaseURL, Err: err}
 		}
-		in.handles[slot] = h
+		h.handle = ci
 	}
 	co.mu.Lock()
 	co.insts[id] = in
@@ -309,16 +280,33 @@ func (in *Instance) ID() string { return in.id }
 
 // Slots returns the hosting slot indices, ascending: one for a pinned
 // instance, all of them for fan-out.
-func (in *Instance) Slots() []int { return append([]int(nil), in.slots...) }
+func (in *Instance) Slots() []int {
+	out := make([]int, len(in.hosts))
+	for k := range in.hosts {
+		out[k] = in.hosts[k].slot
+	}
+	return out
+}
 
 // Owner returns the hosting slot that decides el — the fan-out hash for
 // a split instance, the pinned slot otherwise. Exported so tests (and
 // routing-aware clients) can predict placement.
 func (in *Instance) Owner(el osp.Element) int {
-	if !in.fanOut {
-		return in.slots[0]
+	if len(in.hosts) == 1 {
+		return in.hosts[0].slot
 	}
-	return in.slots[ownerOf(in.mixer, el, len(in.slots))]
+	return in.hosts[ownerOf(in.mixer, el, len(in.hosts))].slot
+}
+
+// host returns the record of a slot the instance is hosted on, nil if
+// it is not.
+func (in *Instance) host(slot int) *host {
+	for k := range in.hosts {
+		if in.hosts[k].slot == slot {
+			return &in.hosts[k]
+		}
+	}
+	return nil
 }
 
 // Lost returns the number of elements lost to failovers on this
@@ -350,14 +338,14 @@ func (in *Instance) Lost() uint64 {
 // handed to Ingest are referenced until then — callers must not mutate
 // them afterwards.
 //
-// With a health monitor attached and AutoFailover armed (StartHealth),
-// a *NodeError does not surface immediately: Ingest blocks — the
-// backpressure a dying node earns — until the automatic failover's
-// replay has resent the retained share onto the replacement, then
-// returns nil. The rode-through share's verdict callbacks are skipped
-// (its verdicts happened during the replay); surviving shares' fired
-// normally. Only when no failover rescues the share within the
-// monitor's budget does the *NodeError reach the caller.
+// With a health monitor attached (StartHealth), a *NodeError does not
+// surface immediately: Ingest blocks — the backpressure a dying node
+// earns — until a failover's replay has resent the retained share onto
+// the replacement, then returns nil. The rode-through share's verdict
+// callbacks are skipped (its verdicts happened during the replay);
+// surviving shares' fired normally. Only when no failover rescues the
+// share within the monitor's FailoverBudget does the *NodeError reach
+// the caller.
 func (in *Instance) Ingest(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
 	err := in.ingestOnce(ctx, els, fn)
 	if err == nil {
@@ -368,7 +356,7 @@ func (in *Instance) Ingest(ctx context.Context, els []osp.Element, fn func(i int
 		return err
 	}
 	m := in.co.healthMonitor()
-	if m == nil || !m.cfg.AutoFailover {
+	if m == nil {
 		return err
 	}
 	if in.rideThrough(ctx, m.cfg.failoverBudget()) {
@@ -394,64 +382,70 @@ func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element, fn func(i
 	client.IngestShares(ctx, in.shares)
 	in.co.forward.Observe(time.Since(start))
 
+	// The shares follow the hosts' order, one per host that owns an
+	// element of the batch.
 	var firstErr error
-	for k := range in.shares {
-		s := &in.shares[k]
-		slot := in.shareSlots[k]
-		m := in.co.memberAt(slot)
+	shares := in.shares
+	for k := range in.hosts {
+		h := &in.hosts[k]
+		if len(shares) == 0 || shares[0].In != h.handle {
+			continue
+		}
+		s := &shares[0]
+		shares = shares[1:]
+		m := in.co.memberAt(h.slot)
 		if s.Err != nil {
 			m.errs.Add(1)
-			in.failed[slot] = append(in.failed[slot], retain(s.Els))
+			h.failed = append(h.failed, retain(s.Els))
 			if firstErr == nil {
-				firstErr = &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: s.Err}
+				firstErr = &NodeError{Slot: h.slot, Node: m.cfg.BaseURL, Err: s.Err}
 			}
 			continue
 		}
 		m.batches.Add(1)
 		m.elements.Add(uint64(len(s.Els)))
-		in.acked[slot] += len(s.Els)
+		h.acked += len(s.Els)
 		if in.co.journal {
-			in.journal[slot] = append(in.journal[slot], retain(s.Els))
+			h.journal = append(h.journal, retain(s.Els))
 		}
 	}
 	return firstErr
 }
 
-// scatter lays the batch out as in.shares: the whole batch for a pinned
-// instance, else one share per slot that owns at least one element (a
-// node refuses an empty batch), each built in its part's reused scratch.
+// scatter lays the batch out as in.shares: the caller's batch itself
+// for a pinned instance, else one share per host that owns at least
+// one element (a node refuses an empty batch), each built in its
+// host's reused scratch.
 func (in *Instance) scatter(els []osp.Element, fn func(i int, admitted []osp.SetID)) {
-	in.shares, in.shareSlots = in.shares[:0], in.shareSlots[:0]
-	if !in.fanOut {
-		in.shares = append(in.shares, client.Share{In: in.handles[in.slots[0]], Els: els, Fn: fn})
-		in.shareSlots = append(in.shareSlots, in.slots[0])
+	in.shares = in.shares[:0]
+	if len(in.hosts) == 1 {
+		in.shares = append(in.shares, client.Share{In: in.hosts[0].handle, Els: els, Fn: fn})
 		return
 	}
-	for k := range in.parts {
-		p := &in.parts[k]
-		p.els, p.idx = p.els[:0], p.idx[:0]
+	for k := range in.hosts {
+		h := &in.hosts[k]
+		h.els, h.idx = h.els[:0], h.idx[:0]
 	}
 	for i, el := range els {
-		p := &in.parts[ownerOf(in.mixer, el, len(in.parts))]
-		p.els = append(p.els, el)
-		p.idx = append(p.idx, i)
+		h := &in.hosts[ownerOf(in.mixer, el, len(in.hosts))]
+		h.els = append(h.els, el)
+		h.idx = append(h.idx, i)
 	}
-	for k := range in.parts {
-		p := &in.parts[k]
-		if len(p.els) == 0 {
+	for k := range in.hosts {
+		h := &in.hosts[k]
+		if len(h.els) == 0 {
 			continue
 		}
-		s := client.Share{In: in.handles[p.slot], Els: p.els}
+		s := client.Share{In: h.handle, Els: h.els}
 		if fn != nil {
-			p.fn = fn
-			s.Fn = p.remap
+			h.fn = fn
+			s.Fn = h.remap
 		}
 		in.shares = append(in.shares, s)
-		in.shareSlots = append(in.shareSlots, p.slot)
 	}
 }
 
-// retain copies a share out of the caller's batch or the part scratch
+// retain copies a share out of the caller's batch or the host scratch
 // for the journal or the failover replay, which keep it.
 func retain(els []osp.Element) []osp.Element { return append([]osp.Element(nil), els...) }
 
@@ -470,25 +464,26 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 		return in.drained, nil
 	}
 	m := len(in.spec.Info.Weights)
-	results := make([]*osp.Result, len(in.slots))
-	errs := make([]error, len(in.slots))
+	results := make([]*osp.Result, len(in.hosts))
+	errs := make([]error, len(in.hosts))
 	var wg sync.WaitGroup
-	for k, slot := range in.slots {
-		h := in.handles[slot]
+	for k := range in.hosts {
+		ci := in.hosts[k].handle
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[k], errs[k] = h.Drain(ctx)
+			results[k], errs[k] = ci.Drain(ctx)
 		}()
 	}
 	wg.Wait()
 	total := make([]int32, m)
-	for k, slot := range in.slots {
+	for k := range in.hosts {
 		err := errs[k]
 		if err == nil && len(results[k].Assigned) != m {
 			err = fmt.Errorf("drain returned %d assignment counters, want %d", len(results[k].Assigned), m)
 		}
 		if err != nil {
+			slot := in.hosts[k].slot
 			return nil, &NodeError{Slot: slot, Node: in.co.memberAt(slot).cfg.BaseURL, Err: err}
 		}
 		for i, c := range results[k].Assigned {
@@ -499,9 +494,11 @@ func (in *Instance) Drain(ctx context.Context) (*osp.Result, error) {
 	in.drained = res
 	// The stream is closed: retained shares and batch scratch have
 	// served their purpose.
-	in.journal = nil
-	in.failed = nil
-	in.parts, in.shares, in.shareSlots = nil, nil, nil
+	for k := range in.hosts {
+		h := &in.hosts[k]
+		h.journal, h.failed, h.els, h.idx = nil, nil, nil, nil
+	}
+	in.shares = nil
 	return res, nil
 }
 
@@ -524,7 +521,7 @@ func (co *Coordinator) ReplaceNode(ctx context.Context, slot int, replacement No
 	if err := co.ring.validateSlot(slot); err != nil {
 		return err
 	}
-	m, err := dialMember(slot, replacement, co.httpc, co.retry)
+	m, err := dialMember(slot, replacement, co.retry)
 	if err != nil {
 		return err
 	}
@@ -532,64 +529,56 @@ func (co *Coordinator) ReplaceNode(ctx context.Context, slot int, replacement No
 	co.nodes[slot] = m
 	affected := make([]*Instance, 0, len(co.insts))
 	for _, in := range co.insts {
-		for _, s := range in.slots {
-			if s == slot {
-				affected = append(affected, in)
-				break
-			}
+		if in.host(slot) != nil {
+			affected = append(affected, in)
 		}
 	}
 	co.mu.Unlock()
 	sort.Slice(affected, func(i, j int) bool { return affected[i].id < affected[j].id })
 	co.failovers.Add(1)
 	for _, in := range affected {
-		if err := in.rehome(ctx, slot, m); err != nil {
+		if err := in.rehome(ctx, in.host(slot), m); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// rehome re-registers this instance on the slot's replacement node and
+// rehome re-registers this instance on the host's replacement node and
 // resends the retained shares.
-func (in *Instance) rehome(ctx context.Context, slot int, m *member) error {
+func (in *Instance) rehome(ctx context.Context, h *host, m *member) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.drained != nil {
 		return nil
 	}
-	if old := in.handles[slot]; old != nil {
-		old.Close() //nolint:errcheck // the node behind it is dead
-	}
-	h, err := m.c.Register(ctx, clientSpec(in.spec))
+	h.handle.Close() //nolint:errcheck // the node behind it is dead
+	ci, err := m.c.Register(ctx, clientSpec(in.spec))
 	if err != nil {
-		return &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: fmt.Errorf("replay register: %w", err)}
+		return &NodeError{Slot: h.slot, Node: m.cfg.BaseURL, Err: fmt.Errorf("replay register: %w", err)}
 	}
-	in.handles[slot] = h
+	h.handle = ci
 	if !in.co.journal {
-		in.lost += uint64(in.acked[slot])
-		in.co.lost.Add(uint64(in.acked[slot]))
+		in.lost += uint64(h.acked)
+		in.co.lost.Add(uint64(h.acked))
 	}
-	in.acked[slot] = 0
-	resend := make([][]osp.Element, 0, len(in.journal[slot])+len(in.failed[slot]))
-	resend = append(resend, in.journal[slot]...)
-	resend = append(resend, in.failed[slot]...)
-	in.journal[slot] = nil
-	in.failed[slot] = nil
+	h.acked = 0
+	resend := slices.Concat(h.journal, h.failed)
+	h.journal, h.failed = nil, nil
 	for k, els := range resend {
-		if err := h.IngestFunc(ctx, els, nil); err != nil {
+		if err := ci.IngestFunc(ctx, els, nil); err != nil {
 			// The replacement failed mid-replay: retain what it has not
 			// acknowledged so a further ReplaceNode can still recover.
-			in.failed[slot] = append(in.failed[slot], resend[k:]...)
+			h.failed = append(h.failed, resend[k:]...)
 			m.errs.Add(1)
-			return &NodeError{Slot: slot, Node: m.cfg.BaseURL, Err: fmt.Errorf("replay ingest: %w", err)}
+			return &NodeError{Slot: h.slot, Node: m.cfg.BaseURL, Err: fmt.Errorf("replay ingest: %w", err)}
 		}
 		in.co.resent.Add(uint64(len(els)))
 		m.batches.Add(1)
 		m.elements.Add(uint64(len(els)))
-		in.acked[slot] += len(els)
+		h.acked += len(els)
 		if in.co.journal {
-			in.journal[slot] = append(in.journal[slot], els)
+			h.journal = append(h.journal, els)
 		}
 	}
 	return nil
@@ -607,8 +596,8 @@ func (co *Coordinator) Close() error {
 	var first error
 	for _, in := range insts {
 		in.mu.Lock()
-		for _, h := range in.handles {
-			if err := h.Close(); err != nil && first == nil {
+		for _, h := range in.hosts {
+			if err := h.handle.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

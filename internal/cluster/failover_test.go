@@ -3,6 +3,10 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
+	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,26 +124,33 @@ func TestFailoverJournalExact(t *testing.T) {
 	}
 }
 
-// TestFailoverUpgradeStream: the fault-injection suite over streams
-// that ride an HTTP upgrade — every node is named by its base URL
-// alone, so each pinned stream is an upgraded connection the HTTP
-// server no longer tracks. A kill mid-stream still tears it down, the
-// coordinator still sees a *NodeError, and with the journal on the
-// replay onto a replacement is exact.
+// TestFailoverUpgradeStream: the failover from a fleet named by
+// Node.StreamAddr — each pinned stream dials a raw ServeStream listener
+// instead of upgrading the node's HTTP connection, the way the
+// end-to-end benchmark's fleet streams — onto a replacement named by
+// its base URL alone, which streams through the upgrade. A kill
+// mid-stream closes the victim's listener and tears its connections
+// down, the coordinator sees a *NodeError, and with the journal on the
+// replay is exact.
 func TestFailoverUpgradeStream(t *testing.T) {
 	ctx := context.Background()
 	const seed = 59
 	inst := workload(t, 40, 2000, 4, 23)
 	nodes := make([]*cluster.LocalNode, 3)
-	cfg := cluster.Config{Journal: true}
+	cfg := cluster.Config{Journal: true, StreamConns: 1}
 	for i := range nodes {
 		ln, err := cluster.StartLocalNode(osp.ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = ln
-		cfg.Nodes = append(cfg.Nodes, cluster.Node{BaseURL: ln.Config().BaseURL})
 		t.Cleanup(func() { ln.Shutdown(context.Background()) }) //nolint:errcheck
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go ln.Server().ServeStream(raw) //nolint:errcheck // closed by Kill or Shutdown
+		cfg.Nodes = append(cfg.Nodes, cluster.Node{BaseURL: ln.Config().BaseURL, StreamAddr: raw.Addr().String()})
 	}
 	co, err := cluster.New(cfg)
 	if err != nil {
@@ -162,11 +173,22 @@ func TestFailoverUpgradeStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i, ln := range nodes {
+		if got := nodeMetric(t, ln.Config().BaseURL, "osp_stream_connections_active"); got != 1 {
+			t.Fatalf("slot %d holds %d stream connections before the kill, want 1", i, got)
+		}
+		if got := nodeMetric(t, ln.Config().BaseURL, `osp_http_requests_total{handler="GET /v1/stream",code="101"}`); got != 0 {
+			t.Fatalf("slot %d answered %d stream upgrades, want 0: every stream dials its StreamAddr", i, got)
+		}
+	}
 	killAndReplace(t, co, nodes, victim, in, inst.Elements[half:half+batch])
 	for off := half + batch; off < len(inst.Elements); off += batch {
 		if err := in.Ingest(ctx, inst.Elements[off:min(off+batch, len(inst.Elements))], nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := nodeMetric(t, co.Nodes()[victim].BaseURL, `osp_http_requests_total{handler="GET /v1/stream",code="101"}`); got != 1 {
+		t.Fatalf("the replacement answered %d stream upgrades, want 1", got)
 	}
 	res, err := in.Drain(ctx)
 	if err != nil {
@@ -177,11 +199,36 @@ func TestFailoverUpgradeStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Equal(serial) {
-		t.Fatal("upgrade-stream failover drain differs from uninterrupted serial oracle")
+		t.Fatal("failover drain differs from uninterrupted serial oracle")
 	}
 	if in.Lost() != 0 {
 		t.Fatalf("Lost() = %d with the journal on, want 0", in.Lost())
 	}
+}
+
+// nodeMetric reads one series from a node's /metrics as an integer,
+// 0 when the series is absent.
+func nodeMetric(t *testing.T, base, series string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 // TestFailoverNoJournalAccounted: without the journal, the dead node's

@@ -21,7 +21,7 @@ import (
 // Suspect and dead slots are re-probed under jittered exponential
 // backoff (a struggling node is not hammered back to death); any
 // successful probe snaps the slot straight back to healthy. When a slot
-// goes dead and AutoFailover is armed, the monitor takes the next spare
+// goes dead and a spare is left, the monitor takes the next spare
 // from the pool and invokes the coordinator's existing ReplaceNode
 // replay against it — each hosted instance re-registered from its Spec,
 // then the retained element shares — with no operator in the loop.
@@ -84,15 +84,10 @@ type HealthConfig struct {
 	// FailThreshold is the consecutive-failure count that declares a
 	// node dead. 0 means 3.
 	FailThreshold int
-	// MaxBackoff caps the jittered exponential re-probe backoff for
-	// suspect and dead nodes. 0 means 8× the interval.
-	MaxBackoff time.Duration
 	// Spares is the replacement pool, consumed front to back by
-	// automatic failovers.
+	// automatic failovers. With none left the monitor only observes
+	// (states, metrics, events).
 	Spares []Node
-	// AutoFailover arms the automatic ReplaceNode on death. Off, the
-	// monitor only observes (states, metrics, events).
-	AutoFailover bool
 	// FailoverBudget bounds one automatic ReplaceNode replay, and is
 	// also how long a riding-through Ingest waits for its share to be
 	// rehomed. 0 means 30s.
@@ -123,12 +118,9 @@ func (c *HealthConfig) failThreshold() int {
 	return c.FailThreshold
 }
 
-func (c *HealthConfig) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 8 * c.interval()
-	}
-	return c.MaxBackoff
-}
+// maxBackoff caps the jittered exponential re-probe backoff for
+// suspect and dead nodes.
+func (c *HealthConfig) maxBackoff() time.Duration { return 8 * c.interval() }
 
 func (c *HealthConfig) failoverBudget() time.Duration {
 	if c.FailoverBudget <= 0 {
@@ -296,7 +288,7 @@ func (m *Monitor) probe(slot int) {
 		sh.nextProbe = time.Now().Add(wait)
 	}
 	to := sh.state
-	startFailover := to == NodeDead && m.cfg.AutoFailover && !sh.replacing && len(m.spares) > 0
+	startFailover := to == NodeDead && !sh.replacing && len(m.spares) > 0
 	var spare Node
 	if startFailover {
 		spare = m.spares[0]
@@ -385,8 +377,8 @@ func (in *Instance) rideThrough(ctx context.Context, budget time.Duration) bool 
 		}
 		in.mu.Lock()
 		landed := in.drained == nil
-		for _, slot := range in.slots {
-			if len(in.failed[slot]) > 0 {
+		for k := range in.hosts {
+			if len(in.hosts[k].failed) > 0 {
 				landed = false
 				break
 			}

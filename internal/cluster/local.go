@@ -13,59 +13,48 @@ import (
 )
 
 // LocalNode is a full admission-service node running in-process on real
-// loopback TCP — HTTP API and stream listener both live. It exists so
-// cluster tests, the fault-injection suite, and `ospcluster -spawn` can
-// stand up an N-node fleet in one process, with a Kill that emulates
+// loopback TCP: one HTTP listener serves the API and the verdict
+// streams upgraded from it (GET /v1/stream). It exists so cluster
+// tests, the fault-injection suite, and `ospcluster -spawn` can stand
+// up an N-node fleet in one process, with a Kill that emulates
 // process death deterministically (connections torn down abruptly, no
 // graceful drain) — the thing an exec'd subprocess kill does racily.
 type LocalNode struct {
-	srv      *osp.Server
-	hs       *http.Server
-	httpLn   net.Listener
-	streamLn net.Listener
-	cfg      Node
+	srv *osp.Server
+	hs  *http.Server
+	cfg Node
 
 	mu     sync.Mutex
 	dead   bool
 	httpCh chan error
 }
 
-// StartLocalNode boots a node on two fresh loopback ports.
+// StartLocalNode boots a node on a fresh loopback port.
 func StartLocalNode(cfg osp.ServerConfig) (*LocalNode, error) {
 	srv := osp.NewServer(cfg)
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("cluster: local node http listen: %w", err)
-	}
-	streamLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		httpLn.Close()
-		return nil, fmt.Errorf("cluster: local node stream listen: %w", err)
+		return nil, fmt.Errorf("cluster: local node listen: %w", err)
 	}
 	n := &LocalNode{
-		srv:      srv,
-		hs:       &http.Server{Handler: srv},
-		httpLn:   httpLn,
-		streamLn: streamLn,
-		cfg: Node{
-			BaseURL:    "http://" + httpLn.Addr().String(),
-			StreamAddr: streamLn.Addr().String(),
-		},
+		srv:    srv,
+		hs:     &http.Server{Handler: srv},
+		cfg:    Node{BaseURL: "http://" + ln.Addr().String()},
 		httpCh: make(chan error, 1),
 	}
-	go func() { n.httpCh <- n.hs.Serve(httpLn) }()
-	go srv.ServeStream(streamLn) //nolint:errcheck // ends when the listener closes
+	go func() { n.httpCh <- n.hs.Serve(ln) }()
 	return n, nil
 }
 
-// Config returns the node's addresses for Config.Nodes / ReplaceNode.
+// Config returns the node's address for Config.Nodes / ReplaceNode.
 func (n *LocalNode) Config() Node { return n.cfg }
 
 // Server exposes the underlying admission server (tests reach the pool
-// through it).
+// through it, or serve a raw stream listener from it with ServeStream,
+// which Kill and Shutdown then close).
 func (n *LocalNode) Server() *osp.Server { return n.srv }
 
-// Kill emulates the node process dying: both listeners close and every
+// Kill emulates the node process dying: the listener closes and every
 // established connection — HTTP and stream — is torn down immediately,
 // mid-frame if one is in flight. No drain, no goodbye. All engine state
 // is gone the way a killed process's memory is gone; the node cannot be
@@ -78,7 +67,6 @@ func (n *LocalNode) Kill() {
 	}
 	n.dead = true
 	n.hs.Close() //nolint:errcheck // abrupt teardown is the point
-	n.streamLn.Close()
 	// An already-expired context makes Shutdown skip every grace period:
 	// stream connections are force-closed, engines drained in the
 	// background where nobody will ever read them.
@@ -97,7 +85,6 @@ func (n *LocalNode) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	n.dead = true
-	n.streamLn.Close()
 	err := n.srv.Shutdown(ctx)
 	if herr := n.hs.Shutdown(ctx); herr != nil && !errors.Is(herr, http.ErrServerClosed) && err == nil {
 		err = herr

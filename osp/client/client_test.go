@@ -298,13 +298,13 @@ func ingestAll(ctx context.Context, t *testing.T, h *client.Instance, inst *osp.
 	return admitted, dropped
 }
 
-// TestCodecEquivalence is the client-side contract across the stream's
-// entries: the same stream ingested over the raw listener, through the
+// TestStreamEntriesEquivalence is the client-side contract across the
+// stream's entries: the same stream ingested over the raw listener, through the
 // HTTP upgrade and through the upgrade of an https listener (the
 // http.Client's TLS configuration carries over) produces identical
 // verdict aggregates and bit-for-bit identical drained results, all
 // equal to the serial oracle.
-func TestCodecEquivalence(t *testing.T) {
+func TestStreamEntriesEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const seed = 23
 	inst := uniform(t, 40, 2000, 5, 8)
@@ -349,11 +349,11 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestControlPlaneCodecs pins what the client sends to register and
+// TestControlPlaneFrames pins what the client sends to register and
 // drain — a snapshot frame, and an Accept for the result frame — and
 // that a handle reattached by Client.Instance, which holds no Info,
 // drains the result frame to the oracle.
-func TestControlPlaneCodecs(t *testing.T) {
+func TestControlPlaneFrames(t *testing.T) {
 	ctx := context.Background()
 	srv := osp.NewServer(osp.ServerConfig{})
 	var mu sync.Mutex
@@ -416,25 +416,9 @@ func TestControlPlaneCodecs(t *testing.T) {
 	}
 }
 
-// TestDefaultCodecIsBinary: a client built with no options ingests
-// binary frames over the verdict stream from its first batch.
-func TestDefaultCodecIsBinary(t *testing.T) {
-	ctx := context.Background()
-	inst := uniform(t, 20, 200, 3, 5)
-	c, _ := startServer(t)
-	h, err := c.Register(ctx, client.Spec{Info: osp.InfoOf(inst), Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Ingest(ctx, inst.Elements[:50]); err != nil {
-		t.Fatal(err)
-	}
-	assertStreamConns(t, c, 1)
-}
-
-// TestCodecBinaryForcedSurfacesRejection: a server without the stream
-// upgrade is an error, not a silent downgrade to JSON.
-func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
+// TestStreamUpgradeRefusalSurfaces: a server without the stream upgrade
+// is an error, not a silent downgrade to JSON.
+func TestStreamUpgradeRefusalSurfaces(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
 	c := startLegacyServer(t)
@@ -447,10 +431,10 @@ func TestCodecBinaryForcedSurfacesRejection(t *testing.T) {
 	}
 }
 
-// TestDefaultCodecInvalidBatchStays400: a genuinely invalid batch over
-// the stream comes back as a 400 *APIError — the stream's Error frame
-// ends that stream — and the next call re-dials and flows.
-func TestDefaultCodecInvalidBatchStays400(t *testing.T) {
+// TestStreamInvalidBatchStays400: a genuinely invalid batch over the
+// stream comes back as a 400 *APIError — the stream's Error frame ends
+// that stream — and the next call re-dials and flows.
+func TestStreamInvalidBatchStays400(t *testing.T) {
 	ctx := context.Background()
 	inst := uniform(t, 10, 50, 3, 4)
 	c, _ := startServer(t)

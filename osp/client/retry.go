@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sync"
 	"time"
-
-	"repro/osp"
 )
 
 // RetryPolicy is a deadline-budgeted retry schedule for the ingest and
@@ -21,13 +18,17 @@ import (
 // instance, ingest after drain) are authoritative and are NEVER
 // retried — a bad request does not become good by repetition.
 //
-// Retried ingest is at-least-once: a batch whose connection died after
-// the server processed it but before the verdicts arrived is resent on
-// retry and ingested twice. Single-node callers that need exactness
-// should treat a retried-then-failed batch as poisoned and drain; the
-// cluster coordinator gets exactness back by journaling acknowledged
-// shares and replaying onto a fresh replacement node, where resending
-// is safe by construction.
+// An ingest attempt that fails before its batch frame is written is
+// resent. After the write, two failures are final because the node may
+// have decided the batch, so a resend could ingest it twice: a
+// PerAttempt timeout (the node may yet answer) and a malformed verdict
+// frame (it did answer). EOF or a connection reset after the write
+// stays at-least-once: the node may have decided the batch before the
+// connection died, and the retry resends it. Callers that need
+// exactness should treat a retried-then-failed batch as poisoned and
+// drain; the cluster coordinator gets exactness back from a dead node
+// by journaling acknowledged shares and replaying onto a fresh
+// replacement node, where resending is safe by construction.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included).
 	// 0 means the default, 4.
@@ -52,20 +53,30 @@ type RetryPolicy struct {
 // WithRetry enables the deadline-budgeted retry policy on this client's
 // ingest paths (Ingest, IngestFunc and this client's shares of an
 // IngestShares call — including re-dialing a broken verdict stream) and
-// on Drain (idempotent server-side). Verdict
-// callbacks are buffered per attempt and delivered only after the
-// attempt succeeds, so a batch that rides through a failover fires each
-// element's callback exactly once, in batch order.
+// on Drain (idempotent server-side). An attempt is retried only when no
+// verdict of it reached the callback, so a batch that rides through a
+// reconnect fires each element's callback exactly once, in batch order.
 func WithRetry(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = &p }
 }
+
+// decidedError marks an ingest attempt's error that struck after the
+// node may have decided the batch: a deadline once the batch frame was
+// written, or a malformed verdict frame. It is never retried.
+type decidedError struct{ error }
+
+func (e decidedError) Unwrap() error { return e.error }
 
 // retryable reports whether an attempt error is worth repeating: every
 // transport-level failure (dial refused, connection reset, attempt
 // timeout — the server may never have seen the request), plus the
 // transient statuses 429 (pool full) and 5xx (shutting down, upstream
-// hiccup). All other *APIErrors are permanent.
+// hiccup). All other *APIErrors are permanent, and so is a
+// decidedError.
 func retryable(err error) bool {
+	if errors.As(err, new(decidedError)) {
+		return false
+	}
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.StatusCode == http.StatusTooManyRequests || apiErr.StatusCode >= 500
@@ -181,38 +192,3 @@ func (r *retrier) close() {
 		r.cancel()
 	}
 }
-
-// verdictBuf holds one attempt's verdict callbacks — element index plus
-// a copy of the admitted sets, flat in one arena — so a failed attempt
-// delivers nothing and the successful one delivers everything, in batch
-// order, exactly once.
-type verdictBuf struct {
-	idx  []int
-	offs []int // start offset of callback k's admitted sets in sets
-	sets []osp.SetID
-}
-
-func (b *verdictBuf) reset() {
-	b.idx, b.offs, b.sets = b.idx[:0], b.offs[:0], b.sets[:0]
-}
-
-// collect is the per-attempt callback: it copies, because the admitted
-// slice it receives is reused scratch.
-func (b *verdictBuf) collect(i int, admitted []osp.SetID) {
-	b.idx = append(b.idx, i)
-	b.offs = append(b.offs, len(b.sets))
-	b.sets = append(b.sets, admitted...)
-}
-
-// flush replays the buffered callbacks into the caller's fn.
-func (b *verdictBuf) flush(fn func(i int, admitted []osp.SetID)) {
-	for k, i := range b.idx {
-		end := len(b.sets)
-		if k+1 < len(b.offs) {
-			end = b.offs[k+1]
-		}
-		fn(i, b.sets[b.offs[k]:end:end])
-	}
-}
-
-var verdictBufPool = sync.Pool{New: func() any { return new(verdictBuf) }}

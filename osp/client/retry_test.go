@@ -7,12 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultproxy"
+	"repro/internal/stream"
+	"repro/internal/wire"
 	"repro/osp"
 	"repro/osp/client"
 )
@@ -104,6 +107,62 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryNeverResendsAWrittenBatch pins the exactly-once half of the
+// retry contract: once an attempt has written its batch frame, a
+// PerAttempt timeout ends the call with that error instead of resending.
+// The node here answers late, not never — the proxy delays the frame
+// past the attempt's deadline, then heals — so it decides the batch
+// anyway, and a resend would ingest it a second time. The drain must
+// count every element exactly once.
+func TestRetryNeverResendsAWrittenBatch(t *testing.T) {
+	ctx := context.Background()
+	c, p := startProxiedServer(t, client.WithRetry(client.RetryPolicy{
+		MaxAttempts: 4,
+		BaseBackoff: 200 * time.Millisecond,
+		PerAttempt:  100 * time.Millisecond,
+		Budget:      10 * time.Second,
+	}))
+	const seed = 41
+	inst := uniform(t, 30, 1200, 4, 12)
+	h := registerTwin(t, c, inst, seed)
+	half := len(inst.Elements) / 2
+	if err := h.IngestFunc(ctx, inst.Elements[:half], nil); err != nil {
+		t.Fatalf("healthy batch: %v", err)
+	}
+
+	p.Set(faultproxy.Fault{Mode: faultproxy.Delay, Latency: 150 * time.Millisecond})
+	time.AfterFunc(120*time.Millisecond, func() { p.Set(faultproxy.Fault{Mode: faultproxy.Pass}) })
+	err := h.IngestFunc(ctx, inst.Elements[half:], nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch answered after its attempt's deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+
+	// The late frame still reaches the node: wait until it is decided.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, err := h.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Metrics.Processed >= uint64(len(inst.Elements)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node processed %d of %d elements", st.Metrics.Processed, len(inst.Elements))
+		}
+	}
+	res, err := h.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(oracle) {
+		t.Error("drain differs from the serial oracle: the late batch was ingested twice")
+	}
+}
+
 // TestRetryPermanent4xxNotRetried pins the must-NOT-retry arm: a batch
 // the server rejects as malformed is returned immediately — exactly one
 // stream opened for it, no backoff burned on a request that can never
@@ -136,6 +195,78 @@ func TestRetryPermanent4xxNotRetried(t *testing.T) {
 	}
 	if n := upgrades.Load(); n != 1 {
 		t.Fatalf("server saw %d stream upgrades for a permanent 400, want exactly 1 (no retries)", n)
+	}
+}
+
+// TestRetryMalformedVerdictsNotRetried: a verdict frame that fails to
+// decode is final under WithRetry, since the node that sent it decided
+// the batch and a resend would ingest it twice. The peer here answers
+// one frame that covers only the batch's first element: the call
+// returns the frame error after exactly one upgrade, and the callback
+// fired for that first element, straight from the attempt.
+func TestRetryMalformedVerdictsNotRetried(t *testing.T) {
+	ctx := context.Background()
+	els := []osp.Element{
+		{Members: []osp.SetID{0, 1}, Capacity: 1},
+		{Members: []osp.SetID{1}, Capacity: 1},
+	}
+	var upgrades atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/instances/i-1":
+			w.Write([]byte(`{"id":"i-1","shards":1,"policy":"randpr"}`)) //nolint:errcheck
+		case stream.UpgradePath:
+			upgrades.Add(1)
+			nc, brw, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer nc.Close()
+			brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.UpgradeToken + "\r\n\r\n") //nolint:errcheck
+			if brw.Flush() != nil {
+				return
+			}
+			fc := stream.NewConn(nc, 0)
+			answer := func(want, typ byte, payload []byte) bool {
+				got, seq, _, err := fc.ReadFrame()
+				if err != nil || got != want {
+					t.Errorf("peer read frame %c, %v; want %c", got, err, want)
+					return false
+				}
+				fc.WriteFrame(typ, seq, payload) //nolint:errcheck // the client's error is the check
+				return fc.Flush() == nil
+			}
+			// The verdicts carry one mask byte: the first element's, none
+			// for the second.
+			if answer(stream.FrameHello, stream.FrameAck, stream.AppendAck(nil, 8, "randpr")) &&
+				answer(stream.FrameBatch, stream.FrameVerdicts, append(wire.AppendVerdictsHeader(nil, len(els)), 0)) {
+				fc.ReadFrame() //nolint:errcheck // hold the connection until the client hangs up
+			}
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(hs.Close)
+	c, err := client.New(hs.URL,
+		client.WithRetry(client.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Instance(ctx, "i-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var called []int
+	err = h.IngestFunc(ctx, els, func(i int, _ []osp.SetID) { called = append(called, i) })
+	if !errors.Is(err, wire.ErrFrame) {
+		t.Fatalf("malformed verdict frame: err = %v, want wire.ErrFrame", err)
+	}
+	if n := upgrades.Load(); n != 1 {
+		t.Errorf("peer saw %d stream upgrades for one malformed verdict frame, want exactly 1 (no retries)", n)
+	}
+	if !slices.Equal(called, []int{0}) {
+		t.Errorf("callbacks fired for elements %v, want [0]", called)
 	}
 }
 

@@ -314,7 +314,8 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 		s.count--
 		s.recvSeq++
 		if err := s.decodeVerdicts(payload, els, fn); err != nil {
-			s.err = err
+			// The server decided the batch: a resend would ingest it twice.
+			s.err = decidedError{err}
 			return s.err
 		}
 		return nil

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,10 +27,12 @@ import (
 // over; a server that refuses the upgrade or the instance surfaces as
 // *APIError. Call Close when done to release the stream gracefully.
 //
-// With WithRetry configured, attempts buffer their callbacks and fn
-// fires only after an attempt succeeds — each element exactly once, in
-// batch order, no matter how many retries or re-dials the batch rode
-// through.
+// fn fires for each element at most once, in batch order, however many
+// retries or re-dials the batch rode through under WithRetry: an attempt
+// is retried only when it failed before any verdict reached fn. The one
+// failure that can strike after callbacks have begun, a malformed
+// verdict frame, ends the call with fn having run for a prefix of the
+// batch.
 //
 // An empty batch is refused up front with the 400 *APIError the server
 // answers a JSON one: it never reaches the wire, so it cannot cost the
@@ -50,7 +53,7 @@ type Share struct {
 	// Els is the batch, in arrival order.
 	Els []osp.Element
 	// Fn, optional, receives each element's admitted sets, as
-	// IngestFunc's fn does.
+	// IngestFunc's fn does, straight from the attempt that decodes them.
 	Fn func(i int, admitted []osp.SetID)
 	// Err is the share's outcome, set by IngestShares: nil once every
 	// element's callback has run, else the error IngestFunc would have
@@ -63,7 +66,6 @@ type Share struct {
 	cancel context.CancelFunc // actx's PerAttempt timeout, nil without one
 	stop   func() bool        // bind's, for the receive's unbind
 	err    error              // the attempt's error
-	buf    *verdictBuf        // the attempt's callbacks, under WithRetry
 	held   bool               // In.tmu is locked
 }
 
@@ -78,8 +80,8 @@ type Share struct {
 // With WithRetry, a failed share is retried only after every share's
 // first attempt has been received: an attempt's PerAttempt deadline is
 // bound to its connection when the share is sent, so backing off first
-// would let that deadline fail a share its node has already decided,
-// and the retry would ingest it twice.
+// would let that deadline fail a share whose verdicts are already on
+// their way, and a deadline after the batch went out is final.
 //
 // Each share holds its instance, as IngestFunc does, from its send
 // until IngestShares returns. Instances are taken in the order the
@@ -119,9 +121,6 @@ func IngestShares(ctx context.Context, shares []Share) {
 			s.send()
 			s.recv()
 		}
-		if s.Err == nil && s.buf != nil {
-			s.buf.flush(s.fn())
-		}
 	}
 }
 
@@ -146,19 +145,15 @@ func (s *Share) send() {
 	s.stop, s.err = s.In.sendAttempt(s.actx, s.Els)
 }
 
-// recv receives the verdicts of the attempt send started: straight into
-// Fn without a retry policy, into the attempt's buffer with one.
+// recv receives the verdicts of the attempt send started into Fn. The
+// batch frame is out by then, so a deadline is final: the node may
+// still answer, and a resend could ingest the batch twice.
 func (s *Share) recv() {
 	if s.err == nil {
-		fn := s.fn()
-		if s.r.p != nil {
-			if s.buf == nil {
-				s.buf = verdictBufPool.Get().(*verdictBuf)
-			}
-			s.buf.reset()
-			fn = s.buf.collect
+		s.err = s.In.recvAttempt(s.actx, s.stop, s.fn())
+		if errors.Is(s.err, context.DeadlineExceeded) {
+			s.err = decidedError{s.err}
 		}
-		s.err = s.In.recvAttempt(s.actx, s.stop, fn)
 	}
 	if s.cancel != nil {
 		s.cancel()
@@ -177,19 +172,16 @@ func (s *Share) fn() func(int, []osp.SetID) {
 func discard(int, []osp.SetID) {}
 
 // release ends the share's part in the call: its attempt timer, retry
-// budget, verdict buffer and instance.
+// budget and instance.
 func (s *Share) release() {
 	if s.cancel != nil {
 		s.cancel()
 	}
 	s.r.close()
-	if s.buf != nil {
-		verdictBufPool.Put(s.buf)
-	}
 	if s.held {
 		s.In.tmu.Unlock()
 	}
-	s.r, s.actx, s.cancel, s.stop, s.buf, s.held = retrier{}, nil, nil, nil, nil, false
+	s.r, s.actx, s.cancel, s.stop, s.held = retrier{}, nil, nil, nil, false
 }
 
 // sendAttempt is the first half of one attempt: it opens the pinned
